@@ -2,18 +2,19 @@
 
 Three claims behind ``Session.run_many``:
 
-* **P-SWEEP (fork speedup)** — on ≥ 2 cores, fanning a grid out over the
-  legacy fork pool beats running it serially.  Gated at ≥ 1.2× with
-  jobs=2 — conservative so CI runners with noisy neighbours pass, while
-  still failing if the pool ever serializes.
+* **P-SWEEP (2-worker speedup)** — on ≥ 2 cores, fanning a grid out over
+  a fresh persistent pool of two workers (spawn included) beats running
+  it serially.  Gated at ≥ 1.2× with jobs=2 — conservative so CI runners
+  with noisy neighbours pass, while still failing if the pool ever
+  serializes.
 * **P-POOL (persistent speedup)** — on ≥ 4 cores, the persistent worker
-  service (warm workers + shared-memory workload handoff, the ``auto``
-  default) beats serial by ≥ 1.6× with jobs=4; a warm-pool rerun must not
-  be slower than the cold one that paid worker spawn.
-* **byte-determinism** — serial, fork, cold-persistent, and
-  warm-persistent report streams are byte-identical (also pinned
-  per-spec in ``tests/test_session.py`` / ``tests/test_pool.py``; here it
-  rides along on the big grid for free).
+  service (warm workers + shared-memory workload handoff) beats serial by
+  ≥ 1.6× with jobs=4; a warm-pool rerun must not be slower than the cold
+  one that paid worker spawn.
+* **byte-determinism** — serial, jobs=2, cold jobs=4, and warm jobs=4
+  report streams are byte-identical (also pinned per-spec in
+  ``tests/test_session.py`` / ``tests/test_pool.py``; here it rides along
+  on the big grid for free).
 
 Timings land in ``BENCH_engine.json`` under ``sweep_session`` so the CI
 artifact tracks sweep throughput across PRs (the artifact-presence check
@@ -47,21 +48,21 @@ def test_sweep_parallel_speedup(benchmark, report):
     shm = shared_memory_available()
 
     serial_lines, serial_s = _timed(Session(), jobs=1)
-    with Session(pool="fork") as s:
-        fork_lines, fork_s = _timed(s, jobs=2)
     if shm:
-        with Session(pool="persistent") as s:
+        with Session() as s:
+            two_lines, two_s = _timed(s, jobs=2)
+        with Session() as s:
             cold_lines, cold_s = _timed(s, jobs=4)
             warm_lines, warm_s = _timed(s, jobs=4)
     else:  # pragma: no cover - containers with a masked /dev/shm
-        cold_lines = warm_lines = serial_lines
-        cold_s = warm_s = float("nan")
+        two_lines = cold_lines = warm_lines = serial_lines
+        two_s = cold_s = warm_s = float("nan")
 
-    assert fork_lines == serial_lines, "fork sweep is not deterministic"
+    assert two_lines == serial_lines, "jobs=2 sweep is not deterministic"
     assert cold_lines == serial_lines, "persistent sweep is not deterministic"
     assert warm_lines == serial_lines, "warm pool reuse is not deterministic"
 
-    fork_speedup = serial_s / fork_s if fork_s else float("inf")
+    two_speedup = serial_s / two_s if two_s else float("inf")
     cold_speedup = serial_s / cold_s if cold_s else float("inf")
     warm_speedup = serial_s / warm_s if warm_s else float("inf")
     emit_bench_json(
@@ -71,8 +72,8 @@ def test_sweep_parallel_speedup(benchmark, report):
             "cores": cores,
             "shm_available": shm,
             "serial_s": round(serial_s, 3),
-            "fork_jobs2_s": round(fork_s, 3),
-            "speedup_fork_jobs2": round(fork_speedup, 2),
+            "persistent_jobs2_s": round(two_s, 3),
+            "speedup_persistent_jobs2": round(two_speedup, 2),
             "persistent_jobs4_s": round(cold_s, 3),
             "speedup_persistent_jobs4": round(cold_speedup, 2),
             "persistent_warm_jobs4_s": round(warm_s, 3),
@@ -82,20 +83,23 @@ def test_sweep_parallel_speedup(benchmark, report):
     report(
         f"Session sweep throughput ({len(GRID)} runs: 3 algos x 2 sizes x 2 seeds)\n"
         f"  cores={cores}  shm={'yes' if shm else 'no'}  serial={serial_s:.2f}s\n"
-        f"  fork jobs=2: {fork_s:.2f}s ({fork_speedup:.2f}x)   "
-        f"persistent jobs=4: {cold_s:.2f}s ({cold_speedup:.2f}x)   "
+        f"  persistent jobs=2: {two_s:.2f}s ({two_speedup:.2f}x)   "
+        f"jobs=4: {cold_s:.2f}s ({cold_speedup:.2f}x)   "
         f"warm: {warm_s:.2f}s ({warm_speedup:.2f}x)\n"
-        f"  JSONL byte-identical across pools and jobs: yes"
+        f"  JSONL byte-identical across jobs: yes"
     )
 
-    if cores < 2:
-        pytest.skip("speedup gates need >= 2 cores; determinism still checked")
-    assert fork_speedup >= 1.2, (
-        f"fork sweep not measurably faster: {fork_speedup:.2f}x "
-        f"(serial {serial_s:.2f}s vs jobs=2 {fork_s:.2f}s)"
+    if cores < 2 or not shm:
+        pytest.skip(
+            "speedup gates need >= 2 cores and shared memory; "
+            "determinism still checked"
+        )
+    assert two_speedup >= 1.2, (
+        f"jobs=2 sweep not measurably faster: {two_speedup:.2f}x "
+        f"(serial {serial_s:.2f}s vs jobs=2 {two_s:.2f}s)"
     )
-    if cores < 4 or not shm:
-        pytest.skip("persistent gate needs >= 4 cores and shared memory")
+    if cores < 4:
+        pytest.skip("persistent jobs=4 gate needs >= 4 cores")
     assert cold_speedup >= 1.6, (
         f"persistent pool under its gate: {cold_speedup:.2f}x "
         f"(serial {serial_s:.2f}s vs jobs=4 {cold_s:.2f}s)"

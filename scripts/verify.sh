@@ -21,10 +21,10 @@
 #      actually landed in BENCH_engine.json (the cross-PR trajectory
 #      artifact);
 #   7. the experiment-API sweep gates (Session.run_many byte-deterministic
-#      for any jobs value through the serial path, the legacy fork pool,
-#      and the persistent worker service; >= 1.2x fork speedup when >= 2
-#      cores and >= 1.6x persistent-pool speedup at jobs=4 when >= 4
-#      cores), plus a `python -m repro sweep` smoke whose JSONL lands in
+#      for any jobs value through the serial path and the persistent
+#      worker service; >= 1.2x persistent-pool speedup at jobs=2 when
+#      >= 2 cores and >= 1.6x at jobs=4 when >= 4 cores), plus a
+#      `python -m repro sweep` smoke whose JSONL lands in
 #      SWEEP_results.jsonl (override with SWEEP_JSONL) for the CI artifact;
 #   8. the scenario subsystem: per-family workload-build/run timings
 #      (benchmarks/bench_scenarios.py -> BENCH_engine.json `scenarios`)

@@ -28,11 +28,12 @@ Three layers, one import::
   execution with per-``n`` butterfly/workload caching; JSONL output is
   byte-identical for any ``jobs`` value.
 * **Sweep service** — the persistent worker pool with shared-memory
-  workload handoff (:mod:`repro.api.pool`), resumable sweep manifests
-  (:mod:`repro.api.manifest`), and the sharded append-only result store
-  plus query layer (:mod:`repro.api.store`).  ``Session(pool=...)``
-  selects the pool; ``run_many(store=..., manifest=...)`` makes a sweep
-  durable and resumable.  See docs/OPERATIONS.md.
+  workload handoff (:mod:`repro.api.pool`, a front-end over the worker
+  core in :mod:`repro.workers`; hosts without shared memory run sweeps
+  serially), resumable sweep manifests (:mod:`repro.api.manifest`), and
+  the sharded append-only result store plus query layer
+  (:mod:`repro.api.store`).  ``run_many(store=..., manifest=...)`` makes
+  a sweep durable and resumable.  See docs/OPERATIONS.md.
 
 The CLI (``python -m repro run/table1/sweep/query``) is a thin wrapper
 over this module.
@@ -56,8 +57,9 @@ from ..scenarios import (
     register_scenario,
     scenario_names,
 )
+from ..workers import shared_memory_available
 from .manifest import Manifest, ManifestError
-from .pool import PersistentPool, WorkerCrashError, shared_memory_available
+from .pool import PersistentPool, WorkerCrashError
 from .schema import RunReport, RunSpec, dump_reports, load_reports
 from .session import Session, matrix_grid, sweep_grid
 from .store import ResultStore, StoreError

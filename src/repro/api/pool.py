@@ -1,73 +1,43 @@
 """The persistent worker service behind parallel sweeps.
 
-The fork-per-sweep pool (``pool="fork"``) re-forks a ``ProcessPoolExecutor``
-on every ``run_many`` call and every worker rebuilds its workload graphs
-from the generators.  This module replaces it with a **persistent pool**
-(``pool="persistent"``, the default when shared memory is available):
+A front-end over the shared worker core (:mod:`repro.workers`), with one
+sweep row per task:
 
 * workers are spawned **once per** :class:`~repro.api.session.Session` and
   stay alive across ``run_many`` calls, each holding a warm worker-local
   session (butterfly grids, workload caches, imported modules);
 * the parent publishes each distinct workload graph **once** into a
   ``multiprocessing.shared_memory`` segment (canonical edge/weight int64
-  columns — PR 6's typed-column work made these flat numeric arrays);
-  workers attach by name and rebuild the graph through the trusted
-  :meth:`InputGraph.from_canonical_arrays` fast path instead of receiving
-  a pickled graph per job (`ButterflyGrid` topology is derived O(1) state
-  — workers materialize it from ``n`` alone, nothing to ship);
-* tasks travel over per-worker duplex pipes, so the parent always knows
-  which spec each worker holds: when a worker **dies mid-run** (OOM kill,
-  segfault, SIGKILL) its in-flight spec is requeued to a surviving worker,
-  the incident is reported upward (the sweep manifest records it), and the
-  sweep completes.  A spec that kills :data:`MAX_REQUEUES` + 1 workers in
-  a row is declared poisonous and aborts the sweep with
-  :class:`WorkerCrashError` instead of grinding the pool down.
+  columns); workers attach by name and rebuild the graph through the
+  trusted :meth:`InputGraph.from_canonical_arrays` fast path instead of
+  receiving a pickled graph per job (`ButterflyGrid` topology is derived
+  O(1) state — workers materialize it from ``n`` alone, nothing to ship);
+* a worker dying mid-run has its row requeued to a survivor and the
+  incident reported upward (the sweep manifest records it).  A row that
+  exhausts the core's requeue budget, or a pool with no workers left,
+  aborts the sweep with :class:`WorkerCrashError` instead of grinding the
+  pool down.
 
 Determinism is unchanged: a run is a pure function of its canonicalized
 spec, workers return report dicts, and the session reorders completions
 into spec order before anything observable happens — so jobs=1 and jobs=N
-emit byte-identical JSONL through either pool (pinned in
-``tests/test_session.py`` / ``tests/test_pool.py``).
-
-Shared-memory lifecycle: segments are created by the parent, unlinked by
-the parent when the pool closes (``Session.close()`` / context-manager
-exit / a ``weakref.finalize`` backstop at interpreter shutdown).  Workers
-attach read-only, copy, and detach immediately, so a worker dying at any
-point never strands a mapping; if the *parent* itself is SIGKILLed, the
-shared ``multiprocessing.resource_tracker`` process unlinks the segments
-instead.  See docs/OPERATIONS.md for the abnormal-exit story.
+emit byte-identical JSONL (pinned in ``tests/test_session.py`` /
+``tests/test_pool.py``).  Segment lifecycle and the resource-tracker
+story live with the core; see docs/OPERATIONS.md for abnormal exits.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import weakref
-from collections import deque
 from typing import Any, Callable, Iterator, Sequence
 
-from ..errors import ConfigurationError
 from ..ncc.graph_input import InputGraph
 from ..telemetry import tracer as _tracer
 from ..telemetry.metrics import METRICS, MetricRegistry
 from ..telemetry.tracer import Tracer, install_tracer, uninstall_tracer
+from ..workers import TaskKind, WorkerPool
 from .schema import RunSpec
 
-_POOL_CRASHES = METRICS.counter("pool.crashes")
 _POOL_PUBLISHES = METRICS.counter("pool.publishes")
-
-#: times a single spec may be requeued after killing a worker before the
-#: sweep aborts (a deterministic worker-killer would otherwise take the
-#: whole pool down one worker at a time).
-MAX_REQUEUES = 2
-
-#: the selectable pool kinds (`Session(pool=...)`); "auto" resolves to
-#: "persistent" when shared memory is available, else "fork".
-POOL_KINDS = ("auto", "persistent", "fork")
-
-#: test-only chaos hook (see _maybe_chaos_kill); documented in
-#: docs/OPERATIONS.md so operators finding it set know what it is.
-CHAOS_ENV = "REPRO_POOL_CHAOS"
 
 
 class WorkerCrashError(RuntimeError):
@@ -77,29 +47,8 @@ class WorkerCrashError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Shared-memory availability + graph transport
+# Graph transport
 # ----------------------------------------------------------------------
-_SHM_AVAILABLE: bool | None = None
-
-
-def shared_memory_available() -> bool:
-    """True when ``multiprocessing.shared_memory`` works on this host
-    (importable and a segment can actually be created — containers with a
-    masked /dev/shm fail the latter).  Probed once per process."""
-    global _SHM_AVAILABLE
-    if _SHM_AVAILABLE is None:
-        try:
-            from multiprocessing import shared_memory
-
-            seg = shared_memory.SharedMemory(create=True, size=8)
-            seg.close()
-            seg.unlink()
-            _SHM_AVAILABLE = True
-        except Exception:
-            _SHM_AVAILABLE = False
-    return _SHM_AVAILABLE
-
-
 def pack_graph(g: InputGraph) -> tuple[dict[str, Any], "Any"]:
     """Flatten a validated graph into ``(meta, int64 column)`` for shared
     memory: ``2m`` edge endpoints (canonical sorted order) followed by
@@ -126,40 +75,9 @@ def unpack_graph(meta: dict[str, Any], flat: "Any") -> InputGraph:
     return InputGraph.from_canonical_arrays(int(meta["n"]), edges, weights)
 
 
-class _Segment:
-    """One published workload graph living in a shared-memory segment."""
-
-    def __init__(self, graph: InputGraph):
-        import numpy as np
-        from multiprocessing import shared_memory
-
-        meta, flat = pack_graph(graph)
-        self.shm = shared_memory.SharedMemory(
-            create=True, size=max(8, flat.nbytes)
-        )
-        np.frombuffer(self.shm.buf, dtype=np.int64, count=flat.size)[:] = flat
-        self.ref = {**meta, "shm": self.shm.name}
-
-    def unlink(self) -> None:
-        try:
-            self.shm.close()
-            self.shm.unlink()
-        except Exception:  # pragma: no cover - already gone
-            pass
-
-
 def _attach_graph(ref: dict[str, Any]) -> InputGraph:
     """Worker side: attach the named segment, copy the columns out,
-    detach, and rebuild the graph.
-
-    CPython (< 3.13) registers *attachments* with the resource tracker
-    too, but our workers are ``multiprocessing`` children and therefore
-    share the parent's tracker (the tracker fd travels through fork and
-    spawn preparation data alike), where registration is a set — the
-    duplicate is a no-op and the parent's unlink retires it.  Do NOT
-    "fix" this with ``resource_tracker.unregister`` here: on a shared
-    tracker that would remove the *parent's* registration and make the
-    parent's own unlink crash the tracker."""
+    detach, and rebuild the graph."""
     import numpy as np
     from multiprocessing import shared_memory
 
@@ -174,61 +92,37 @@ def _attach_graph(ref: dict[str, Any]) -> InputGraph:
 
 
 # ----------------------------------------------------------------------
-# Worker process
+# The sweep-row task kind
 # ----------------------------------------------------------------------
-def _maybe_chaos_kill(spec: RunSpec) -> None:
-    """Crash-injection hook for the robustness tests: when
-    ``REPRO_POOL_CHAOS=<hash-prefix>:<flagfile>`` is set and this spec's
-    content hash matches the prefix, SIGKILL this worker — exactly once
-    across the pool (the flag file is claimed with O_EXCL), so the requeued
-    spec then completes on a surviving worker.  An empty flagfile path
-    (``<hash-prefix>:``) kills *every* worker that picks the spec up,
-    simulating a poisonous spec.  Never set outside tests."""
-    raw = os.environ.get(CHAOS_ENV)
-    if not raw:
-        return
-    prefix, _, flag = raw.partition(":")
-    if not prefix or not spec.content_hash().startswith(prefix):
-        return
-    if flag:
-        try:
-            os.close(os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            return  # the one crash already happened; run normally
-    os.kill(os.getpid(), signal.SIGKILL)
+class _RowWorker:
+    """Worker-side state of a sweep worker: a warm worker-local Session
+    plus the workload graphs attached so far.  Called once per row with
+    ``(idx, spec_dict, wl_key, wl_ref, trace)``; returns the report dict.
 
+    When ``trace`` is set the run executes under a fresh per-row tracer
+    and its payload ships back piggybacked on the report dict under
+    ``"__telemetry__"`` — a key :meth:`RunReport.from_dict` ignores by
+    schema design and the session strips before the report is built, so
+    the canonical surface never sees it."""
 
-def _worker_main(conn, base_config, cache: bool) -> None:
-    """Long-lived worker loop: recv ``(idx, spec_dict, wl_key, wl_ref,
-    trace)`` tasks, run them on a warm worker-local Session, send back
-    ``(idx, report_dict)``.  ``None`` (or a closed pipe) shuts down.
+    def __init__(self, base_config, cache: bool):
+        from .session import Session
 
-    When the task's ``trace`` flag is set the run executes under a fresh
-    per-row tracer and its payload ships back piggybacked on the report
-    dict under ``"__telemetry__"`` — a key :meth:`RunReport.from_dict`
-    ignores by schema design and the session strips before the report is
-    built, so the canonical surface never sees it."""
-    from .session import Session
+        self.session = Session(base_config=base_config, cache=cache)
+        self.attached: dict[str, InputGraph] = {}
 
-    session = Session(base_config=base_config, cache=cache)
-    attached: dict[str, InputGraph] = {}
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg is None:
-            break
-        gen, idx, spec_data, wl_key, wl_ref, trace = msg
-        spec = RunSpec.from_dict(spec_data)
-        _maybe_chaos_kill(spec)
+    def __call__(self, task) -> dict:
+        idx, spec_data, wl_key, wl_ref, trace = task
+        session = self.session
+        cache = session._cache_enabled
         if wl_key is not None and wl_ref is not None:
-            g = attached.get(wl_ref["shm"])
+            g = self.attached.get(wl_ref["shm"])
             if g is None:
                 g = _attach_graph(wl_ref)
                 if cache:
-                    attached[wl_ref["shm"]] = g
+                    self.attached[wl_ref["shm"]] = g
             session._workload_cache[wl_key] = g
+        spec = RunSpec.from_dict(spec_data)
         payload = None
         if trace:
             counters_before = METRICS.snapshot()
@@ -239,9 +133,7 @@ def _worker_main(conn, base_config, cache: bool) -> None:
             finally:
                 uninstall_tracer(previous)
             payload = tracer.to_payload()
-            payload["counters"] = MetricRegistry.delta(
-                counters_before, payload["counters"]
-            )
+            payload["counters"] = MetricRegistry.delta(counters_before, payload["counters"])
         else:
             report = session.run(spec)
         if not cache:
@@ -249,66 +141,38 @@ def _worker_main(conn, base_config, cache: bool) -> None:
         data = report.to_dict(timing=True)
         if payload is not None:
             data["__telemetry__"] = payload
-        conn.send((gen, idx, data))
-    conn.close()
+        return data
 
 
-class _Worker:
-    __slots__ = ("proc", "conn")
+def _abort_sweep(idx, _task, why: str):
+    raise WorkerCrashError(f"sweep row {idx} cannot finish: {why}; aborting")
 
-    def __init__(self, proc, conn):
-        self.proc = proc
-        self.conn = conn
+
+ROWS = TaskKind(
+    label="sweep",
+    handler=_RowWorker,
+    exhausted=_abort_sweep,
+    incident="worker-crash",
+    id_field="row",
+    crashes=METRICS.counter("pool.crashes"),
+    dispatch_event="pool-dispatch",
+)
 
 
 # ----------------------------------------------------------------------
 # The pool
 # ----------------------------------------------------------------------
 class PersistentPool:
-    """Long-lived worker processes with shared-memory workload handoff.
-
-    Spawned once (``jobs`` workers, fork start method where available so
-    workers inherit the warm interpreter) and reused for every subsequent
-    dispatch until :meth:`close`.  See the module docstring for the
-    architecture and crash semantics.
-    """
+    """``jobs`` long-lived sweep workers with shared-memory workload
+    handoff, reused for every dispatch until :meth:`close`.  See the
+    module docstring."""
 
     def __init__(self, jobs: int, base_config=None, cache: bool = True):
-        import multiprocessing as mp
-
-        if not shared_memory_available():
-            raise ConfigurationError(
-                "persistent pool needs multiprocessing.shared_memory; "
-                "use Session(pool='fork') (or pool='auto') on this host"
-            )
-        if jobs < 1:
-            raise ConfigurationError(f"pool needs jobs >= 1, got {jobs}")
         self.jobs = jobs
-        method = "fork" if "fork" in mp.get_all_start_methods() else None
-        ctx = mp.get_context(method)
-        self._workers: dict[int, _Worker] = {}
-        self._segments: dict[Any, _Segment] = {}
-        self._generation = 0
-        for wid in range(jobs):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, base_config, cache),
-                daemon=True,
-                name=f"repro-sweep-worker-{wid}",
-            )
-            proc.start()
-            child_conn.close()
-            self._workers[wid] = _Worker(proc, parent_conn)
-        # Backstop: unlink segments and reap workers even if the owning
-        # Session is dropped without close() (incl. interpreter exit).
-        self._finalizer = weakref.finalize(
-            self, PersistentPool._cleanup, self._workers, self._segments
-        )
+        self._core = WorkerPool(ROWS, jobs, base_config, cache)
+        #: published workloads by session workload key
+        self._segments = self._core.segments
 
-    # ------------------------------------------------------------------
-    # Workload publication (parent side)
-    # ------------------------------------------------------------------
     def publish_workload(
         self, key: Any, build: Callable[[], InputGraph]
     ) -> dict[str, Any]:
@@ -316,10 +180,14 @@ class PersistentPool:
         workload-cache key), creating its shared-memory segment on first
         use — ``build`` is only called then; returns the attach reference
         workers receive with their tasks."""
+        import numpy as np
+
         seg = self._segments.get(key)
         if seg is None:
-            seg = _Segment(build())
-            self._segments[key] = seg
+            meta, flat = pack_graph(build())
+            seg = self._core.new_segment(key, flat.nbytes)
+            np.frombuffer(seg.shm.buf, dtype=np.int64, count=flat.size)[:] = flat
+            seg.ref = {**meta, "shm": seg.shm.name}
             _POOL_PUBLISHES.inc()
             tr = _tracer.CURRENT
             if tr is not None:
@@ -331,186 +199,34 @@ class PersistentPool:
                 )
         return seg.ref
 
-    def release_segments(self) -> None:
-        """Unlink every published segment (close() does this too; callers
-        running with caching disabled release after each sweep)."""
-        for seg in self._segments.values():
-            seg.unlink()
-        self._segments.clear()
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
     def run(
         self,
-        items: Sequence[tuple[int, dict, Any, dict | None]],
+        items: Sequence[tuple[int, RunSpec, Any, dict | None]],
         *,
         on_incident: Callable[[dict[str, Any]], None] | None = None,
         trace: bool = False,
     ) -> Iterator[tuple[int, dict]]:
-        """Fan ``items`` (``(idx, spec_dict, wl_key, wl_ref)``) out over
-        the workers; yield ``(idx, report_dict)`` in completion order.
-        With ``trace`` each worker runs its row under a fresh tracer and
-        ships the payload back under the report dict's ``"__telemetry__"``
-        key (stripped by the session before the report is built).
+        """Fan ``items`` (``(idx, spec, wl_key, wl_ref)``) out over the
+        workers; yield ``(idx, report_dict)`` in completion order.  With
+        ``trace`` each worker runs its row under a fresh tracer and ships
+        the payload back under the report dict's ``"__telemetry__"`` key.
+        Crashes requeue as the core describes, each incident passed to
+        ``on_incident``; raises :class:`WorkerCrashError` when a row
+        cannot finish."""
+        tasks = [
+            (idx, spec.content_hash(), (idx, spec.to_dict(), key, ref, trace))
+            for idx, spec, key, ref in items
+        ]
+        yield from self._core.run(tasks, on_incident)
 
-        Worker deaths are survived: the dead worker's in-flight item is
-        requeued (up to :data:`MAX_REQUEUES` times per item) and the
-        incident is passed to ``on_incident``.  Raises
-        :class:`WorkerCrashError` when no workers remain or an item
-        exhausts its requeue budget.
-
-        Each dispatch carries a generation tag: results a worker sends for
-        an *abandoned* previous dispatch (the consumer stopped iterating
-        mid-sweep) are recognised and dropped, so a reused pool can never
-        serve a stale report.
-        """
-        from multiprocessing.connection import wait as conn_wait
-
-        self._generation += 1
-        gen = self._generation
-        pending = deque(items)
-        attempts: dict[int, int] = {}
-        inflight: dict[int, tuple] = {}  # wid -> item
-        idle = list(self._workers)
-        while pending or inflight:
-            while pending and idle:
-                wid = idle.pop()
-                item = pending.popleft()
-                try:
-                    self._workers[wid].conn.send((gen, *item, trace))
-                except (BrokenPipeError, OSError):
-                    # Death noticed at dispatch: requeue, drop the worker.
-                    pending.appendleft(item)
-                    self._requeue_or_raise(
-                        item, wid, attempts, pending, on_incident, sent=False
-                    )
-                    continue
-                tr = _tracer.CURRENT
-                if tr is not None:
-                    tr.event("pool-dispatch", row=item[0], worker=wid)
-                inflight[wid] = item
-            if not self._workers:
-                raise WorkerCrashError(
-                    "all persistent sweep workers died; cannot continue"
-                )
-            if not inflight:
-                continue
-            conns = {self._workers[w].conn: w for w in inflight}
-            sentinels = {
-                self._workers[w].proc.sentinel: w for w in self._workers
-            }
-            ready = conn_wait(list(conns) + list(sentinels))
-            # Results first: a worker that answered and then exited must
-            # still have its result consumed before the sentinel fires.
-            for obj in ready:
-                wid = conns.get(obj)
-                if wid is None:
-                    continue
-                try:
-                    msg_gen, idx, data = obj.recv()
-                except (EOFError, OSError):
-                    continue  # died mid-send; the sentinel path requeues
-                if msg_gen != gen:
-                    # Tail of an abandoned dispatch; the worker is still
-                    # busy with (or about to start) its current-gen item.
-                    continue
-                inflight.pop(wid, None)
-                idle.append(wid)
-                yield idx, data
-            for obj in ready:
-                wid = sentinels.get(obj)
-                if wid is None or wid not in self._workers:
-                    continue
-                item = inflight.pop(wid, None)
-                if item is not None:
-                    pending.appendleft(item)
-                if wid in idle:
-                    idle.remove(wid)
-                self._requeue_or_raise(
-                    item, wid, attempts, pending, on_incident, sent=True
-                )
-
-    def _requeue_or_raise(
-        self, item, wid, attempts, pending, on_incident, *, sent: bool
-    ) -> None:
-        """Reap a dead worker; account the requeue of its in-flight item
-        (already back on ``pending``) and abort on a poisonous spec."""
-        worker = self._workers.pop(wid, None)
-        exitcode = None
-        if worker is not None:
-            worker.proc.join()
-            exitcode = worker.proc.exitcode
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        idx = item[0] if item is not None else None
-        requeued = item is not None
-        over_budget = False
-        if requeued and sent:
-            # Only a death *while holding* the spec counts against its
-            # requeue budget; a worker found dead at dispatch says nothing
-            # about the spec itself.
-            attempts[idx] = attempts.get(idx, 0) + 1
-            over_budget = attempts[idx] > MAX_REQUEUES
-        incident = {
-            "kind": "worker-crash",
-            "row": idx,
-            "exitcode": exitcode,
-            "requeued": requeued and not over_budget,
-            "attempt": attempts.get(idx, 0) if requeued else 0,
-            "workers_left": len(self._workers),
-        }
-        _POOL_CRASHES.inc()
-        tr = _tracer.CURRENT
-        if tr is not None:
-            tr.event("worker-crash", **incident)
-        if on_incident is not None:
-            on_incident(incident)
-        if over_budget:
-            raise WorkerCrashError(
-                f"sweep row {idx} crashed {attempts[idx]} workers in a row; "
-                "aborting instead of exhausting the pool"
-            )
-        if not self._workers:
-            raise WorkerCrashError(
-                "all persistent sweep workers died; cannot continue"
-            )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     @property
     def alive_workers(self) -> int:
-        return sum(1 for w in self._workers.values() if w.proc.is_alive())
+        return self._core.alive_workers
 
     def close(self) -> None:
-        """Shut workers down (politely, then terminate) and unlink every
-        shared-memory segment.  Idempotent."""
-        self._finalizer.detach()
-        PersistentPool._cleanup(self._workers, self._segments)
-
-    @staticmethod
-    def _cleanup(workers: dict[int, _Worker], segments: dict[Any, _Segment]) -> None:
-        for w in workers.values():
-            try:
-                w.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for w in workers.values():
-            w.proc.join(timeout=5)
-            if w.proc.is_alive():  # pragma: no cover - stuck worker
-                w.proc.terminate()
-                w.proc.join(timeout=5)
-            try:
-                w.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        workers.clear()
-        for seg in segments.values():
-            seg.unlink()
-        segments.clear()
+        """Shut workers down and unlink every published segment.
+        Idempotent."""
+        self._core.close()
 
     def __enter__(self) -> "PersistentPool":
         return self

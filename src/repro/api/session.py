@@ -7,24 +7,20 @@ instance per size) and the workload graphs (keyed by algorithm, size,
 arboricity, seed, and workload options) — so a 3-algorithms × 4-sizes ×
 5-seeds sweep builds each instance once instead of once per run.
 
-``run_many(specs, jobs=N)`` fans the specs out over one of two pools:
-
-* ``pool="persistent"`` (the default where shared memory is available) —
-  the long-lived worker service in :mod:`repro.api.pool`: workers spawn
-  once per session, stay warm across ``run_many`` calls, receive specs
-  over per-worker pipes, and read workload graphs from shared-memory
-  segments the parent publishes once per distinct workload.  Worker
-  crashes are survived (in-flight specs requeue; incidents land in the
-  manifest when one is attached).
-* ``pool="fork"`` — the legacy fork-per-sweep ``ProcessPoolExecutor``;
-  every workload is rebuilt inside each worker.  The fallback where
-  ``multiprocessing.shared_memory`` is unavailable.
+``run_many(specs, jobs=N)`` fans the specs out over the persistent worker
+service in :mod:`repro.api.pool`: workers spawn once per session, stay
+warm across ``run_many`` calls, receive specs over per-worker pipes, and
+read workload graphs from shared-memory segments the parent publishes
+once per distinct workload.  Worker crashes are survived (in-flight specs
+requeue; incidents land in the manifest when one is attached).  A host
+without ``multiprocessing.shared_memory`` runs the sweep serially instead
+and says so with a ``pool-degraded`` tracer event.
 
 Every run is a pure function of its canonicalized spec — the engine and
 enforcement are resolved *before* dispatch, so a worker cannot drift from
 the parent's process-wide defaults — which makes the resulting JSONL
-byte-identical for any ``jobs`` value and either pool; regression tests
-pin this.  ``run_many`` optionally journals to a resumable
+byte-identical for any ``jobs`` value; regression tests pin this.
+``run_many`` optionally journals to a resumable
 :class:`~repro.api.manifest.Manifest` and persists each row to an
 append-only :class:`~repro.api.store.ResultStore` the moment it completes,
 in spec order, so interrupted sweeps resume without recomputing (and the
@@ -43,6 +39,7 @@ from ..registry import bench_config, get_algorithm
 from ..telemetry import tracer as _tracer
 from ..telemetry.metrics import METRICS, MetricRegistry
 from ..telemetry.tracer import Tracer, install_tracer, uninstall_tracer
+from .. import workers
 from .manifest import Manifest
 from .schema import RunReport, RunSpec
 from .store import ResultStore
@@ -87,31 +84,22 @@ class Session:
         :meth:`run` calls (on by default; disable to bound memory on huge
         sweeps — workers and shared-memory segments are then released
         after each ``run_many``).
-    pool:
-        Parallel-execution backend for ``run_many(jobs>1)``: ``"auto"``
-        (default — persistent workers when shared memory is available,
-        else the fork pool), ``"persistent"`` (require the persistent
-        worker service; :class:`ConfigurationError` where shared memory
-        is unavailable), or ``"fork"`` (the legacy fork-per-sweep pool).
-        See :mod:`repro.api.pool`.
 
     Guarantees
     ----------
     * Reports (and their canonical JSONL) are a pure function of the
-      canonicalized spec: identical for ``jobs=1`` and ``jobs=N``, either
-      pool, any host — pinned by ``tests/test_session.py`` /
-      ``tests/test_pool.py``.
+      canonicalized spec: identical for ``jobs=1`` and ``jobs=N``, any
+      host — pinned by ``tests/test_session.py`` / ``tests/test_pool.py``.
     * A session holding a persistent pool releases its workers and
       shared-memory segments on :meth:`close` (also a context manager; a
       finalizer backstops abnormal exits).
 
     Failure modes
     -------------
-    :class:`ConfigurationError` for unknown algorithms/scenarios/options
-    or an unsatisfiable ``pool=`` choice;
+    :class:`ConfigurationError` for unknown algorithms/scenarios/options;
     :class:`~repro.api.pool.WorkerCrashError` when a parallel sweep loses
     every worker or one spec keeps killing workers (after
-    :data:`~repro.api.pool.MAX_REQUEUES` requeues).
+    :data:`~repro.workers.MAX_REQUEUES` requeues).
     """
 
     def __init__(
@@ -119,17 +107,9 @@ class Session:
         *,
         base_config: NCCConfig | None = None,
         cache: bool = True,
-        pool: str = "auto",
     ):
-        from .pool import POOL_KINDS
-
-        if pool not in POOL_KINDS:
-            raise ConfigurationError(
-                f"unknown pool kind {pool!r}; choose from {', '.join(POOL_KINDS)}"
-            )
         self.base_config = base_config
         self._cache_enabled = cache
-        self._pool_kind = pool
         self._pool: Any = None  # lazily-spawned PersistentPool
         self._bf_cache: dict[int, Any] = {}
         self._workload_cache: dict[tuple, Any] = {}
@@ -356,8 +336,8 @@ class Session:
         Parameters
         ----------
         jobs:
-            Worker processes; ``1`` runs serially in this process.  Which
-            pool serves ``jobs > 1`` is the session's ``pool=`` choice.
+            Worker processes; ``1`` runs serially in this process, and
+            so does any ``jobs`` on a host without shared memory.
         out:
             Flat canonical-JSONL path written *after* the sweep completes
             (``"-"`` = stdout).  Independent of ``store``.
@@ -391,7 +371,7 @@ class Session:
 
         Returns the full in-order report list (resumed prefix included).
         Byte-determinism: the same grid yields identical ``out`` bytes and
-        identical store-shard bytes for any ``jobs``/pool/interrupt-resume
+        identical store-shard bytes for any ``jobs``/interrupt-resume
         history.
         """
         spec_list = [self.canonical(s) for s in specs]
@@ -447,6 +427,13 @@ class Session:
             reports.append(r)
 
         self.last_sweep_incidents = []
+        if jobs > 1 and len(todo) > 1 and not workers.shared_memory_available():
+            # No pool without shared memory: run serially, observably
+            # (the sweep twin of the sharded engine's degradation).
+            tr = telemetry.tracer if telemetry is not None else _tracer.CURRENT
+            if tr is not None:
+                tr.event("pool-degraded", reason="no-shared-memory", jobs=jobs)
+            jobs = 1
         if jobs <= 1 or len(todo) <= 1:
             for i, s in enumerate(todo):
                 if telemetry is None:
@@ -456,34 +443,17 @@ class Session:
                 if self.last_incidents:
                     self.last_sweep_incidents.extend(self.last_incidents)
                 emit(i, report)
-        elif self._resolved_pool_kind() == "persistent":
-            self._run_persistent(todo, jobs, emit, mani, telemetry)
         else:
-            self._run_fork_pool(todo, jobs, emit, telemetry)
+            self._run_persistent(todo, jobs, emit, mani, telemetry)
         if out is not None:
             from .schema import dump_reports
 
             dump_reports(reports, out)
         return reports
 
-    def _resolved_pool_kind(self) -> str:
-        from .pool import shared_memory_available
-
-        if self._pool_kind == "persistent":
-            if not shared_memory_available():
-                raise ConfigurationError(
-                    "Session(pool='persistent') needs "
-                    "multiprocessing.shared_memory, which is unavailable "
-                    "on this host; use pool='auto' or pool='fork'"
-                )
-            return "persistent"
-        if self._pool_kind == "fork":
-            return "fork"
-        return "persistent" if shared_memory_available() else "fork"
-
     def _persistent_pool(self, jobs: int):
-        """The session's long-lived pool, (re)spawned when the requested
-        worker count changes."""
+        """The session's long-lived pool of ``jobs`` workers, respawned
+        only when ``jobs`` changes (not with the size of each sweep)."""
         from .pool import PersistentPool
 
         if self._pool is not None and self._pool.jobs != jobs:
@@ -527,7 +497,7 @@ class Session:
             install_tracer(telemetry.tracer) if telemetry is not None else None
         )
         try:
-            pool = self._persistent_pool(min(jobs, len(todo)))
+            pool = self._persistent_pool(jobs)
             items = []
             for i, s in enumerate(todo):
                 key = self.workload_key(s)
@@ -535,7 +505,7 @@ class Session:
                     key,
                     lambda s=s: self._workload(get_algorithm(s.algorithm), s),
                 )
-                items.append((i, s.to_dict(), key, ref))
+                items.append((i, s, key, ref))
 
             def on_incident(incident: dict) -> None:
                 self.last_sweep_incidents.append(incident)
@@ -566,66 +536,6 @@ class Session:
         finally:
             if telemetry is not None:
                 uninstall_tracer(previous)
-
-    def _run_fork_pool(
-        self,
-        specs: Sequence[RunSpec],
-        jobs: int,
-        emit: Callable[[int, RunReport], None],
-        telemetry: Any = None,
-    ) -> None:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-
-        method = "fork" if "fork" in mp.get_all_start_methods() else None
-        ctx = mp.get_context(method)
-        payloads = [s.to_dict() for s in specs]
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(specs)),
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(self.base_config, self._cache_enabled, telemetry is not None),
-        ) as pool:
-            for i, data in enumerate(pool.map(_worker_run, payloads, chunksize=1)):
-                payload = data.pop("__telemetry__", None)
-                if telemetry is not None:
-                    telemetry.add_row(i, payload)
-                emit(i, RunReport.from_dict(data))
-
-
-# ----------------------------------------------------------------------
-# Worker-process plumbing (module-level: must be picklable by reference)
-# ----------------------------------------------------------------------
-_WORKER_SESSION: Session | None = None
-_WORKER_TRACE = False
-
-
-def _init_worker(
-    base_config: NCCConfig | None, cache: bool = True, trace: bool = False
-) -> None:
-    global _WORKER_SESSION, _WORKER_TRACE
-    _WORKER_SESSION = Session(base_config=base_config, cache=cache)
-    _WORKER_TRACE = trace
-
-
-def _worker_run(spec_data: dict) -> dict:
-    global _WORKER_SESSION
-    if _WORKER_SESSION is None:  # pragma: no cover - initializer always runs
-        _WORKER_SESSION = Session()
-    if not _WORKER_TRACE:
-        return _WORKER_SESSION.run(RunSpec.from_dict(spec_data)).to_dict(timing=True)
-    counters_before = METRICS.snapshot()
-    tracer = Tracer()
-    previous = install_tracer(tracer)
-    try:
-        report = _WORKER_SESSION.run(RunSpec.from_dict(spec_data))
-    finally:
-        uninstall_tracer(previous)
-    payload = tracer.to_payload()
-    payload["counters"] = MetricRegistry.delta(counters_before, payload["counters"])
-    data = report.to_dict(timing=True)
-    data["__telemetry__"] = payload
-    return data
 
 
 def _dedup_axis(values: Sequence[Any]) -> list[Any]:

@@ -433,7 +433,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
         telemetry = SweepTelemetry(args.telemetry)
     try:
-        with Session(pool=args.pool) as session:
+        with Session() as session:
             reports = session.run_many(
                 specs,
                 jobs=args.jobs,
@@ -768,12 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None, help="capacity enforcement (default: count)")
     p_sw.add_argument("--jobs", type=int, default=1,
                       help="worker processes (default 1 = serial)")
-    p_sw.add_argument("--pool", choices=["auto", "persistent", "fork"],
-                      default="auto",
-                      help="parallel backend for --jobs > 1: persistent "
-                           "worker service with shared-memory workloads, "
-                           "legacy fork-per-sweep pool, or auto-select "
-                           "(default: auto)")
     p_sw.add_argument("--out", default=None,
                       help="JSONL output path ('-' = stdout)")
     p_sw.add_argument("--store", default=None, metavar="DIR",

@@ -1,29 +1,28 @@
 """NCC006 — pool fork-safety: no ambient state in the worker surface.
 
 Guards the persistent-pool determinism story (ROADMAP "Experiment
-surface"; docs/OPERATIONS.md): ``api/pool.py`` workers are spawned once
-per Session and live across ``run_many`` calls, and the fork pool
-inherits parent memory at fork time.  A mutable module-level container
-in the worker-imported ``repro.api`` surface is state that (a) diverges
-between parent and child after fork, and (b) survives across jobs inside
-one worker — either way a run stops being a pure function of its spec.
-A lazily-opened module-level handle (``open(...)`` at import time) is
-worse: after fork, parent and child share one file offset.
+surface"; docs/OPERATIONS.md): workers are forked once per pool and live
+across tasks — sweep workers across ``run_many`` calls, shard workers
+across rounds.  A mutable module-level container in a worker-imported
+module is state that (a) diverges between parent and child after fork,
+and (b) survives across tasks inside one worker — either way a run stops
+being a pure function of its spec.  A lazily-opened module-level handle
+(``open(...)`` at import time) is worse: after fork, parent and child
+share one file offset.
 
-Scope: the ``repro/api/`` package (the surface every sweep worker
-imports) and the ``repro/ncc/sharded/`` package (the shard-pool
-parent/worker surface — the same fork-inheritance hazards apply to the
-per-round block workers).  Flags module-level assignments of mutable
-containers (list/dict/set
-displays and comprehensions, ``list()``/``dict()``/``set()``/
-``defaultdict()``/``deque()``/``Counter()``/``OrderedDict()`` calls) and
-module-level ``open(...)`` calls.  Scalars and immutable tuples are fine
-(``MAX_REQUEUES = 2``, ``POOL_KINDS = (...)``); worker-local *instance*
-state lives on objects constructed after fork.  Dunder names
-(``__all__``) and ALL_CAPS constant-convention names (``FIELDS = {...}``
-lookup tables, written once at import and only ever read) are exempt —
-the rule targets *accumulating* state, not frozen tables that merely
-lack a frozen spelling.
+Scope: the worker core (``repro/workers.py``) and its two front-ends'
+packages — ``repro/api/`` (the surface every sweep worker imports) and
+``repro/ncc/sharded/`` (the shard-pool parent/worker surface).  Flags
+module-level assignments of mutable containers (list/dict/set displays
+and comprehensions, ``list()``/``dict()``/``set()``/``defaultdict()``/
+``deque()``/``Counter()``/``OrderedDict()`` calls) and module-level
+``open(...)`` calls.  Scalars and immutable tuples are fine
+(``MAX_REQUEUES = 2``, ``_POOL = None``); worker-local *instance* state
+lives on objects constructed after fork.  Dunder names (``__all__``) and
+ALL_CAPS constant-convention names (``FIELDS = {...}`` lookup tables,
+written once at import and only ever read) are exempt — the rule targets
+*accumulating* state, not frozen tables that merely lack a frozen
+spelling.
 """
 
 from __future__ import annotations
@@ -47,13 +46,17 @@ class NCC006PoolForkSafety(Rule):
     id = "NCC006"
     name = "pool-fork-safety"
     invariant = (
-        "sweep service: a run is a pure function of its spec — worker "
+        "worker pools: a run is a pure function of its spec — worker "
         "processes hold no ambient module-level state or shared handles"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         path = "/" + ctx.effective_path
-        if "/repro/api/" not in path and "/repro/ncc/sharded/" not in path:
+        if (
+            not ctx.path_is("repro/workers.py")
+            and "/repro/api/" not in path
+            and "/repro/ncc/sharded/" not in path
+        ):
             return
         yield from self._module_level(ctx, ctx.tree.body)
 

@@ -47,7 +47,6 @@ from ..engine import register_engine
 from ..message import InboxBatch
 
 _DEGRADATIONS = METRICS.counter("sharded.degradations")
-_SHARD_INCIDENTS = METRICS.counter("sharded.incidents")
 
 #: below this many messages in a clean typed round the block split + IPC
 #: round trip costs more than the single-process argsort, so the round
@@ -107,14 +106,6 @@ class ShardedEngine(BatchedEngine):
         if tr is not None:
             tr.event("sharded-degraded", reason=reason, shards=self.shards)
 
-    def _record_incident(self, incident: dict) -> None:
-        """Journal a shard-worker crash and mirror it into telemetry."""
-        self.incidents.append(incident)
-        _SHARD_INCIDENTS.inc()
-        tr = _tracer.CURRENT
-        if tr is not None:
-            tr.event("shard-worker-crash", **incident)
-
     # ------------------------------------------------------------------
     def _ensure_pool(self):
         """The shard pool, created lazily on the first qualifying round.
@@ -124,7 +115,7 @@ class ShardedEngine(BatchedEngine):
             return self._pool
         import multiprocessing
 
-        from ...api.pool import shared_memory_available
+        from ...workers import shared_memory_available
 
         if multiprocessing.current_process().daemon:
             self._degrade("daemonic-process")
@@ -194,10 +185,10 @@ class ShardedEngine(BatchedEngine):
 
         tr = _tracer.CURRENT
         if tr is None:
-            results = pool.shuffle(blocks, pay.dtype, self._record_incident)
+            results = pool.shuffle(blocks, pay.dtype, self.incidents.append)
         else:
             t0 = tr.now()
-            results = pool.shuffle(blocks, pay.dtype, self._record_incident)
+            results = pool.shuffle(blocks, pay.dtype, self.incidents.append)
             tr.add_span(
                 "shard-shuffle",
                 t0,

@@ -1,60 +1,34 @@
-"""Shard worker pool: persistent processes + one shm block shuffle per round.
+"""Shard worker pool: one shm block shuffle per round on the worker core.
 
-The architecture mirrors :mod:`repro.api.pool` (the PR 7 persistent sweep
-pool), scaled down from "one spec per task" to "one shard block per round":
+A front-end over :mod:`repro.workers` (the core the sweep service also
+runs on), with one shard block per task:
 
-* workers are spawned once (fork start method where available) and stay
-  alive across rounds and runs; tasks travel over per-worker duplex pipes
-  so the parent always knows which block each worker holds;
-* the bulk data — the block's ``(dst, src, flat, payload)`` request
+* the bulk data — each block's ``(dst, src, flat, payload)`` request
   columns and its ``(span table, src_perm, pay_perm)`` reply — lives in a
   single parent-owned shared-memory segment per round, laid out at fixed
   per-block offsets; pipes carry only tiny descriptors and acks.  The
   segment is reused (grown geometrically) across rounds and unlinked by
-  the parent on close, with a ``weakref.finalize`` backstop — workers
-  attach, compute in place, detach, and never unlink (see api/pool.py's
-  resource-tracker note for why);
+  the core on close;
 * workers are **stateless** — any worker can bucket any block — so a
-  worker dying mid-round (OOM kill, segfault, SIGKILL) just has its block
-  requeued to a survivor, the incident is reported upward, and the round
-  completes.  A block that exhausts :data:`MAX_REQUEUES` — or a pool with
-  no workers left — degrades to computing the block in the parent through
-  the same :func:`~repro.ncc.sharded.kernel.bucket_block`, so a sharded
-  run *always* finishes, byte-identically, no matter how many workers die.
-
-Chaos injection for the robustness tests follows ``REPRO_POOL_CHAOS``:
-``REPRO_SHARD_CHAOS=<shard-index>:<flagfile>`` SIGKILLs the worker that
-picks up that shard's block, exactly once across the pool (the flag file
-is claimed with O_EXCL); an empty flagfile path kills every worker that
-touches the shard, simulating a poisonous block that must fall back to
-the parent.  Never set outside tests.
+  worker dying mid-round just has its block requeued to a survivor.  The
+  exhaustion policy buckets a block in the parent through the very
+  handler the workers run (:func:`_bucket_task`, over the same segment),
+  so a sharded run *always* finishes, byte-identically, no matter how
+  many workers die.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import weakref
-from collections import deque
 from typing import Any, Callable
 
 import numpy as np
 
-from ...errors import ConfigurationError
 from ...telemetry import tracer as _tracer
 from ...telemetry.metrics import METRICS
+from ...workers import TaskKind, WorkerPool
 from .kernel import bucket_block
 
 _SHM_GROWTHS = METRICS.counter("sharded.shm_growths")
-
-#: times a single shard block may be requeued after killing a worker
-#: before the parent computes it in-process (mirrors api/pool.py).
-MAX_REQUEUES = 2
-
-#: test-only chaos hook (see module docstring and _maybe_chaos_kill);
-#: documented in docs/OPERATIONS.md so operators finding it set know
-#: what it is.  Never set outside tests.
-CHAOS_ENV = "REPRO_SHARD_CHAOS"
 
 #: per-array alignment inside the round segment (keeps every numpy view
 #: aligned regardless of the payload dtype's itemsize).
@@ -68,7 +42,7 @@ def get_pool(workers: int) -> "ShardPool":
     engines and runs; recreated when the worker count changes or every
     worker of the previous pool has died."""
     global _POOL
-    if _POOL is not None and (_POOL.workers != workers or not _POOL._workers):
+    if _POOL is not None and (_POOL.workers != workers or not _POOL.alive_workers):
         _POOL.close()
         _POOL = None
     if _POOL is None:
@@ -148,33 +122,9 @@ def _read_reply(buf, offs, count, dtype, d, max_recv):
     )
 
 
-def _parent_block(block):
-    """In-process fallback: the same shared kernel the workers run, so a
-    block computed here is byte-identical to a worker-computed one."""
-    _shard, lo, dst, src, flat, pay = block
-    return bucket_block(dst, pay, src, flat, lo)
-
-
 # ----------------------------------------------------------------------
-# Worker process
+# The shard-block task kind
 # ----------------------------------------------------------------------
-def _maybe_chaos_kill(shard: int) -> None:
-    """Crash-injection hook for the robustness tests (see module
-    docstring).  Never set outside tests."""
-    raw = os.environ.get(CHAOS_ENV)
-    if not raw:
-        return
-    token, _, flag = raw.partition(":")
-    if not token.isdigit() or int(token) != shard:
-        return
-    if flag:
-        try:
-            os.close(os.open(flag, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            return  # the one crash already happened; run normally
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 def _process_block(buf, offs, count, lo, dtype):
     """Bucket one block in place: read the request columns from the
     segment, run the kernel, write the reply back.  All views live only
@@ -198,37 +148,39 @@ def _process_block(buf, offs, count, lo, dtype):
     return d, max_recv
 
 
-def _worker_main(conn) -> None:
-    """Long-lived shard worker: recv ``(gen, block-idx, shard, segment
-    name, count, lo, dtype, offsets)`` descriptors, bucket the block
-    inside the round segment, ack ``(gen, block-idx, groups, max_recv)``.
-    ``None`` (or a closed pipe) shuts down."""
+def _bucket_task(task):
+    """One block task ``(segment name, count, lo, dtype, offsets)``:
+    attach the round segment, bucket the block in place, detach; replies
+    ``(groups, max_recv)``."""
     from multiprocessing import shared_memory
 
-    while True:
-        try:
-            msg = conn.recv()
-        except (EOFError, OSError):
-            break
-        if msg is None:
-            break
-        gen, bidx, shard, seg_name, count, lo, dtype, offs = msg
-        _maybe_chaos_kill(shard)
-        shm = shared_memory.SharedMemory(name=seg_name)
-        try:
-            d, max_recv = _process_block(shm.buf, offs, count, lo, dtype)
-        finally:
-            shm.close()
-        conn.send(("ok", gen, bidx, d, max_recv))
-    conn.close()
+    seg_name, count, lo, dtype, offs = task
+    shm = shared_memory.SharedMemory(name=seg_name)
+    try:
+        return _process_block(shm.buf, offs, count, lo, dtype)
+    finally:
+        shm.close()
 
 
-class _Worker:
-    __slots__ = ("proc", "conn")
+def _block_handler():
+    """Shard workers are stateless: every one buckets every block alike."""
+    return _bucket_task
 
-    def __init__(self, proc, conn):
-        self.proc = proc
-        self.conn = conn
+
+def _bucket_in_parent(_block, task, _why):
+    """Exhaustion policy: the parent buckets the block itself, through the
+    handler the workers run, over the same segment."""
+    return _bucket_task(task)
+
+
+BLOCKS = TaskKind(
+    label="shard",
+    handler=_block_handler,
+    exhausted=_bucket_in_parent,
+    incident="shard-worker-crash",
+    id_field="block",
+    crashes=METRICS.counter("sharded.incidents"),
+)
 
 
 # ----------------------------------------------------------------------
@@ -236,75 +188,27 @@ class _Worker:
 # ----------------------------------------------------------------------
 class ShardPool:
     """``workers`` long-lived shard processes plus one reusable round
-    segment.  See the module docstring for architecture and crash
-    semantics."""
+    segment.  See the module docstring."""
 
     def __init__(self, workers: int):
-        import multiprocessing as mp
-
-        from ...api.pool import shared_memory_available
-
-        if workers < 1:
-            raise ConfigurationError(f"shard pool needs >= 1 worker, got {workers}")
-        if not shared_memory_available():
-            raise ConfigurationError(
-                "the sharded engine needs multiprocessing.shared_memory; "
-                "use engine='batched' on this host"
-            )
-        method = "fork" if "fork" in mp.get_all_start_methods() else None
-        ctx = mp.get_context(method)
         self.workers = workers
-        self._workers: dict[int, _Worker] = {}
-        self._segments: dict[str, Any] = {}
-        self._generation = 0
-        for wid in range(workers):
-            parent_conn, child_conn = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn,),
-                daemon=True,
-                name=f"repro-shard-worker-{wid}",
-            )
-            proc.start()
-            child_conn.close()
-            self._workers[wid] = _Worker(proc, parent_conn)
-        # Backstop: unlink the segment and reap workers even if the engine
-        # is dropped without close() (incl. interpreter exit).
-        self._finalizer = weakref.finalize(
-            self, ShardPool._cleanup, self._workers, self._segments
-        )
+        self._core = WorkerPool(BLOCKS, workers)
 
-    # ------------------------------------------------------------------
     def _ensure_segment(self, nbytes: int):
         """The round segment, grown geometrically; at most one is live.
         Growth unlinks the old segment (no delivered span aliases it —
         replies are copied out before the round ends)."""
-        from multiprocessing import shared_memory
-
-        previous = 0
-        for name, seg in list(self._segments.items()):
-            if seg.size >= nbytes:
-                return seg
-            previous = seg.size
-            del self._segments[name]
-            try:
-                seg.close()
-                seg.unlink()
-            except Exception:  # pragma: no cover - already gone
-                pass
-        seg = shared_memory.SharedMemory(
-            create=True, size=max(nbytes * 3 // 2, 1 << 16)
-        )
-        self._segments[seg.name] = seg
+        seg = self._core.segments.get("round")
+        if seg is not None and seg.shm.size >= nbytes:
+            return seg
+        previous = seg.shm.size if seg is not None else 0
+        seg = self._core.new_segment("round", max(nbytes * 3 // 2, 1 << 16))
         _SHM_GROWTHS.inc()
         tr = _tracer.CURRENT
         if tr is not None:
-            tr.event(
-                "shm-grow", size=seg.size, previous=previous, requested=nbytes
-            )
+            tr.event("shm-grow", size=seg.shm.size, previous=previous, requested=nbytes)
         return seg
 
-    # ------------------------------------------------------------------
     def shuffle(
         self,
         blocks,
@@ -314,159 +218,28 @@ class ShardPool:
         """One all-to-all block shuffle: fan ``blocks`` — ``(shard, lo,
         dst, src, flat, pay)`` tuples — out over the workers and return
         the per-block ``bucket_block`` results (parent-owned arrays), in
-        block order.
-
-        Worker deaths requeue the block to a survivor (budget
-        :data:`MAX_REQUEUES`, incidents via ``on_incident``); an exhausted
-        budget or an empty pool computes the block in the parent, so this
-        method always returns a complete, byte-identical result set."""
-        from multiprocessing.connection import wait as conn_wait
-
+        block order.  Crashes requeue as the core describes (incidents via
+        ``on_incident``); a block no worker can finish is bucketed in the
+        parent, so this always returns a complete, byte-identical result
+        set."""
         counts = [len(b[2]) for b in blocks]
+        offs, total = _block_offsets(counts, dtype.itemsize)
+        shm = self._ensure_segment(total).shm
+        for block, off in zip(blocks, offs):
+            _write_request(shm.buf, off, *block[2:])
+        tasks = [
+            (i, str(block[0]), (shm.name, counts[i], block[1], dtype, offs[i]))
+            for i, block in enumerate(blocks)
+        ]
         results: list[Any] = [None] * len(blocks)
-        if self._workers:
-            offs, total = _block_offsets(counts, dtype.itemsize)
-            seg = self._ensure_segment(total)
-            for block, off in zip(blocks, offs):
-                _write_request(seg.buf, off, block[2], block[3], block[4], block[5])
-            self._generation += 1
-            gen = self._generation
-            pending = deque(range(len(blocks)))
-            attempts: dict[int, int] = {}
-            inflight: dict[int, int] = {}
-            idle = list(self._workers)
-            while pending or inflight:
-                while pending and idle:
-                    wid = idle.pop()
-                    i = pending.popleft()
-                    try:
-                        self._workers[wid].conn.send(
-                            (gen, i, blocks[i][0], seg.name,
-                             counts[i], blocks[i][1], dtype, offs[i])
-                        )
-                    except (BrokenPipeError, OSError):
-                        # Death noticed at dispatch: requeue without
-                        # charging the block's budget (the worker's death
-                        # says nothing about this block).
-                        pending.appendleft(i)
-                        self._reap(wid, None, attempts, on_incident)
-                        continue
-                    inflight[wid] = i
-                if not self._workers:
-                    break  # the None-scan below computes the rest in-parent
-                if not inflight:
-                    continue
-                conns = {self._workers[w].conn: w for w in inflight}
-                sentinels = {
-                    self._workers[w].proc.sentinel: w for w in self._workers
-                }
-                ready = conn_wait(list(conns) + list(sentinels))
-                # Results first: a worker that answered and then exited
-                # must still have its reply consumed before the sentinel.
-                for obj in ready:
-                    wid = conns.get(obj)
-                    if wid is None:
-                        continue
-                    try:
-                        _tag, msg_gen, i, d, max_recv = obj.recv()
-                    except (EOFError, OSError):
-                        continue  # died mid-send; the sentinel path requeues
-                    if msg_gen != gen:
-                        continue  # stale ack from an abandoned round
-                    inflight.pop(wid, None)
-                    idle.append(wid)
-                    results[i] = _read_reply(
-                        seg.buf, offs[i], counts[i], dtype, d, max_recv
-                    )
-                for obj in ready:
-                    wid = sentinels.get(obj)
-                    if wid is None or wid not in self._workers:
-                        continue
-                    i = inflight.pop(wid, None)
-                    if wid in idle:
-                        idle.remove(wid)
-                    over = self._reap(wid, i, attempts, on_incident)
-                    if i is not None:
-                        if over:
-                            # Poisonous block: stop feeding it workers.
-                            results[i] = _parent_block(blocks[i])
-                        else:
-                            pending.appendleft(i)
-        for i, r in enumerate(results):
-            if r is None:  # pool died (or never had workers): parent math
-                results[i] = _parent_block(blocks[i])
+        for i, (d, max_recv) in self._core.run(tasks, on_incident):
+            results[i] = _read_reply(shm.buf, offs[i], counts[i], dtype, d, max_recv)
         return results
 
-    def _reap(self, wid, i, attempts, on_incident) -> bool:
-        """Reap a dead worker; account the requeue of block ``i`` (``None``
-        = death noticed at dispatch, no budget charge).  Returns True when
-        the block exhausted its budget and must fall back to the parent."""
-        worker = self._workers.pop(wid, None)
-        exitcode = None
-        if worker is not None:
-            worker.proc.join()
-            exitcode = worker.proc.exitcode
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        over = False
-        if i is not None:
-            attempts[i] = attempts.get(i, 0) + 1
-            over = attempts[i] > MAX_REQUEUES
-        if on_incident is not None:
-            on_incident(
-                {
-                    "kind": "shard-worker-crash",
-                    "block": i,
-                    "exitcode": exitcode,
-                    "requeued": i is not None and not over,
-                    "attempt": attempts.get(i, 0) if i is not None else 0,
-                    "workers_left": len(self._workers),
-                }
-            )
-        return over
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
     @property
     def alive_workers(self) -> int:
-        return sum(1 for w in self._workers.values() if w.proc.is_alive())
+        return self._core.alive_workers
 
     def close(self) -> None:
-        """Shut workers down (politely, then terminate) and unlink the
-        round segment.  Idempotent."""
-        self._finalizer.detach()
-        ShardPool._cleanup(self._workers, self._segments)
-
-    @staticmethod
-    def _cleanup(workers: dict[int, _Worker], segments: dict[str, Any]) -> None:
-        for w in workers.values():
-            try:
-                w.conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for w in workers.values():
-            w.proc.join(timeout=5)
-            if w.proc.is_alive():  # pragma: no cover - stuck worker
-                w.proc.terminate()
-                w.proc.join(timeout=5)
-            try:
-                w.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        workers.clear()
-        for seg in segments.values():
-            try:
-                seg.close()
-                seg.unlink()
-            except Exception:  # pragma: no cover - already gone
-                pass
-        segments.clear()
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Shut workers down and unlink the round segment.  Idempotent."""
+        self._core.close()

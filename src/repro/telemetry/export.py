@@ -36,6 +36,7 @@ __all__ = [
 #: lists these individually (with their reasons) instead of only counting.
 INCIDENT_EVENTS = (
     "sharded-degraded",
+    "pool-degraded",
     "shard-worker-crash",
     "worker-crash",
     "violation",

@@ -2,7 +2,7 @@
 """NCC006 fixture: per-run state on objects, constants stay immutable."""
 
 MAX_REQUEUES = 2  # scalars are fine
-POOL_KINDS = ("persistent", "fork")  # immutable tuple
+TASK_KINDS = ("row", "block")  # immutable tuple
 FIELDS = {"rounds": True, "messages": True}  # ALL_CAPS write-once table
 
 

@@ -101,6 +101,19 @@ class TestRuleCorpus:
         )
         assert run_paths([str(good)]).findings == []
 
+    def test_ncc006_covers_worker_core(self, tmp_path):
+        # The worker core both pools run on is forked with every worker:
+        # the same ambient-state hazards apply to it.
+        bad = tmp_path / "bad.py"
+        bad.write_text("# reprolint: path=src/repro/workers.py\n_inflight = {}\n")
+        assert [f.rule for f in run_paths([str(bad)]).findings] == ["NCC006"]
+        # ...while a module merely named like it elsewhere is out of scope.
+        other = tmp_path / "other.py"
+        other.write_text(
+            "# reprolint: path=src/repro/graphs/workers.py\n_inflight = {}\n"
+        )
+        assert run_paths([str(other)]).findings == []
+
     def test_ncc001_clock_containment_scoping(self, tmp_path):
         # perf_counter/monotonic are confined to the telemetry package,
         # the session wall stamp, and benchmarks; any other library module

@@ -13,8 +13,8 @@ from repro.api import (
     shared_memory_available,
     sweep_grid,
 )
-from repro.api.pool import CHAOS_ENV, pack_graph, unpack_graph
-from repro.errors import ConfigurationError
+from repro.api.pool import pack_graph, unpack_graph
+from repro.workers import CHAOS_ENV
 
 needs_shm = pytest.mark.skipif(
     not shared_memory_available(),
@@ -62,12 +62,8 @@ class TestGraphTransport:
 
 @needs_shm
 class TestPoolLifecycle:
-    def test_unknown_pool_kind_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown pool kind"):
-            Session(pool="bogus")
-
     def test_close_reaps_workers_and_segments(self):
-        session = Session(pool="persistent")
+        session = Session()
         specs = sweep_grid(["mis"], [16], seeds=[0, 1])
         session.run_many(specs, jobs=2)
         pool = session._pool
@@ -84,14 +80,24 @@ class TestPoolLifecycle:
                 shared_memory.SharedMemory(name=name)
 
     def test_pool_reused_across_run_many_calls(self):
-        with Session(pool="persistent") as session:
+        with Session() as session:
             session.run_many(sweep_grid(["mis"], [16], seeds=[0, 1]), jobs=2)
             first = session._pool
             session.run_many(sweep_grid(["mis"], [16], seeds=[2, 3]), jobs=2)
             assert session._pool is first
+        # The pool is sized by jobs, not by the sweep: 2-, 6- and 2-row
+        # sweeps at jobs=3 share one warm 3-worker pool.
+        with Session() as session:
+            pools = []
+            for rows in (2, 6, 2):
+                specs = sweep_grid(["mis"], [16], seeds=range(rows))
+                session.run_many(specs, jobs=3)
+                pools.append(session._pool)
+            assert pools[0] is pools[1] is pools[2]
+            assert pools[0].alive_workers == 3
 
     def test_context_manager_closes(self):
-        with Session(pool="persistent") as session:
+        with Session() as session:
             session.run_many(sweep_grid(["mis"], [16], seeds=[0, 1]), jobs=2)
             pool = session._pool
         assert pool.alive_workers == 0
@@ -100,8 +106,8 @@ class TestPoolLifecycle:
 @needs_shm
 class TestPersistentDeterminism:
     """The persistent pool must emit byte-identical reports to the serial
-    path and the legacy fork pool — reports are a pure function of the
-    canonicalized spec regardless of which process ran them."""
+    path — reports are a pure function of the canonicalized spec
+    regardless of which process ran them."""
 
     SPECS = sweep_grid(
         ["mis", "matching", "mst"], [16], seeds=[0, 1],
@@ -109,19 +115,16 @@ class TestPersistentDeterminism:
     )
 
     @pytest.mark.engine("reference")  # pins its own engines; skip replays
-    def test_persistent_equals_serial_equals_fork(self):
+    def test_persistent_equals_serial(self):
         serial = Session().run_many(self.SPECS, jobs=1)
-        with Session(pool="persistent") as s:
+        with Session() as s:
             persistent = s.run_many(self.SPECS, jobs=3)
-        with Session(pool="fork") as s:
-            fork = s.run_many(self.SPECS, jobs=3)
         lines = [r.to_json_line() for r in serial]
         assert [r.to_json_line() for r in persistent] == lines
-        assert [r.to_json_line() for r in fork] == lines
 
     def test_warm_pool_rerun_identical(self):
         specs = sweep_grid(["mis"], [16], seeds=[0, 1, 2])
-        with Session(pool="persistent") as s:
+        with Session() as s:
             first = s.run_many(specs, jobs=2)
             second = s.run_many(specs, jobs=2)
         assert [r.to_json_line() for r in first] == [
@@ -131,7 +134,7 @@ class TestPersistentDeterminism:
 
 @needs_shm
 class TestCrashRobustness:
-    """Crash injection via the REPRO_POOL_CHAOS hook: a worker SIGKILLed
+    """Crash injection via the REPRO_CHAOS hook: a worker SIGKILLed
     mid-grid must not lose the sweep — its in-flight spec requeues to a
     survivor, the manifest records the incident, and the output is
     byte-identical to an undisturbed run."""
@@ -145,7 +148,7 @@ class TestCrashRobustness:
         monkeypatch.setenv(CHAOS_ENV, f"{victim[:16]}:{flag}")
         store = str(tmp_path / "store")
         manifest = str(tmp_path / "manifest.jsonl")
-        with Session(pool="persistent") as s:
+        with Session() as s:
             reports = s.run_many(self.GRID, jobs=2, store=store, manifest=manifest)
         assert len(reports) == len(self.GRID)
         assert flag.exists()  # the injected kill actually fired
@@ -172,7 +175,7 @@ class TestCrashRobustness:
         victim = grid[2].content_hash()
         # empty flagfile path = kill *every* worker that picks the spec up
         monkeypatch.setenv(CHAOS_ENV, f"{victim[:16]}:")
-        with Session(pool="persistent") as s:
+        with Session() as s:
             with pytest.raises(WorkerCrashError):
                 s.run_many(self.GRID, jobs=2)
 
@@ -184,13 +187,13 @@ class TestCrashRobustness:
         monkeypatch.setenv(CHAOS_ENV, f"{victim[:16]}:")
         store = str(tmp_path / "store")
         manifest = str(tmp_path / "manifest.jsonl")
-        with Session(pool="persistent") as s:
+        with Session() as s:
             with pytest.raises(WorkerCrashError):
                 s.run_many(self.GRID, jobs=2, store=store, manifest=manifest)
         done_before = Manifest.load(manifest).done_rows
         assert 0 < done_before < len(grid)
         monkeypatch.delenv(CHAOS_ENV)
-        with Session(pool="persistent") as s:
+        with Session() as s:
             reports = s.run_many(
                 self.GRID, jobs=2, store=store, manifest=manifest
             )
@@ -204,7 +207,7 @@ class TestCrashRobustness:
         grid = canonical_grid(self.GRID)
         flag = tmp_path / "chaos.flag"
         monkeypatch.setenv(CHAOS_ENV, f"{grid[0].content_hash()[:16]}:{flag}")
-        with Session(pool="persistent") as s:
+        with Session() as s:
             first = s.run_many(self.GRID, jobs=2)
             second = s.run_many(self.GRID, jobs=2)
         assert flag.exists()
@@ -214,23 +217,20 @@ class TestCrashRobustness:
 
 
 class TestPoolFallback:
-    def test_fork_pool_always_available(self):
-        with Session(pool="fork") as s:
-            reports = s.run_many(sweep_grid(["mis"], [16], seeds=[0, 1]), jobs=2)
-        assert len(reports) == 2 and all(r.correct for r in reports)
+    def test_no_shared_memory_runs_serially(self, monkeypatch):
+        # Without shared memory there is no pool: jobs=2 runs serially,
+        # byte-identical to jobs=1, and the tracer says why.
+        from repro import workers
+        from repro.telemetry import tracing
 
-    def test_persistent_requires_shm(self, monkeypatch):
-        from repro.api import pool as pool_mod
-
-        monkeypatch.setattr(pool_mod, "_SHM_AVAILABLE", False)
-        with pytest.raises(ConfigurationError, match="shared_memory"):
-            Session(pool="persistent").run_many(
-                sweep_grid(["mis"], [16], seeds=[0, 1]), jobs=2
-            )
-
-    def test_auto_falls_back_to_fork(self, monkeypatch):
-        from repro.api import pool as pool_mod
-
-        monkeypatch.setattr(pool_mod, "_SHM_AVAILABLE", False)
-        session = Session(pool="auto")
-        assert session._resolved_pool_kind() == "fork"
+        specs = sweep_grid(["mis"], [16], seeds=[0, 1, 2])
+        serial = Session().run_many(specs, jobs=1)
+        monkeypatch.setattr(workers, "shared_memory_available", lambda: False)
+        with Session() as s, tracing() as tr:
+            reports = s.run_many(specs, jobs=2)
+            assert s._pool is None
+        assert [r.to_json_line() for r in reports] == [
+            r.to_json_line() for r in serial
+        ]
+        degraded = [f for _, name, f in tr.structure() if name == "pool-degraded"]
+        assert degraded == [{"reason": "no-shared-memory", "jobs": 2}]

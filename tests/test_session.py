@@ -52,13 +52,9 @@ class TestCaching:
         assert not session._bf_cache
 
     def test_cache_flag_reaches_pool_workers(self):
-        from repro.api import session as session_mod
+        from repro.api.pool import _RowWorker
 
-        try:
-            session_mod._init_worker(None, False)
-            assert session_mod._WORKER_SESSION._cache_enabled is False
-        finally:
-            session_mod._WORKER_SESSION = None
+        assert _RowWorker(None, False).session._cache_enabled is False
 
 
 class TestOptionValidation:

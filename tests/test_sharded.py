@@ -9,7 +9,7 @@ module pins that contract three ways:
 
 * a shards=1 ≡ shards=k ≡ batched grid over algorithms × sizes × seeds,
   plus overloaded typed rounds in all three enforcement modes;
-* crash robustness via the ``REPRO_SHARD_CHAOS`` injection hook: a
+* crash robustness via the ``REPRO_CHAOS`` injection hook: a
   SIGKILLed worker requeues its block and journals an incident, a
   poisonous block degrades to the parent, and a fully-dead pool disables
   the engine — all without changing a byte of output;
@@ -43,6 +43,7 @@ from repro.ncc.network import NCCNetwork
 from repro.ncc.sharded import CUTOFF_EXTRA, ShardedEngine
 from repro.ncc.sharded import workers as shard_workers
 from repro.registry import get_algorithm
+from repro.workers import CHAOS_ENV
 
 MODES = tuple(Enforcement)
 MODE_IDS = [m.value for m in MODES]
@@ -187,9 +188,9 @@ class TestShardCountInvisible:
     def test_no_shared_memory_degrades_to_batched(self, monkeypatch):
         """Hosts without POSIX shared memory disable the engine; it then
         inherits the single-process delivery wholesale — same bytes."""
-        import repro.api.pool as pool_mod
+        import repro.workers as workers_mod
 
-        monkeypatch.setattr(pool_mod, "shared_memory_available", lambda: False)
+        monkeypatch.setattr(workers_mod, "shared_memory_available", lambda: False)
         n = 64
         net = NCCNetwork(n, _sharded_cfg(shards=3))
         inbox = net.exchange(_typed_round(n))
@@ -202,7 +203,7 @@ class TestShardCountInvisible:
 
 
 # ----------------------------------------------------------------------
-# Crash robustness (REPRO_SHARD_CHAOS)
+# Crash robustness (REPRO_CHAOS)
 # ----------------------------------------------------------------------
 @pytest.mark.engine("reference")  # builds every engine itself
 class TestCrashRobustness:
@@ -227,7 +228,7 @@ class TestCrashRobustness:
         engine's incident journal, and the pool keeps running on the
         survivors."""
         flag = tmp_path / "crash-once"
-        monkeypatch.setenv(shard_workers.CHAOS_ENV, f"1:{flag}")
+        monkeypatch.setenv(CHAOS_ENV, f"1:{flag}")
         net = NCCNetwork(self.N, _sharded_cfg(shards=3))
         self._run_against_reference(net)
         eng = net.engine
@@ -250,7 +251,7 @@ class TestCrashRobustness:
         through the same kernel, the dead pool disables the engine, and
         later rounds inherit the batched delivery — output identical
         throughout."""
-        monkeypatch.setenv(shard_workers.CHAOS_ENV, "1:")
+        monkeypatch.setenv(CHAOS_ENV, "1:")
         net = NCCNetwork(self.N, _sharded_cfg(shards=3))
         self._run_against_reference(net)
         eng = net.engine

@@ -187,12 +187,12 @@ class TestResumeEquivalence:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            with Session(pool="auto") as s:
+            with Session() as s:
                 s.run_many(GRID, jobs=2, store=root, shards=2,
                            manifest=mani_path, progress=bomb)
         done = Manifest.load(mani_path).done_rows
         assert done == 3
-        with Session(pool="auto") as s:
+        with Session() as s:
             resumed = s.run_many(GRID, jobs=2, store=root, shards=2,
                                  manifest=mani_path)
         assert len(resumed) == len(GRID)

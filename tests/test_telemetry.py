@@ -333,12 +333,12 @@ class TestSweepTelemetry:
         assert traced.read_bytes() == plain.read_bytes()
 
     def test_persistent_pool_rows_ship_traces(self, tmp_path):
-        from repro.api.pool import shared_memory_available
+        from repro.workers import shared_memory_available
 
         if not shared_memory_available():
             pytest.skip("no shared memory on this host")
         tele = SweepTelemetry(str(tmp_path / "tele"))
-        with Session(pool="persistent") as session:
+        with Session() as session:
             reports = session.run_many(_grid(), jobs=2, telemetry=tele)
         assert len(reports) == 3
         assert sorted(tele.rows) == [0, 1, 2]
@@ -355,16 +355,16 @@ class TestSweepTelemetry:
         assert "pool-dispatch" in names
 
     def test_pool_jsonl_byte_identical_with_telemetry(self, tmp_path):
-        from repro.api.pool import shared_memory_available
+        from repro.workers import shared_memory_available
 
         if not shared_memory_available():
             pytest.skip("no shared memory on this host")
         plain = tmp_path / "plain.jsonl"
         traced = tmp_path / "traced.jsonl"
-        with Session(pool="persistent") as session:
+        with Session() as session:
             session.run_many(_grid(), jobs=2, out=str(plain))
         tele = SweepTelemetry(str(tmp_path / "tele"))
-        with Session(pool="persistent") as session:
+        with Session() as session:
             session.run_many(_grid(), jobs=2, out=str(traced), telemetry=tele)
         assert traced.read_bytes() == plain.read_bytes()
 
@@ -375,12 +375,12 @@ class TestSweepTelemetry:
 class TestDegradationEvents:
     def test_no_shared_memory_reason(self, monkeypatch):
         np = pytest.importorskip("numpy")
-        import repro.api.pool as pool_mod
+        import repro.workers as workers_mod
         from repro import Enforcement, NCCConfig, NCCNetwork
         from repro.ncc.message import BatchBuilder
         from repro.ncc.sharded import CUTOFF_EXTRA
 
-        monkeypatch.setattr(pool_mod, "shared_memory_available", lambda: False)
+        monkeypatch.setattr(workers_mod, "shared_memory_available", lambda: False)
         cfg = NCCConfig(
             engine="sharded", shards=2, seed=1,
             enforcement=Enforcement.COUNT, extras={CUTOFF_EXTRA: 1},
