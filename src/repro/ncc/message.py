@@ -244,26 +244,27 @@ def typed_payloads_enabled() -> bool:
 # Vectorized payload sizing for typed columns
 # ----------------------------------------------------------------------
 
+#: ``2**k`` for ``k = 0..63`` as uint64: a magnitude's insertion point
+#: (``side="right"``) in this table is its ``bit_length``.
+_POW2 = (
+    _np.left_shift(_np.uint64(1), _np.arange(64, dtype=_np.uint64))
+    if _np is not None
+    else None
+)
+
+
 def _int_col_bits(v):
     """Exact :func:`payload_bits` of an int column, vectorized.
 
-    ``(bit_length or 1) + sign`` per element, computed with shift/compare
-    arithmetic only (no per-element Python).  The two's-complement negate
-    through uint64 handles ``-2**63`` exactly, where ``abs`` would wrap.
+    ``(bit_length or 1) + sign`` per element: one ``searchsorted`` of the
+    magnitude into :data:`_POW2` (uint64 against uint64, so no float
+    rounding).  The unsigned negate handles ``-2**63`` exactly, where
+    ``abs`` would wrap.
     """
     neg = v < 0
     mag = v.astype(_np.uint64)
-    mag = _np.where(neg, ~mag + _np.uint64(1), mag)
-    bl = _np.zeros(v.shape, dtype=_np.int64)
-    # Binary-search the bit length: after the loop ``mag`` is 0 or 1 and
-    # ``bl`` holds bit_length - (mag != 0).
-    for shift in (32, 16, 8, 4, 2, 1):
-        t = mag >> _np.uint64(shift)
-        big = t != 0
-        bl += _np.where(big, shift, 0)
-        mag = _np.where(big, t, mag)
-    bl += mag != 0
-    return _np.maximum(bl, 1) + neg
+    _np.negative(mag, out=mag, where=neg)
+    return _np.maximum(_np.searchsorted(_POW2, mag, side="right"), 1) + neg
 
 
 def typed_payload_bits(values):

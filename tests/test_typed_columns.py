@@ -65,6 +65,12 @@ class TestVectorizedSizing:
         rng = random.Random(0)
         values = [0, 1, -1, 255, -256, 2**62, -(2**62), -(2**63), 2**63 - 1]
         values += [rng.randrange(-(2**63), 2**63) for _ in range(200)]
+        # Every bit-length boundary, both signs: a float comparison anywhere
+        # in the sizing would misplace the ones past 2**53.
+        for k in range(64):
+            for v in (2**k - 1, 2**k, -(2**k - 1), -(2**k)):
+                if -(2**63) <= v < 2**63:
+                    values.append(v)
         arr = np.asarray(values, dtype=np.int64)
         got = typed_payload_bits(arr)
         want = [payload_bits(v) for v in values]
