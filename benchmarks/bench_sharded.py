@@ -9,7 +9,9 @@ is built around: every node sends ``MSGS_PER_NODE`` int64 messages along
 shifted permutations, submitted as one typed column build per round
 (fresh columns every round, the primitives' shape), so a round is one
 block split + shuffle + merge on the sharded engine and one argsort on
-the batched engine.
+the batched engine.  Each row times the whole round (build + ``exchange``,
+what a primitive pays) and also its two parts: the ``BatchBuilder`` column
+build, which both engines share, and the ``exchange`` that differs.
 
 The ``sharded_ladder`` section is persisted to ``BENCH_engine.json``
 *unconditionally* — the n = 10^6 completion row is an acceptance
@@ -62,17 +64,22 @@ def _fresh_net(engine: str, n: int) -> NCCNetwork:
 
 def _time_engine(engine: str, n: int, rounds: int, repeats: int):
     """Best-of-repeats seconds per end-to-end typed ``exchange`` round
-    (including the column build — that is what a primitive pays), plus
-    the final stats snapshot and the engine instance."""
-    best = float("inf")
+    (including the column build — that is what a primitive pays) as
+    ``(total, build, exchange)``, plus the last network."""
+    best = (float("inf"), 0.0, 0.0)
     net = None
     for _ in range(repeats):
         net = _fresh_net(engine, n)
         net.exchange(_typed_round(n))  # warmup: pool spawn + allocations
-        t0 = time.perf_counter()
+        build = exchange = 0.0
         for _ in range(rounds):
-            net.exchange(_typed_round(n))
-        best = min(best, (time.perf_counter() - t0) / rounds)
+            t0 = time.perf_counter()
+            out = _typed_round(n)
+            t1 = time.perf_counter()
+            net.exchange(out)
+            build += t1 - t0
+            exchange += time.perf_counter() - t1
+        best = min(best, ((build + exchange) / rounds, build / rounds, exchange / rounds))
     return best, net
 
 
@@ -86,8 +93,8 @@ def test_sharded_ladder(benchmark, report):
     json_rows = []
     speedup_at_1m = None
     for n, rounds, repeats in LADDER:
-        t_bat, net_bat = _time_engine("batched", n, rounds, repeats)
-        t_sh, net_sh = _time_engine("sharded", n, rounds, repeats)
+        (t_bat, build_bat, xchg_bat), net_bat = _time_engine("batched", n, rounds, repeats)
+        (t_sh, build_sh, xchg_sh), net_sh = _time_engine("sharded", n, rounds, repeats)
         assert (
             net_bat.stats.comparable() == net_sh.stats.comparable()
         ), f"engines diverged at n={n} — parity violated"
@@ -100,14 +107,17 @@ def test_sharded_ladder(benchmark, report):
         speedup = t_bat / t_sh
         if n == 1_000_000:
             speedup_at_1m = speedup
+        parts = [build_bat, xchg_bat, build_sh, xchg_sh]
         rows.append(
             [n, n * MSGS_PER_NODE, eng.shards,
              round(1.0 / t_bat, 3), round(1.0 / t_sh, 3), round(speedup, 2),
-             "yes" if not eng._disabled else "degraded"]
+             "yes" if not eng._disabled else "degraded",
+             *(round(1000 * t, 1) for t in parts)]
         )
         json_rows.append(
             [n, n * MSGS_PER_NODE, eng.shards,
-             round(1.0 / t_bat, 4), round(1.0 / t_sh, 4), round(speedup, 3)]
+             round(1.0 / t_bat, 4), round(1.0 / t_sh, 4), round(speedup, 3),
+             *(round(t, 4) for t in parts)]
         )
     shard_workers.close_pool()  # don't leak the 10^6-sized segment
     emit_bench_json(
@@ -121,6 +131,8 @@ def test_sharded_ladder(benchmark, report):
             "columns": [
                 "n", "msgs_per_round", "shards",
                 "batched_rounds_per_s", "sharded_rounds_per_s", "speedup",
+                "batched_build_s", "batched_exchange_s",
+                "sharded_build_s", "sharded_exchange_s",
             ],
             "rows": json_rows,
         },
@@ -128,7 +140,9 @@ def test_sharded_ladder(benchmark, report):
     report(
         format_table(
             ["n", "msgs/round", "shards",
-             "batched rounds/s", "sharded rounds/s", "speedup", "completed"],
+             "batched rounds/s", "sharded rounds/s", "speedup", "completed",
+             "batched build ms", "batched exchange ms",
+             "sharded build ms", "sharded exchange ms"],
             rows,
             title=(
                 f"E-SHARD  Sharded engine ladder on {cores} core(s) "

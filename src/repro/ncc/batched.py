@@ -28,6 +28,12 @@ each destination an ``InboxBatch`` span.  A clean deferred round therefore
 constructs **zero** ``Message`` objects end-to-end, at any round size, with
 or without numpy (small or numpy-free rounds bucket the columns in plain
 Python instead of via argsort — same observables, still object-free).
+A builder handed to ``exchange`` skips even those groups:
+:meth:`BatchedEngine.run_builder` reads an object builder's per-sender
+lists, and a typed builder's finalized whole-round columns (senders
+range-checked by min/max), so a clean typed round creates no per-sender
+Python object at all.  Per-sender spans (``BatchBuilder.batches``) are
+cut only for round observers and anomaly replays.
 
 A round with *any* anomaly replays the canonical walks of
 :class:`~repro.ncc.engine.RoundEngine`, which keeps the violation-ledger
@@ -327,45 +333,34 @@ class BatchedEngine(RoundEngine):
 
     def run_builder(self, builder) -> RoundResult:
         """Execute a round straight off a deferred builder's raw columns —
-        no per-group batch objects at all on the clean path.  Anomalous,
-        eager, or empty rounds finalize normally and replay through
-        :meth:`run_round` (identical observables by construction)."""
-        if not builder._deferred or not builder._groups:
-            return self.run_round(builder.batches())
-        if builder._dtype is not None:
-            # Typed builder filled by one whole-round add_arrays call: the
-            # sorted sender/dst/value columns are already on the builder, so
-            # deliver straight off them — no per-sender spans, no structured
-            # concatenation (whose fixed per-array cost dwarfs these ~3-long
-            # chunks).
-            bulk = builder._typed_bulk
-            if bulk is not None:
-                senders, counts, dst, pay = bulk
-                net = self.net
-                n = net.n
-                max_sent = max(counts)
-                if (
-                    0 <= senders[0]
-                    and senders[-1] < n
-                    and max_sent <= net.capacity
-                    and builder._bits_max <= net.message_bits
-                    and int(dst.min()) >= 0
-                    and int(dst.max()) < n
-                ):
-                    stats = net.stats
-                    if max_sent > stats.max_sent_per_round:
-                        stats.max_sent_per_round = max_sent
-                    delivered = self._deliver_deferred_np(
-                        senders, [builder.kind], counts, len(dst), dst, pay
-                    )
-                    builder._spent = True
-                    return delivered, len(dst), builder._bits_sum
-            # Otherwise the chunked group layout finalizes into typed
-            # whole-span batches, and run_round's trusted BuilderBatches
-            # path delivers them without leaving ndarrays.
+        no per-sender batch objects on the clean path (a typed builder
+        delivers from its finalized whole-round columns).  Anomalous,
+        eager, or empty rounds finalize through ``builder.batches()`` and
+        replay via :meth:`run_round` (identical observables by construction)."""
+        if not builder._deferred or not builder:
             return self.run_round(builder.batches())
         net = self.net
         n = net.n
+        if builder._dtype is not None:
+            senders, counts, dst, pay, _bits = builder._typed_round()
+            max_sent = int(counts.max())
+            if (
+                0 <= int(senders.min())
+                and int(senders.max()) < n
+                and max_sent <= net.capacity
+                and builder._bits_max <= net.message_bits
+                and 0 <= int(dst.min())
+                and int(dst.max()) < n
+            ):
+                stats = net.stats
+                if max_sent > stats.max_sent_per_round:
+                    stats.max_sent_per_round = max_sent
+                delivered = self._deliver_deferred_np(
+                    senders, [builder.kind], counts, len(dst), dst, pay
+                )
+                builder._spent = True
+                return delivered, len(dst), builder._bits_sum
+            return self.run_round(builder.batches())
         senders: list[int] = []
         counts: list[int] = []
         dcols: list[list[int]] = []
@@ -535,9 +530,7 @@ class BatchedEngine(RoundEngine):
             # Typed round: the permuted payload column stays an ndarray and
             # the delivered spans are typed — nothing is boxed here.
             pay_perm = pay_l.take(order)
-        snd = _np.fromiter(senders, _np.int64, len(senders))
-        cnt = _np.fromiter(counts, _np.int64, len(counts))
-        src_perm = _np.repeat(snd, cnt).take(order)
+        src_perm = _np.repeat(_np.asarray(senders, _np.int64), counts).take(order)
         kind_perm = self._round_kind_scalar(kcols)
         if kind_perm is None:
             kinds_l: list[str] = []

@@ -246,11 +246,7 @@ def typed_payloads_enabled() -> bool:
 
 #: ``2**k`` for ``k = 0..63`` as uint64: a magnitude's insertion point
 #: (``side="right"``) in this table is its ``bit_length``.
-_POW2 = (
-    _np.left_shift(_np.uint64(1), _np.arange(64, dtype=_np.uint64))
-    if _np is not None
-    else None
-)
+_POW2 = None if _np is None else _np.uint64(1) << _np.arange(64, dtype=_np.uint64)
 
 
 def _int_col_bits(v):
@@ -1121,6 +1117,10 @@ class BatchBuilder:
     ``Message`` in :meth:`add` and finalizes into :class:`MessageBatch`
     groups, reproducing the previous pipeline.
 
+    A builder with a declared ``dtype`` keeps the round as whole-round typed
+    columns instead: no per-sender Python object exists unless
+    :meth:`batches` cuts one, and the batched engine delivers off them.
+
     A builder is single-shot: it belongs to one round.  ``kind`` set at
     construction tags every message; :meth:`add` may override it per message
     (e.g. routers mixing data and token traffic from one sender).
@@ -1128,7 +1128,7 @@ class BatchBuilder:
 
     __slots__ = (
         "kind", "_groups", "_spent", "_deferred", "_bits_sum", "_bits_max",
-        "_dtype", "_typed_bulk",
+        "_dtype", "_chunks",
     )
 
     def __init__(
@@ -1143,10 +1143,10 @@ class BatchBuilder:
         # the scalar tag until a per-message override forces a column.
         # Eager: src -> (messages, dsts, bits) — the Message is built once,
         # in add(), and its columns captured as a by-product.
-        # Typed (``dtype`` declared): src -> [dst_chunks, value_chunks,
-        # bits_chunks], each a list of parallel ndarrays concatenated at
-        # finalize.
         self._groups: dict[int, Any] = {}
+        # Typed (``dtype`` declared): one sender-sorted ``(senders, counts,
+        # dsts, values, bits)`` chunk per add_array(s) call; see _typed_round.
+        self._chunks: list[tuple] = []
         self._spent = False
         self._deferred = _DEFERRED_DEFAULT if deferred is None else bool(deferred)
         # Round-level bit aggregates, tracked as messages are queued so the
@@ -1168,11 +1168,6 @@ class BatchBuilder:
             self._dtype = dtype
         else:
             self._dtype = None
-        # Whole-round sorted columns kept by a single add_arrays call —
-        # (senders, counts, dsts, values) — letting the batched engine
-        # deliver straight off them with zero per-sender array handling.
-        # Any other submission into the builder invalidates it.
-        self._typed_bulk = None
 
     def add(self, src: int, dst: int, payload: Any, kind: str | None = None) -> None:
         """Queue one ``src -> dst`` message carrying ``payload``."""
@@ -1341,29 +1336,27 @@ class BatchBuilder:
             raise ValueError("add_array requires parallel columns of equal length")
         if len(darr) == 0:
             return
+        try:
+            head = _np.array([src], dtype=_np.int64)
+        except OverflowError:
+            # A sender id too wide for an int64 column: the object layout
+            # carries it to the engines' canonical range error.
+            self._box_typed_groups()
+            self.add_array(src, darr, varr)
+            return
         barr = typed_payload_bits(varr)
         self._bits_sum += int(barr.sum())
         mx = int(barr.max())
         if mx > self._bits_max:
             self._bits_max = mx
-        self._typed_bulk = None
-        self._push_typed(src, darr, varr, barr)
-
-    def _push_typed(self, src: int, darr, varr, barr) -> None:
-        """Append one sender's typed column spans (bits already accounted)."""
-        g = self._groups.get(src)
-        if g is None:
-            self._groups[src] = [[darr], [varr], [barr]]
-        else:
-            g[0].append(darr)
-            g[1].append(varr)
-            g[2].append(barr)
+        self._chunks.append((head, _np.array([len(darr)]), darr, varr, barr))
 
     def add_arrays(self, srcs: Any, dsts: Any, values: Any) -> None:
         """Queue typed messages from many senders at once (parallel arrays).
 
         Senders are grouped in ascending-id order (a stable sort over the
-        sender column), each keeping its submissions in input order.
+        sender column), each keeping its submissions in input order.  The
+        sorted columns are kept whole: no per-sender object is created.
         """
         if self._spent:
             raise TypeError(
@@ -1415,51 +1408,69 @@ class BatchBuilder:
         mx = int(barr.max())
         if mx > self._bits_max:
             self._bits_max = mx
-        uniq, starts = _np.unique(ssort, return_index=True)
-        ends = _np.append(starts[1:], len(ssort))
-        bulk_ok = not self._groups
-        push = self._push_typed
-        for s, lo, hi in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
-            push(s, dsort[lo:hi], vsort[lo:hi], barr[lo:hi])
-        # A single whole-round submission: keep the sorted columns so the
-        # batched engine can deliver without re-assembling per-sender spans.
-        self._typed_bulk = (
-            (uniq.tolist(), (ends - starts).tolist(), dsort, vsort)
-            if bulk_ok
-            else None
+        # One (sender, count) entry per run of equal sender ids.
+        starts = _np.flatnonzero(_np.concatenate(([True], ssort[1:] != ssort[:-1])))
+        self._chunks.append(
+            (ssort.take(starts), _np.diff(starts, append=len(ssort)), dsort, vsort, barr)
         )
 
+    def _typed_round(self) -> tuple:
+        """The typed round as whole columns ``(senders, counts, dsts,
+        values, bits)``, grouped like a flat message list: senders in
+        first-occurrence order, each sender's messages in submission order.
+        Regroups only when a sender spans chunks; the result replaces the
+        chunks, so finalizing again is free."""
+        chunks = self._chunks
+        if len(chunks) > 1:
+            snd, cnt, dst, val, bits = (_np.concatenate(c) for c in zip(*chunks))
+            uniq, first, inv = _np.unique(snd, return_index=True, return_inverse=True)
+            if len(uniq) < len(snd):
+                # Stable sort of the messages by their sender's
+                # first-occurrence rank.
+                order = _np.argsort(first)
+                key = _np.repeat(_np.argsort(order).take(inv), cnt)
+                perm = _np.argsort(key, kind="stable")
+                snd, cnt = uniq.take(order), _np.bincount(key)
+                dst, val, bits = dst.take(perm), val.take(perm), bits.take(perm)
+            chunks[:] = [(snd, cnt, dst, val, bits)]
+        return chunks[0]
+
+    def _typed_groups(self):
+        """Yield ``(sender, dsts, values, bits)`` per sender of the typed
+        round, in :meth:`_typed_round` order (views, no copies)."""
+        if not self._chunks:
+            return
+        snd, cnt, dst, val, bits = self._typed_round()
+        lo = 0
+        for src, hi in zip(snd.tolist(), _np.cumsum(cnt).tolist()):
+            yield src, dst[lo:hi], val[lo:hi], bits[lo:hi]
+            lo = hi
+
     def _box_typed_groups(self) -> None:
-        """Degrade every typed group to the object layout (counted boxes).
+        """Degrade the typed columns to the object layout (counted boxes).
 
         Mixing per-message submissions into a typed builder is legal —
         the whole builder just falls back to object columns, preserving
-        group order and per-group message order.
+        sender order and per-sender message order.
         """
         global _box_count
-        kind = self.kind
-        for src, g in self._groups.items():
-            dsts: list[int] = []
-            pays: list[Any] = []
-            bits: list[int] = []
-            for darr, varr, barr in zip(g[0], g[1], g[2]):
-                dsts += darr.tolist()
-                pays += varr.tolist()
-                bits += barr.tolist()
-                _box_count += len(varr)
-            self._groups[src] = [dsts, pays, bits, kind]
+        for src, dsts, vals, bits in self._typed_groups():
+            _box_count += len(vals)
+            self._groups[src] = [dsts.tolist(), vals.tolist(), bits.tolist(), self.kind]
+        self._chunks = []
         self._dtype = None
-        self._typed_bulk = None
 
     def __len__(self) -> int:
         if self._dtype is not None:
-            return sum(len(c) for g in self._groups.values() for c in g[0])
+            return sum(len(c[2]) for c in self._chunks)
         return sum(len(g[0]) for g in self._groups.values())
 
     def __bool__(self) -> bool:
-        return bool(self._groups)
+        return bool(self._groups or self._chunks)
 
     def senders(self) -> list[int]:
+        if self._chunks:
+            return self._typed_round()[0].tolist()
         return list(self._groups)
 
     def batches(self) -> "dict[int, MessageBatch] | BuilderBatches":
@@ -1478,20 +1489,14 @@ class BatchBuilder:
         # finalize product can be fed to an engine as-is — the same
         # coercion ``exchange`` applies to Mapping submissions.
         if self._dtype is not None:
+            # The one place a typed round is cut into per-sender spans: the
+            # reference engine, round observers and anomaly replays.
             lazy = BuilderBatches(self._bits_sum, self._bits_max, self._dtype)
             lazy_set = dict.__setitem__  # lazy itself is frozen
             over = InboxBatch._over
             kind = self.kind
-            for src, (dchunks, vchunks, bchunks) in self._groups.items():
-                if len(dchunks) == 1:
-                    darr, varr, barr = dchunks[0], vchunks[0], bchunks[0]
-                else:
-                    darr = _np.concatenate(dchunks)
-                    varr = _np.concatenate(vchunks)
-                    barr = _np.concatenate(bchunks)
-                lazy_set(
-                    lazy, src, over(src, darr, varr, barr, kind, 0, len(darr))
-                )
+            for src, dsts, vals, bits in self._typed_groups():
+                lazy_set(lazy, src, over(src, dsts, vals, bits, kind, 0, len(dsts)))
             return lazy
         if self._deferred:
             lazy = BuilderBatches(self._bits_sum, self._bits_max)

@@ -132,11 +132,11 @@ class ShardedEngine(BatchedEngine):
     def _deliver_deferred_np(self, senders, kcols, counts, m_count, dst, pay_l):
         """Distribute the clean typed delivery; inherit everything else.
 
-        Both columnar call sites (``run_builder``'s whole-round typed bulk
-        and ``_deliver_deferred``'s uniform typed path) land here with the
-        destination column already bounds-checked and the send watermark
-        committed, so the only remaining work is bucketing + delivery —
-        exactly the part that shards."""
+        Both columnar call sites (``run_builder``'s whole-round typed
+        columns and ``_deliver_deferred``'s uniform typed path) land here
+        with the destination column already bounds-checked and the send
+        watermark committed, so the only remaining work is bucketing +
+        delivery — exactly the part that shards."""
         if (
             self._disabled
             or m_count < self._cutoff
@@ -163,9 +163,7 @@ class ShardedEngine(BatchedEngine):
         stats = net.stats
         n = net.n
         k = self.shards
-        snd = _np.fromiter(senders, _np.int64, len(senders))
-        cnt = _np.fromiter(counts, _np.int64, len(counts))
-        src_flat = _np.repeat(snd, cnt)
+        src_flat = _np.repeat(_np.asarray(senders, _np.int64), counts)
 
         # Split the round's flat columns by destination shard.  The stable
         # argsort keeps each block in round flat order, and the selection

@@ -11,6 +11,7 @@ messages, bits) and that the zero-object gates hold.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import numpy as np
@@ -246,6 +247,132 @@ class TestTypedDelivery:
             send_direct(net, self._sends(n), dtype=dtype)
             stats[dtype is None] = net.stats.comparable()
         assert stats[True] == stats[False]
+
+
+# ----------------------------------------------------------------------
+# Mixed typed submissions and the whole-round column store
+# ----------------------------------------------------------------------
+def _engine_config(engine):
+    # shard_cutoff=1 sends even these tiny rounds through the block shuffle.
+    extras = {"shard_cutoff": 1} if engine == "sharded" else {}
+    return NCCConfig(
+        seed=3, enforcement=Enforcement.COUNT, engine=engine, shards=2,
+        extras=extras,
+    )
+
+
+def _mixed_typed():
+    """Senders repeat across calls: 5, then 3/5/1 (grouped ascending within
+    the call), then 3 again."""
+    b = BatchBuilder(kind="t", dtype=np.int64)
+    b.add_array(5, [1, 2], [10, -7])
+    b.add_arrays([3, 5, 1, 3], [4, 6, 0, 2], [2**38, 3, -1, -(2**38)])
+    b.add_array(3, [9, 4, 8], [0, 255, -256])
+    return b
+
+
+def _mixed_object():
+    """The same traffic as ``_mixed_typed``, one object message at a time in
+    the order the typed builder documents."""
+    b = BatchBuilder(kind="t")
+    b.add_many(5, [1, 2], [10, -7])
+    for src, dst, v in ((1, 0, -1), (3, 4, 2**38), (3, 2, -(2**38)), (5, 6, 3)):
+        b.add(src, dst, v)
+    b.add_many(3, [9, 4, 8], [0, 255, -256])
+    return b
+
+
+def _bulk_builder(senders):
+    """One clean add_arrays round: every sender sends two int64 messages."""
+    src = np.repeat(np.arange(senders, dtype=np.int64), 2)
+    b = BatchBuilder(kind="t", dtype=np.int64)
+    b.add_arrays(src, (src + np.tile([1, 2], senders)) % senders, src * 3)
+    return b
+
+
+class TestMixedTypedSubmissions:
+    def test_builder_view_matches_object_builder(self, typed_on):
+        typed, obj = _mixed_typed(), _mixed_object()
+        assert typed.senders() == obj.senders() == [5, 1, 3]
+        assert len(typed) == len(obj) == 9
+        assert (typed._bits_sum, typed._bits_max) == (obj._bits_sum, obj._bits_max)
+        # Finalizing twice (senders() above, batches() here) changes nothing.
+        assert typed.batches() == obj.batches()
+
+    @pytest.mark.parametrize("engine", ("reference", "batched", "sharded"))
+    def test_delivery_matches_object_builder(self, engine, typed_on):
+        outcomes = []
+        for make in (_mixed_typed, _mixed_object):
+            net = NCCNetwork(32, _engine_config(engine))
+            inbox = net.exchange(make())
+            outcomes.append((
+                [
+                    (d, [(m.src, m.dst, m.payload, m.kind) for m in msgs])
+                    for d, msgs in inbox.items()
+                ],
+                net.stats.comparable(),
+            ))
+            assert net.stats.violation_count == 0  # the clean path
+        assert outcomes[0] == outcomes[1]
+        inboxes = outcomes[0][0]
+        # First-arrival receiver order over senders 5, 1, 3; receiver 4
+        # hears sender 3's add_arrays message before its add_array one.
+        assert [d for d, _ in inboxes] == [1, 2, 6, 0, 4, 9, 8]
+        assert dict(inboxes)[4] == [(3, 4, 2**38, "t"), (3, 4, 255, "t")]
+
+    @pytest.mark.parametrize("bad", (40, 2**70))
+    @pytest.mark.parametrize("engine", ("reference", "batched", "sharded"))
+    def test_out_of_range_middle_sender_raises_reference_error(
+        self, engine, bad, typed_on
+    ):
+        """Senders in first-occurrence order [5, bad, 3]: the first and last
+        are in range, so only a true min/max finds the bad one (and a
+        sender too wide for int64 still reaches the engines' range check)."""
+        b = BatchBuilder(kind="t", dtype=np.int64)
+        for src in (5, bad, 3):
+            b.add_array(src, [1], [7])
+        net = NCCNetwork(32, _engine_config(engine))
+        with pytest.raises(ValueError, match=rf"node id {bad} outside \[0, 32\)"):
+            net.exchange(b)
+
+    def test_add_arrays_allocates_constant_objects(self, typed_on):
+        """The typed store keeps whole-round columns: an add_arrays of 20 000
+        senders creates no more Python objects than one of 2 000."""
+
+        def growth(senders):
+            src = np.repeat(np.arange(senders, dtype=np.int64), 2)
+            dst = (src + 1) % senders
+            b = BatchBuilder(kind="t", dtype=np.int64)
+            gc.collect()
+            gc.disable()
+            try:
+                before = len(gc.get_objects())
+                b.add_arrays(src, dst, src * 3)
+                return len(gc.get_objects()) - before
+            finally:
+                gc.enable()
+
+        small, large = growth(2_000), growth(20_000)
+        assert abs(large - small) <= 8, (small, large)
+
+    def test_clean_batched_exchange_never_splits_per_sender(
+        self, monkeypatch, typed_on
+    ):
+        calls = []
+        real = BatchBuilder.batches
+
+        def spy(self):
+            calls.append(len(self))
+            return real(self)
+
+        monkeypatch.setattr(BatchBuilder, "batches", spy)
+        net = NCCNetwork(2_000, _config("batched"))
+        inbox = net.exchange(_bulk_builder(2_000))
+        assert calls == [] and len(inbox) == 2_000
+        observed = []
+        net.round_observer = lambda r, per_sender: observed.append(len(per_sender))
+        net.exchange(_bulk_builder(2_000))
+        assert calls == [4_000] and observed == [2_000]
 
 
 # ----------------------------------------------------------------------
