@@ -252,13 +252,17 @@ class CombiningRouter:
         if self._ran:
             raise ProtocolError("router already ran")
         if self._typed_cols is not None:
+            d = self.bf.d
             if (
                 _np is not None
                 and self.ufunc is not None
                 and self.trees is None
-                and self.bf.d > 0
+                and d > 0
                 and _lightweight(self.net)
                 and not self._queues
+                # The kernel's packed sort code must fit int64 (groups are
+                # at most the injected packets; see _run_typed).
+                and (2 * d << d) * sum(map(len, self._typed_cols[0])) <= 1 << 63
             ):
                 return self._run_typed()
             self._box_typed_injections()
@@ -352,7 +356,12 @@ class CombiningRouter:
             local_data: list[tuple[int, GroupT, Any]] = []  # (dst key, g, val)
             local_tokens: list[int] = []
             sent_data = False
-            for key in list(queues):
+            # Nodes in ascending (column, level) order: the builder groups
+            # a round's cross packets by sender in first-occurrence order,
+            # so they go out by ascending sender, then level — the order
+            # the typed kernel's add_arrays gives.  Typed and object runs
+            # then submit identical rounds, violation ledgers included.
+            for key in sorted(queues, key=lambda k: (k & mask, k)):
                 pend = queues[key]
                 level = key >> d
                 bit = 1 << level
@@ -485,13 +494,28 @@ class CombiningRouter:
     def _run_typed(self) -> RoutingResult:
         """Array-resident combining kernel (lightweight sync, no trees).
 
-        Observably equivalent to the object loop of :meth:`run`: the same
-        per-edge winners are selected each round (identical ``(rank,
-        group)`` ordering over identical contenders), the same messages
-        cross the same edges with identical wire bits (``DATA_DTYPE`` sizes
-        exactly like the ``("D", ...)`` tuples), and the exact commutative
-        int64 reductions make the collision-combine order irrelevant.
-        Python cost per round is O(groups + NCC hosts), not O(packets).
+        Observably equivalent to the object loop of :meth:`run`: each round
+        the same per-edge winners cross the same edges as the same
+        ``DATA_DTYPE`` messages (sized exactly like the ``("D", ...)``
+        tuples), submitted in the same order: ascending sender, then level.
+
+        Once per run the K distinct groups are ranked by ``(rank, group)``
+        into a dense priority ``p``; packets carry ``p``, and target column
+        and wire group id are ``take``s from p-indexed tables.  Each round
+        is then one ``argsort`` of the packed int64 code
+        ``((key << 1) | cross) * K + p``: equal codes are exactly the
+        same-group packets that met at one node, collapsed by ``reduceat``,
+        and the first packet of each ``(key << 1) | cross`` run holds the
+        smallest ``(rank, group)`` on that edge, so it wins.  Pending keys
+        are ``< d << d``, so the code is ``< (2·d << d)·K``; :meth:`run`
+        admits the kernel only when that fits int64 (K is at most the
+        injected packet count).  The default, unstable argsort is safe:
+        codes tie only between packets of one group at one node, and the
+        exact, commutative int64 ufuncs reduce those to the same value in
+        any order.  Only packets arriving over the network map their wire
+        group id back to ``p`` (one ``searchsorted`` over the arrivals).
+        Nothing loops per packet or per group; the per-round Python cost is
+        O(NCC hosts), and it comes from the engine's per-receiver delivery.
         """
         self._ran = True
         np = _np
@@ -502,7 +526,6 @@ class CombiningRouter:
         mask = columns - 1
         bottom = d << d
         ufunc = self.ufunc
-        kind = self.kind
         one = np.int64(1)
 
         ccols, gcols, vcols = self._typed_cols
@@ -513,84 +536,104 @@ class CombiningRouter:
         v = vcols[0] if len(vcols) == 1 else np.concatenate(vcols)
 
         # Group tables: rank/target are pure per group — one Python call
-        # per distinct group for the whole run, never per packet.
-        uniq = np.unique(g)
+        # per distinct group for the whole run, never per packet.  The
+        # priority p of a group is its position in (rank, group) order.
+        uniq, gi = np.unique(g, return_inverse=True)
         glist = uniq.tolist()
         k_groups = len(glist)
         tcol_by = np.fromiter(
             (self.target_col_of(x) for x in glist), np.int64, k_groups
         )
         rank_by = np.fromiter((self.rank_of(x) for x in glist), np.int64, k_groups)
+        by_p = np.lexsort((uniq, rank_by))
+        p_of = np.empty(k_groups, dtype=np.int64)
+        p_of[by_p] = np.arange(k_groups)
+        g_by_p = uniq.take(by_p)
+        tcol_by_p = tcol_by.take(by_p)
+        p = p_of.take(gi)
 
         res_g: list = []
         res_v: list = []
 
         while len(key):
-            # --- collapse colliding packets per (node, group) ---
-            order = np.lexsort((g, key))
-            key = key.take(order)
-            g = g.take(order)
-            v = v.take(order)
-            if len(key) > 1:
-                seg = np.empty(len(key), dtype=bool)
-                seg[0] = True
-                np.not_equal(key[1:], key[:-1], out=seg[1:])
-                seg[1:] |= g[1:] != g[:-1]
-                starts = np.flatnonzero(seg)
-                if len(starts) != len(key):
-                    v = ufunc.reduceat(v, starts)
-                    key = key.take(starts)
-                    g = g.take(starts)
-
-            # --- one down-hop per packet, one winner per (node, edge) ---
+            # --- one packed sort: by node, then edge, then priority ---
             level = key >> d
-            bit = np.left_shift(one, level)
-            col = key & mask
-            gi = np.searchsorted(uniq, g)
-            tcol = tcol_by.take(gi)
-            rank = rank_by.take(gi)
-            base = (key + columns) & ~bit
-            tbit = tcol & bit
-            nxt = base | tbit
-            cross = tbit != (col & bit)
-            eid = (key << 1) | cross.astype(np.int64)
-            sel = np.lexsort((g, rank, eid))
-            es = eid.take(sel)
-            first = np.empty(len(es), dtype=bool)
-            first[0] = True
-            np.not_equal(es[1:], es[:-1], out=first[1:])
-            win = np.zeros(len(key), dtype=bool)
-            win[sel[first]] = True
+            cross = ((tcol_by_p.take(p) ^ key) >> level) & 1
+            code = ((key << 1) | cross) * k_groups + p
+            order = code.argsort()
+            code = code.take(order)
+            v = v.take(order)
+            # --- collapse colliding packets per (node, group) ---
+            seg = np.empty(len(code), dtype=bool)
+            seg[0] = True
+            np.not_equal(code[1:], code[:-1], out=seg[1:])
+            if not seg.all():
+                starts = np.flatnonzero(seg)
+                v = ufunc.reduceat(v, starts)
+                code = code.take(starts)
+            edge, p = np.divmod(code, k_groups)
+            key = edge >> 1
+            crossing = (edge & 1).astype(bool)
+            # --- the first packet of each (node, edge) run wins the edge ---
+            win = np.empty(len(edge), dtype=bool)
+            win[0] = True
+            np.not_equal(edge[1:], edge[:-1], out=win[1:])
 
             # --- emit cross winners as one typed submission ---
-            out = BatchBuilder(kind=kind, dtype=DATA_DTYPE)
-            cw = np.flatnonzero(win & cross)
+            out = BatchBuilder(kind=self.kind, dtype=DATA_DTYPE)
+            cw = np.flatnonzero(win & crossing)
             if len(cw):
+                ck = key.take(cw)
+                lvl = ck >> d
+                col = ck & mask
                 payload = np.empty(len(cw), dtype=DATA_DTYPE)
                 payload["tag"] = "D"
-                payload["lvl"] = level.take(cw) + 1
-                payload["g"] = g.take(cw)
+                payload["lvl"] = lvl + 1
+                payload["g"] = g_by_p.take(p.take(cw))
                 payload["val"] = v.take(cw)
-                out.add_arrays(col.take(cw), nxt.take(cw) & mask, payload)
+                out.add_arrays(col, col ^ (one << lvl), payload)
             inboxes = net.exchange(out)
 
-            # --- straight winners move locally; losers wait in place ---
-            sw = np.flatnonzero(win & ~cross)
-            skey = nxt.take(sw)
-            sg = g.take(sw)
+            # --- straight winners move down their column; losers wait ---
+            sw = np.flatnonzero(win & ~crossing)
+            skey = key.take(sw) + columns
+            sp = p.take(sw)
             sv = v.take(sw)
             done = skey >= bottom
-            res_g.append(sg[done])
+            res_g.append(g_by_p.take(sp[done]))
             res_v.append(sv[done])
             lose = ~win
-            parts_k = [key[lose], skey[~done]]
-            parts_g = [g[lose], sg[~done]]
-            parts_v = [v[lose], sv[~done]]
+            stay = ~done
+            parts_k = [key[lose], skey[stay]]
+            parts_p = [p[lose], sp[stay]]
+            parts_v = [v[lose], sv[stay]]
 
             # --- apply network arrivals ---
             gathered = gather_typed_spans(inboxes)
+            if gathered is None and inboxes:
+                # Reference engine (or a degraded round): lower the
+                # per-host inboxes to the same two columns.
+                hosts, arrs = [], []
+                for host, received in inboxes.items():
+                    arr = (
+                        received.payload_array()
+                        if type(received) is InboxBatch
+                        else None
+                    )
+                    if arr is None:
+                        arr = np.array(
+                            received.payloads()  # reprolint: disable=NCC002 — degraded-round fallback path
+                            if isinstance(received, InboxBatch)
+                            else [m.payload for m in received],
+                            dtype=DATA_DTYPE,
+                        )
+                    hosts.append(host)
+                    arrs.append(arr)
+                gathered = (
+                    np.repeat(hosts, [len(a) for a in arrs]),
+                    np.concatenate(arrs),
+                )
             if gathered is not None:
-                # The whole round as two columns: no per-host iteration.
                 ahost, arr = gathered
                 akey = (arr["lvl"].astype(np.int64) << d) | ahost
                 ag = arr["g"]
@@ -598,41 +641,12 @@ class CombiningRouter:
                 ab = akey >= bottom
                 res_g.append(ag[ab])
                 res_v.append(av[ab])
-                parts_k.append(akey[~ab])
-                parts_g.append(ag[~ab])
-                parts_v.append(av[~ab])
-                inboxes = {}
-            for host, received in inboxes.items():
-                arr = (
-                    received.payload_array()
-                    if type(received) is InboxBatch
-                    else None
-                )
-                if arr is not None:
-                    lvl = arr["lvl"]
-                    ag = arr["g"]
-                    av = arr["val"]
-                else:
-                    # Reference engine (or a degraded round) delivered
-                    # boxed payloads; lower them back to columns.
-                    pls = (
-                        received.payloads()  # reprolint: disable=NCC002 — degraded-round fallback path
-                        if isinstance(received, InboxBatch)
-                        else [m.payload for m in received]
-                    )
-                    c = len(pls)
-                    lvl = np.fromiter((p[1] for p in pls), np.int64, c)
-                    ag = np.fromiter((p[2] for p in pls), np.int64, c)
-                    av = np.fromiter((p[3] for p in pls), np.int64, c)
-                akey = (lvl.astype(np.int64) << d) | host
-                ab = akey >= bottom
-                res_g.append(ag[ab])
-                res_v.append(av[ab])
-                parts_k.append(akey[~ab])
-                parts_g.append(ag[~ab])
-                parts_v.append(av[~ab])
+                ab = ~ab
+                parts_k.append(akey[ab])
+                parts_p.append(p_of.take(uniq.searchsorted(ag[ab])))
+                parts_v.append(av[ab])
             key = np.concatenate(parts_k)
-            g = np.concatenate(parts_g)
+            p = np.concatenate(parts_p)
             v = np.concatenate(parts_v)
 
         # Token wave duration (lightweight sync): one hop per level.

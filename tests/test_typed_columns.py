@@ -417,6 +417,98 @@ class TestTypedCombiningRouter:
             results[typed] = (res.results, res.rounds, rt.net.stats.comparable())
         assert results[True] == results[False]
 
+    @pytest.mark.engine("reference")  # drives all three engines itself
+    @pytest.mark.parametrize("mode", tuple(Enforcement), ids=lambda m: m.value)
+    @pytest.mark.parametrize("engine", ("reference", "batched", "sharded"))
+    def test_typed_kernel_matches_object_loop_round_by_round(
+        self, engine, mode, monkeypatch, typed_on
+    ):
+        """A seeded grid over size, rank ties, target spread, group-id
+        range and ufunc: typed and object injection give the same results,
+        rounds, stats (violation ledger order included), the same traffic
+        round by round and, under STRICT, the same error."""
+        from repro.butterfly.routing import CombiningRouter
+
+        typed_runs = []
+        real = CombiningRouter._run_typed
+
+        def spy(router):
+            typed_runs.append(router)
+            return real(router)
+
+        monkeypatch.setattr(CombiningRouter, "_run_typed", spy)
+        rng = random.Random(f"router-{engine}-{mode.value}")
+        axes = []
+        for values in (
+            (16, 64, 256),
+            (1, 3, 1009),  # distinct ranks: 1 ties everything to the group id
+            (False, True),  # target columns spread, or one shared column
+            (0, -(2**30), 2**62, -(2**62)),  # group-id base
+            (SUM, MIN, MAX, XOR),
+        ):
+            values = list(values)
+            rng.shuffle(values)
+            axes.append(values)
+        for i in range(4):
+            n, ranks, spread, gbase, fn = (a[i % len(a)] for a in axes)
+            # Few groups, many packets each: same-group packets meet and
+            # collapse mid-route; group ids fan out on both sides of gbase.
+            groups = [gbase + rng.randrange(-40, 40) for _ in range(max(2, n // 16))]
+            packets = [
+                (rng.randrange(n), rng.choice(groups), rng.randrange(-1000, 1000))
+                for _ in range(2 * n)
+            ]
+            outcomes = {}
+            for typed in (True, False):
+                for observe in (False, True):
+                    extras = {"lightweight_sync": True}
+                    if engine == "sharded":
+                        extras["shard_cutoff"] = 1
+                    rt = NCCRuntime(n, NCCConfig(
+                        seed=i, enforcement=mode, engine=engine, shards=2,
+                        extras=extras,
+                    ))
+                    columns = rt.bf.columns
+                    traffic = []
+                    if observe:
+                        rt.net.round_observer = lambda r, per_sender: traffic.append([
+                            (src, m.dst, tuple(m.payload))
+                            for src, msgs in per_sender.items()
+                            for m in msgs
+                        ])
+                    router = CombiningRouter(
+                        rt.net,
+                        rt.bf,
+                        rank_of=lambda g: (g * 2654435761) % ranks,
+                        target_col_of=(
+                            (lambda g: (g * 40503) % columns)
+                            if spread
+                            else (lambda g: columns // 3)
+                        ),
+                        combine=fn.combine,
+                        ufunc=fn.ufunc,
+                    )
+                    if typed:
+                        router.inject_array(*zip(*packets))
+                    else:
+                        for col, g, v in packets:
+                            router.inject(col, g, v)
+                    try:
+                        res = router.run()
+                        out = (res.results, res.rounds, None)
+                    except Exception as e:  # STRICT: the first violation
+                        out = (None, None, (type(e).__name__, str(e)))
+                    outcomes[typed, observe] = (
+                        out, rt.net.stats.comparable(), traffic
+                    )
+            case = (n, ranks, spread, gbase, fn.name)
+            for observe in (False, True):
+                typed_out, obj_out = outcomes[True, observe], outcomes[False, observe]
+                assert typed_out[0] == obj_out[0], case
+                assert typed_out[1] == obj_out[1], case
+                assert typed_out[2] == obj_out[2], case
+        assert len(typed_runs) == 8
+
     def test_inject_array_validation(self, typed_on):
         rt = NCCRuntime(16, _config("batched"))
         router = self._router(rt.net, rt.bf, SUM)
