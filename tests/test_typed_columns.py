@@ -23,6 +23,7 @@ from repro.errors import ProtocolError
 from repro.ncc.message import (
     BatchBuilder,
     InboxBatch,
+    gather_typed_spans,
     message_construction_count,
     payload_bits,
     payload_box_count,
@@ -373,6 +374,96 @@ class TestMixedTypedSubmissions:
         net.round_observer = lambda r, per_sender: observed.append(len(per_sender))
         net.exchange(_bulk_builder(2_000))
         assert calls == [4_000] and observed == [2_000]
+
+
+# ----------------------------------------------------------------------
+# gather_typed_spans: one round's typed inboxes as whole columns
+# ----------------------------------------------------------------------
+def _typed_inboxes(engine, n=64, receivers=None, dtype=np.int64):
+    """One clean typed round: every sender sends two messages (receivers
+    in first-arrival order differ from ascending order), optionally mapped
+    into ``receivers``."""
+    senders = np.arange(n, dtype=np.int64)
+    src = np.repeat(senders, 2)
+    dst = np.stack([(senders + 1) % n, (senders * 7 + 3) % n], axis=1).ravel()
+    if receivers is not None:
+        dst = np.asarray(receivers, dtype=np.int64)[dst % len(receivers)]
+    values = np.zeros(len(src), dtype=dtype)
+    if values.dtype.names:
+        values[values.dtype.names[0]] = src
+    else:
+        values[:] = src * 10 + 1
+    b = BatchBuilder(kind="t", dtype=dtype)
+    b.add_arrays(src, dst, values)
+    net = NCCNetwork(n, _engine_config(engine))
+    inbox = net.exchange(b)
+    assert net.stats.violation_count == 0
+    return inbox
+
+
+class TestGatherTypedSpans:
+    def test_batched_round_returns_its_delivered_column(self, typed_on):
+        inbox = _typed_inboxes("batched")
+        dsts, base = gather_typed_spans(inbox)
+        assert {id(rec._payloads) for rec in inbox.values()} == {id(base)}
+        assert list(inbox) != sorted(inbox)  # dict order is not span order
+        assert dsts.dtype == np.int64 and len(dsts) == len(base) == 128
+        seen = 0
+        for host, rec in inbox.items():
+            span = slice(rec._start, rec._end)
+            assert dsts[span].tolist() == [m.dst for m in rec] == [host] * len(rec)
+            assert base[span].tolist() == rec.payloads()
+            seen += len(rec)
+        assert seen == len(base)
+
+    def test_sharded_round_gathers_like_batched(self, typed_on):
+        batched = gather_typed_spans(_typed_inboxes("batched"))
+        inbox = _typed_inboxes("sharded")
+        assert len({id(rec._payloads) for rec in inbox.values()}) == 2
+        sharded = gather_typed_spans(inbox)
+        assert sharded is not None
+        for got, want in zip(sharded, batched, strict=True):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+    def test_empty_and_untyped_layouts_decline(self, typed_on):
+        assert gather_typed_spans({}) is None
+        assert gather_typed_spans(_typed_inboxes("reference")) is None
+        net = NCCNetwork(16, _engine_config("batched"))
+        b = BatchBuilder(kind="t")
+        for s in range(16):
+            b.add(s, (s + 1) % 16, s)
+        assert gather_typed_spans(net.exchange(b)) is None
+
+    @pytest.mark.parametrize("engine", ("batched", "sharded"))
+    @pytest.mark.parametrize("which", ("first", "middle", "last"))
+    def test_spans_that_do_not_tile_decline(self, engine, which, typed_on):
+        inbox = _typed_inboxes(engine)
+        hosts = sorted(inbox)
+        drop = {"first": hosts[0], "middle": hosts[len(hosts) // 2],
+                "last": hosts[-1]}[which]
+        del inbox[drop]
+        assert gather_typed_spans(inbox) is None
+
+    def test_merged_rounds_decline(self, typed_on):
+        from repro.ncc.message import merge_round_inboxes
+
+        net = NCCNetwork(32, _engine_config("batched"))
+        merged = {}
+        for receivers in (range(32), range(0, 32, 2)):
+            b = BatchBuilder(kind="t", dtype=np.int64)
+            b.add_arrays(list(receivers), list(receivers), list(receivers))
+            merge_round_inboxes(merged, net.exchange(b))
+        assert gather_typed_spans(merged) is None
+
+    def test_bases_of_different_dtypes_decline(self, typed_on):
+        low = _typed_inboxes("batched", receivers=range(32))
+        high = _typed_inboxes("batched", receivers=range(32, 64))
+        dsts, base = gather_typed_spans({**high, **low})  # same dtype: joins
+        assert dsts.tolist() == sorted(dsts.tolist())
+        assert len(base) == 256
+        mixed = _typed_inboxes("batched", receivers=range(32, 64), dtype=PAIR_DTYPE)
+        assert gather_typed_spans({**low, **mixed}) is None
 
 
 # ----------------------------------------------------------------------
