@@ -27,6 +27,8 @@ engine-agnostic :func:`payloads_of`) without triggering materialization.
 from __future__ import annotations
 
 from collections.abc import Sequence as _SequenceABC
+from itertools import repeat
+from operator import attrgetter, is_
 from typing import Any, Iterable, Sequence
 
 try:  # pragma: no cover - exercised only on numpy-free installs
@@ -959,58 +961,66 @@ def gather_typed_spans(inboxes):
     Returns ``None`` for any other layout (object columns, message-backed
     inboxes, merged rounds, the reference engine); callers keep their
     per-inbox loop as the fallback.
+
+    Python touches each inbox only to read its ``(base, start, end)``; the
+    ordering, the tiling check and the destination column are numpy.
     """
     if _np is None or not inboxes:
         return None
-    # Group spans by backing column (identity: spans *share* their base).
-    bases: dict[int, list] = {}  # id(base) -> [base, hosts, starts, ends]
-    for host, rec in inboxes.items():
-        if type(rec) is not InboxBatch or rec._msgs is not None:
-            return None
-        pays = rec._payloads
-        if type(pays) is list:
-            return None
-        ent = bases.get(id(pays))
-        if ent is None:
-            bases[id(pays)] = ent = [pays, [], [], []]
-        ent[1].append(host)
-        ent[2].append(rec._start)
-        ent[3].append(rec._end)
-    # Deterministic base order: ascending smallest host.  Bases must cover
-    # disjoint host ranges for that to be a meaningful total order (true
-    # of shard blocks; anything stranger falls back).
-    groups = sorted(bases.values(), key=lambda ent: min(ent[1]))
-    prev_hi = -1
-    dcols = []
-    pcols = []
-    for base, hosts, starts, ends in groups:
-        if min(hosts) <= prev_hi:
-            return None
-        prev_hi = max(hosts)
-        order = sorted(range(len(hosts)), key=starts.__getitem__)
-        pos = 0
-        hs: list[int] = []
-        sizes: list[int] = []
-        for i in order:
-            if starts[i] != pos:
-                return None
-            pos = ends[i]
-            hs.append(hosts[i])
-            sizes.append(pos - starts[i])
-        if pos != len(base):
-            return None
-        dcols.append(
-            _np.repeat(
-                _np.fromiter(hs, _np.int64, len(hs)),
-                _np.fromiter(sizes, _np.int64, len(sizes)),
-            )
-        )
-        pcols.append(base)
-    if len(pcols) == 1:
-        return dcols[0], pcols[0]
-    if any(p.dtype != pcols[0].dtype for p in pcols):
+    recs = list(inboxes.values())
+    if set(map(type, recs)) != {InboxBatch}:
         return None
-    return _np.concatenate(dcols), _np.concatenate(pcols)
+    # Spans group by backing column (identity: spans *share* their base);
+    # object- and message-backed spans have no ndarray base.
+    bases = list(map(attrgetter("_payloads"), recs))
+    one_base = all(map(is_, bases, repeat(bases[0])))
+    if set(map(type, bases[:1] if one_base else bases)) != {_np.ndarray}:
+        return None
+    k = len(recs)
+    hosts = _np.fromiter(inboxes, _np.int64, k)
+    starts = _np.fromiter(map(attrgetter("_start"), recs), _np.int64, k)
+    ends = _np.fromiter(map(attrgetter("_end"), recs), _np.int64, k)
+    if one_base:
+        group = None
+        order = _np.argsort(starts, kind="stable")
+    else:
+        # Several bases (shard blocks) must cover disjoint host ranges: in
+        # host order each base is then one run, and the runs number the
+        # bases in min-host order.
+        ids = list(map(id, bases))
+        by_host = _np.argsort(hosts)
+        base_id = _np.array(ids, dtype=_np.uint64).take(by_host)
+        step = base_id[1:] != base_id[:-1]
+        if int(step.sum()) + 1 != len(set(ids)):
+            return None
+        group = _np.empty(k, dtype=_np.int64)
+        group[by_host] = _np.concatenate(([0], _np.cumsum(step)))
+        order = _np.lexsort((starts, group))
+    starts = starts.take(order)
+    ends = ends.take(order)
+    # In start order, each base's spans must tile it from 0 to its end.
+    head = _np.zeros(k, dtype=bool)
+    head[0] = True
+    if group is not None:
+        group = group.take(order)
+        _np.not_equal(group[1:], group[:-1], out=head[1:])
+    prev = _np.empty(k, dtype=_np.int64)
+    prev[1:] = ends[:-1]
+    prev[head] = 0
+    heads = _np.flatnonzero(head)
+    cols = [bases[i] for i in order.take(heads).tolist()]
+    tails = _np.append(heads[1:], k) - 1
+    if not (
+        _np.array_equal(starts, prev)
+        and ends.take(tails).tolist() == [len(c) for c in cols]
+    ):
+        return None
+    dsts = _np.repeat(hosts.take(order), ends - starts)
+    if len(cols) == 1:
+        return dsts, cols[0]
+    if any(c.dtype != cols[0].dtype for c in cols):
+        return None
+    return dsts, _np.concatenate(cols)
 
 
 def _norm_id_column(ids: int | Sequence[int], k: int) -> int | list[int]:
