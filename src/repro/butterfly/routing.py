@@ -262,7 +262,7 @@ class CombiningRouter:
                 and not self._queues
                 # The kernel's packed sort code must fit int64 (groups are
                 # at most the injected packets; see _run_typed).
-                and (2 * d << d) * sum(map(len, self._typed_cols[0])) <= 1 << 63
+                and (2 * (d + 1) << d) * sum(map(len, self._typed_cols[0])) <= 1 << 63
             ):
                 return self._run_typed()
             self._box_typed_injections()
@@ -496,26 +496,25 @@ class CombiningRouter:
 
         Observably equivalent to the object loop of :meth:`run`: each round
         the same per-edge winners cross the same edges as the same
-        ``DATA_DTYPE`` messages (sized exactly like the ``("D", ...)``
-        tuples), submitted in the same order: ascending sender, then level.
+        ``DATA_DTYPE`` messages (sized like the ``("D", ...)`` tuples), in
+        the same submission order (ascending sender, then level).
 
-        Once per run the K distinct groups are ranked by ``(rank, group)``
-        into a dense priority ``p``; packets carry ``p``, and target column
-        and wire group id are ``take``s from p-indexed tables.  Each round
-        is then one ``argsort`` of the packed int64 code
-        ``((key << 1) | cross) * K + p``: equal codes are exactly the
-        same-group packets that met at one node, collapsed by ``reduceat``,
-        and the first packet of each ``(key << 1) | cross`` run holds the
-        smallest ``(rank, group)`` on that edge, so it wins.  Pending keys
-        are ``< d << d``, so the code is ``< (2·d << d)·K``; :meth:`run`
-        admits the kernel only when that fits int64 (K is at most the
-        injected packet count).  The default, unstable argsort is safe:
-        codes tie only between packets of one group at one node, and the
-        exact, commutative int64 ufuncs reduce those to the same value in
-        any order.  Only packets arriving over the network map their wire
-        group id back to ``p`` (one ``searchsorted`` over the arrivals).
-        Nothing loops per packet or per group; the per-round Python cost is
-        O(NCC hosts), and it comes from the engine's per-receiver delivery.
+        Once per run the K groups are ranked by ``(rank, group)`` into a
+        dense priority ``p``, which packets carry instead of the group id.
+        Each round is then one ``argsort`` of the int64 code
+        ``((key << 1) | cross) * K + p``: equal codes are the same-group
+        packets at one node, collapsed by ``reduceat``, and the first
+        packet of each ``(key << 1) | cross`` run wins that edge.  Arrived
+        packets stay in the arrays at their level-d target, where the same
+        collapse folds each group's result; keys stay below
+        ``(d + 1) << d``, so :meth:`run` admits the kernel only if
+        ``(2·(d + 1) << d)·K`` fits int64, with K bounded by the injected
+        packet count.  The default (unstable) argsort is safe: codes tie
+        only between packets of one group at one node, and the exact,
+        commutative int64 ufuncs reduce them alike in any order.  Only
+        network arrivals map their wire group id back to ``p``, with one
+        ``searchsorted``.  Per round, Python cost is O(NCC hosts), all of
+        it in the engine's per-receiver delivery.
         """
         self._ran = True
         np = _np
@@ -526,18 +525,12 @@ class CombiningRouter:
         mask = columns - 1
         bottom = d << d
         ufunc = self.ufunc
-        one = np.int64(1)
-
-        ccols, gcols, vcols = self._typed_cols
-        self._typed_cols = None
         # Level-0 keys are the columns themselves ((0 << d) | column).
-        key = ccols[0] if len(ccols) == 1 else np.concatenate(ccols)
-        g = gcols[0] if len(gcols) == 1 else np.concatenate(gcols)
-        v = vcols[0] if len(vcols) == 1 else np.concatenate(vcols)
+        key, g, v = (np.concatenate(cols) for cols in self._typed_cols)
+        self._typed_cols = None
 
         # Group tables: rank/target are pure per group — one Python call
-        # per distinct group for the whole run, never per packet.  The
-        # priority p of a group is its position in (rank, group) order.
+        # per distinct group for the whole run, never per packet.
         uniq, gi = np.unique(g, return_inverse=True)
         glist = uniq.tolist()
         k_groups = len(glist)
@@ -546,16 +539,12 @@ class CombiningRouter:
         )
         rank_by = np.fromiter((self.rank_of(x) for x in glist), np.int64, k_groups)
         by_p = np.lexsort((uniq, rank_by))
-        p_of = np.empty(k_groups, dtype=np.int64)
-        p_of[by_p] = np.arange(k_groups)
+        p_of = by_p.argsort()  # the inverse permutation: group index -> p
         g_by_p = uniq.take(by_p)
         tcol_by_p = tcol_by.take(by_p)
         p = p_of.take(gi)
 
-        res_g: list = []
-        res_v: list = []
-
-        while len(key):
+        while True:
             # --- one packed sort: by node, then edge, then priority ---
             level = key >> d
             cross = ((tcol_by_p.take(p) ^ key) >> level) & 1
@@ -563,7 +552,7 @@ class CombiningRouter:
             order = code.argsort()
             code = code.take(order)
             v = v.take(order)
-            # --- collapse colliding packets per (node, group) ---
+            # --- collapse same-group packets at one node ---
             seg = np.empty(len(code), dtype=bool)
             seg[0] = True
             np.not_equal(code[1:], code[:-1], out=seg[1:])
@@ -573,11 +562,15 @@ class CombiningRouter:
                 code = code.take(starts)
             edge, p = np.divmod(code, k_groups)
             key = edge >> 1
-            crossing = (edge & 1).astype(bool)
+            live = int(key.searchsorted(bottom))  # packets not yet at level d
+            if not live:
+                break
             # --- the first packet of each (node, edge) run wins the edge ---
-            win = np.empty(len(edge), dtype=bool)
+            edge = edge[:live]
+            win = np.empty(live, dtype=bool)
             win[0] = True
             np.not_equal(edge[1:], edge[:-1], out=win[1:])
+            crossing = (edge & 1).astype(bool)
 
             # --- emit cross winners as one typed submission ---
             out = BatchBuilder(kind=self.kind, dtype=DATA_DTYPE)
@@ -591,22 +584,15 @@ class CombiningRouter:
                 payload["lvl"] = lvl + 1
                 payload["g"] = g_by_p.take(p.take(cw))
                 payload["val"] = v.take(cw)
-                out.add_arrays(col, col ^ (one << lvl), payload)
+                out.add_arrays(col, col ^ (1 << lvl), payload)
             inboxes = net.exchange(out)
 
-            # --- straight winners move down their column; losers wait ---
-            sw = np.flatnonzero(win & ~crossing)
-            skey = key.take(sw) + columns
-            sp = p.take(sw)
-            sv = v.take(sw)
-            done = skey >= bottom
-            res_g.append(g_by_p.take(sp[done]))
-            res_v.append(sv[done])
-            lose = ~win
-            stay = ~done
-            parts_k = [key[lose], skey[stay]]
-            parts_p = [p[lose], sp[stay]]
-            parts_v = [v[lose], sv[stay]]
+            # --- straight winners move down their column, cross winners
+            # left over the network, everything else waits in place ---
+            key[:live][win & ~crossing] += columns
+            keep = np.ones(len(key), dtype=bool)
+            keep[cw] = False
+            key, p, v = key[keep], p[keep], v[keep]
 
             # --- apply network arrivals ---
             gathered = gather_typed_spans(inboxes)
@@ -635,41 +621,18 @@ class CombiningRouter:
                 )
             if gathered is not None:
                 ahost, arr = gathered
-                akey = (arr["lvl"].astype(np.int64) << d) | ahost
-                ag = arr["g"]
-                av = arr["val"]
-                ab = akey >= bottom
-                res_g.append(ag[ab])
-                res_v.append(av[ab])
-                ab = ~ab
-                parts_k.append(akey[ab])
-                parts_p.append(p_of.take(uniq.searchsorted(ag[ab])))
-                parts_v.append(av[ab])
-            key = np.concatenate(parts_k)
-            p = np.concatenate(parts_p)
-            v = np.concatenate(parts_v)
+                key = np.concatenate((key, (arr["lvl"] << d) | ahost))
+                p = np.concatenate((p, p_of.take(uniq.searchsorted(arr["g"]))))
+                v = np.concatenate((v, arr["val"]))
 
         # Token wave duration (lightweight sync): one hop per level.
         net.idle_rounds(d + 1)
 
-        # --- fold the per-round result chunks, boxing only at the very
-        # end (one Python object per group, not per packet) ---
-        results: dict[GroupT, Any] = {}
-        if res_g:
-            rg = np.concatenate(res_g)
-            rv = np.concatenate(res_v)
-            if len(rg):
-                order = np.argsort(rg, kind="stable")
-                rg = rg.take(order)
-                rv = rv.take(order)
-                seg = np.empty(len(rg), dtype=bool)
-                seg[0] = True
-                np.not_equal(rg[1:], rg[:-1], out=seg[1:])
-                starts = np.flatnonzero(seg)
-                vals = ufunc.reduceat(rv, starts)
-                results = dict(
-                    zip(rg.take(starts).tolist(), vals.tolist(), strict=True)
-                )
+        # Every packet has arrived and folded into one per group; box the
+        # results (one Python object per group) in ascending group order.
+        g = g_by_p.take(p)
+        order = g.argsort()
+        results = dict(zip(g.take(order).tolist(), v.take(order).tolist(), strict=True))
         return RoutingResult(net.round_index - start_round, results, None)
 
 
