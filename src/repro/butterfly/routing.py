@@ -152,9 +152,10 @@ class CombiningRouter:
         over int64 columns.  With it, packets injected through
         :meth:`inject_array` route on the fully typed kernel
         (:meth:`_run_typed`): pending packets live in parallel
-        ``(key, group, value)`` int64 arrays, collisions collapse via
-        sort-and-``reduceat``, and wire traffic is a structured-dtype
-        column — a clean round touches no Python per packet.
+        ``(key, priority, value)`` int64 arrays, one packed-key argsort
+        per round both collapses collisions (``reduceat``) and picks each
+        edge's winner, and wire traffic is a structured-dtype column — a
+        clean round touches no Python per packet.
     record_trees:
         Record traversed edges into a :class:`TreeSet` (Multicast Tree Setup).
     kind:
@@ -356,12 +357,13 @@ class CombiningRouter:
             local_data: list[tuple[int, GroupT, Any]] = []  # (dst key, g, val)
             local_tokens: list[int] = []
             sent_data = False
-            # Nodes in ascending (column, level) order: the builder groups
-            # a round's cross packets by sender in first-occurrence order,
-            # so they go out by ascending sender, then level — the order
-            # the typed kernel's add_arrays gives.  Typed and object runs
-            # then submit identical rounds, violation ledgers included.
-            for key in sorted(queues, key=lambda k: (k & mask, k)):
+            # Nodes in ascending (column, level) order (level-major keys,
+            # then a stable sort by column): the builder groups a round's
+            # cross packets by sender in first-occurrence order, so they go
+            # out by ascending sender, then level — the order the typed
+            # kernel's add_arrays gives.  Typed and object runs then submit
+            # identical rounds, violation ledgers included.
+            for key in sorted(sorted(queues), key=mask.__and__):
                 pend = queues[key]
                 level = key >> d
                 bit = 1 << level
