@@ -4,7 +4,11 @@
 #   1. the full test-suite under the reference round engine (tier-1);
 #   2. the same suite replayed under the batched round engine and again
 #      under the sharded round engine (worker-pool delivery) — every test
-#      must pass unchanged because the engines are observably identical;
+#      must pass unchanged because the engines are observably identical —
+#      then the benchmark smoke (perfbench/smoke.py: every perfbench
+#      workload at tiny size, checked, untraced and traced — the traced
+#      run installs perfbench/layers.py's patches, which look each timed
+#      method up in its own class body);
 #   3. the engine fast-path benchmark (>= 2x columnar engine speedup at
 #      n = 1024 on steady-state resubmission, plus stats/drop parity on
 #      violating rounds);
@@ -87,6 +91,9 @@ python -m pytest -x -q --engine=batched "$@"
 
 echo "== replay: sharded engine =="
 python -m pytest -x -q --engine=sharded "$@"
+
+echo "== benchmark smoke (perfbench workloads, tiny, checked) =="
+python -m pytest -q perfbench/smoke.py
 
 echo "== engine fast-path benchmark =="
 python -m pytest -q benchmarks/bench_engine_fastpath.py
