@@ -549,6 +549,8 @@ class CombiningRouter:
         while True:
             # --- one packed sort: by node, then edge, then priority ---
             level = key >> d
+            # The hop crosses iff the target column differs at bit `level`
+            # (uniform, and unused, for packets already at level d).
             cross = ((tcol_by_p.take(p) ^ key) >> level) & 1
             code = ((key << 1) | cross) * k_groups + p
             order = code.argsort()
