@@ -11,15 +11,17 @@ multicast leaf deliveries, scaled to the budget.
 
 Two submissions of the same traffic are measured:
 
-* ``columnar`` — per-sender :class:`~repro.ncc.message.MessageBatch`
-  groups (what ``send_direct`` now produces): the batched engine
-  concatenates the cached columns and never touches per-message attributes.
-  **Acceptance: >= 2x faster than the reference engine at n = 1024.**
-* ``plain`` — ordinary ``list[Message]`` groups: the batched engine must
-  first lower them to columns, so the win is smaller but must not regress.
+* ``columnar`` — one :class:`~repro.ncc.message.BatchBuilder` finalized
+  into its per-sender ``InboxBatch`` mapping (``batches()``, the form every
+  primitive produces): the batched engine reads the send-side facts off
+  the builder's tracked metadata and delivers column spans without
+  constructing a ``Message``.  **Acceptance: >= 2x faster than the
+  reference engine at n = 1024 (>= 1.5x at n = 256).**
+* ``plain`` — ordinary ``list[Message]`` groups: both engines run the same
+  canonical walks, so this row is reported, not gated.
 
-Messages are prebuilt outside the timed region (message *construction* is
-engine-independent), and the gate times the engine interface itself —
+Submissions are prebuilt outside the timed region (message *construction*
+is engine-independent), and the gate times the engine interface itself —
 ``RoundEngine.run_round`` on normalized per-sender traffic — so the shared
 ``exchange`` bookkeeping (normalization, observer, phase attribution)
 cannot dilute the engine-vs-engine comparison; end-to-end ``exchange``
@@ -34,7 +36,7 @@ import time
 
 from repro import Enforcement, NCCConfig, NCCNetwork
 from repro.analysis.reporting import format_table
-from repro.ncc.message import Message, MessageBatch
+from repro.ncc.message import BatchBuilder, Message
 
 from .conftest import emit_bench_json, run_once
 
@@ -48,25 +50,21 @@ def permutation_workload(n: int, *, columnar: bool):
     (mod n) — a union of shift permutations, so send and receive loads are
     both exactly ``capacity`` and no enforcement branch fires."""
     cap = NCCConfig().capacity(n)
+    builder = BatchBuilder(kind="bench")
     out = {}
     for u in range(n):
         dsts = [(u + i + 1) % n for i in range(cap)]
         payloads = [(u, i) for i in range(cap)]
         if columnar:
-            b = MessageBatch.from_columns(u, dsts, payloads, kind="bench")
-            # This benchmark measures steady-state resubmission: the same
-            # batches are replayed every round, so warm the cached numpy
-            # columns here, outside the timed region.  Fresh-batch
-            # submission (new columns every round, the primitives' shape)
-            # is measured end-to-end by bench_primitives.
-            b.int_cols
-            b.obj_col
-            out[u] = b
+            builder.add_many(u, dsts, payloads)
         else:
             out[u] = [
                 Message(u, d, p, kind="bench") for d, p in zip(dsts, payloads)
             ]
-    return out
+    # The finalized mapping is frozen, so the same columns replay every
+    # round.  Fresh-builder submission (new columns every round) is
+    # measured end-to-end by bench_primitives.
+    return builder.batches() if columnar else out
 
 
 def _fresh_net(engine: str, n: int) -> NCCNetwork:
@@ -112,7 +110,7 @@ def time_exchange(engine: str, n: int, outgoing) -> float:
 
 def test_engine_fastpath_speedup(benchmark, report):
     """E-ENG: columnar submission must be >= 2x at n = 1024; plain lists
-    must not regress.  Both engines must produce identical observables."""
+    are reported only.  Both engines must produce identical observables."""
     rows = []
     headline_speedup = None
     for n in (256, 1024):
@@ -136,10 +134,6 @@ def test_engine_fastpath_speedup(benchmark, report):
             if columnar:
                 assert speedup >= (SPEEDUP_TARGET if n == 1024 else 1.5), (
                     f"columnar speedup {speedup:.2f}x below target at n={n}"
-                )
-            else:
-                assert speedup >= 0.9, (
-                    f"plain-list path regressed: {speedup:.2f}x at n={n}"
                 )
     report(
         format_table(

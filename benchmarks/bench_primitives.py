@@ -15,7 +15,7 @@ theorem's bound:
   ``BatchBuilder`` columnar form they use now, end-to-end through
   ``NCCNetwork.exchange`` on aggregation traffic at n = 1024;
 * P-LAZY — the lazy-inbox whole-run gate: a full Aggregation Algorithm run
-  at n = 1024 on the shipped pipeline (deferred builder + ``InboxBatch``
+  at n = 1024 on the shipped pipeline (``BatchBuilder`` + ``InboxBatch``
   delivery + column-reading consumers) must be >= 2x faster than the PR 2
   pipeline, with the PR 2 baseline frozen as a machine-independent multiple
   of a reference-engine probe (see the test's docstring);
@@ -42,7 +42,6 @@ from repro.ncc.message import (
     Message,
     message_construction_count,
     payload_box_count,
-    set_deferred_submission,
     set_typed_payloads,
 )
 from repro.primitives import MIN, SUM, AggregationProblem
@@ -420,35 +419,31 @@ def _lazy_gate_probe(n=1024, rounds=3, repeats=5):
     return _time_exchange("reference", n, plain, rounds=rounds, repeats=repeats)
 
 
-def _lazy_gate_run(n=1024, *, deferred, repeats=4):
+def _lazy_gate_run(n=1024, *, engine="batched", repeats=4):
     """Best-of-repeats wall seconds for one full aggregation run at n,
     plus its observables and the number of Message objects constructed."""
     memberships = _lazy_gate_memberships(n)
-    previous = set_deferred_submission(deferred)
-    try:
-        best = float("inf")
-        outcome = constructed = None
-        for _ in range(repeats):
-            cfg = NCCConfig(
-                seed=0,
-                enforcement=Enforcement.COUNT,
-                engine="batched",
-                extras={"lightweight_sync": True},
-            )
-            rt = NCCRuntime(n, cfg)
-            prob = AggregationProblem(
-                memberships=memberships,
-                targets={g: g % n for g in range(512)},
-                fn=SUM,
-            )
-            before = message_construction_count()
-            t0 = time.perf_counter()
-            out = rt.aggregation(prob)
-            best = min(best, time.perf_counter() - t0)
-            constructed = message_construction_count() - before
-            outcome = (out.values, out.rounds, rt.net.stats.comparable())
-    finally:
-        set_deferred_submission(previous)
+    best = float("inf")
+    outcome = constructed = None
+    for _ in range(repeats):
+        cfg = NCCConfig(
+            seed=0,
+            enforcement=Enforcement.COUNT,
+            engine=engine,
+            extras={"lightweight_sync": True},
+        )
+        rt = NCCRuntime(n, cfg)
+        prob = AggregationProblem(
+            memberships=memberships,
+            targets={g: g % n for g in range(512)},
+            fn=SUM,
+        )
+        before = message_construction_count()
+        t0 = time.perf_counter()
+        out = rt.aggregation(prob)
+        best = min(best, time.perf_counter() - t0)
+        constructed = message_construction_count() - before
+        outcome = (out.values, out.rounds, rt.net.stats.comparable())
     return best, outcome, constructed
 
 
@@ -456,7 +451,7 @@ def test_lazy_inbox_whole_run_speedup(benchmark, report):
     """P-LAZY: the lazy-inbox whole-run gate (>= 2x vs the PR 2 baseline).
 
     A full Aggregation Algorithm run at n = 1024 under the shipped
-    pipeline — deferred ``BatchBuilder`` submission, ``InboxBatch``
+    pipeline — columnar ``BatchBuilder`` submission, ``InboxBatch``
     delivery, column-reading routers/primitives — must be at least
     ``LAZY_WHOLE_RUN_TARGET`` times faster than the same run under the
     PR 2 pipeline.  The PR 2 side cannot be re-executed here (its router
@@ -469,29 +464,29 @@ def test_lazy_inbox_whole_run_speedup(benchmark, report):
 
     * the run must construct **zero** ``Message`` objects (the clean
       lazy-round guarantee, asserted via the construction counter);
-    * the run's outcome and statistics must be identical to the eager
-      (PR 2 submission form) pipeline executed in-process.
+    * the run's outcome and statistics must be identical to the same
+      aggregation on the reference engine, executed in-process.
     """
     # Shared CI runners jitter; re-measure once before failing the build.
     for attempt in range(2):
         probe = _lazy_gate_probe()
-        t_lazy, out_lazy, constructed = _lazy_gate_run(deferred=True)
+        t_lazy, out_lazy, constructed = _lazy_gate_run()
         speedup = PR2_RUN_PER_PROBE * probe / t_lazy
         if speedup >= LAZY_WHOLE_RUN_TARGET:
             break
     assert constructed == 0, (
         f"clean lazy run constructed {constructed} Message objects"
     )
-    t_eager, out_eager, _ = _lazy_gate_run(deferred=False, repeats=2)
-    assert out_lazy == out_eager, "submission representations diverged"
+    t_ref, out_ref, _ = _lazy_gate_run(engine="reference", repeats=1)
+    assert out_lazy == out_ref, "batched run diverged from the reference engine"
     report(
         format_table(
             ["pipeline", "wall s", "run/probe"],
             [
                 ["PR 2 (frozen baseline)", round(PR2_RUN_PER_PROBE * probe, 3),
                  PR2_RUN_PER_PROBE],
-                ["eager submission (in-process)", round(t_eager, 3),
-                 round(t_eager / probe, 1)],
+                ["reference engine (in-process)", round(t_ref, 3),
+                 round(t_ref / probe, 1)],
                 ["lazy inboxes (shipped)", round(t_lazy, 3),
                  round(t_lazy / probe, 1)],
             ],
@@ -508,7 +503,7 @@ def test_lazy_inbox_whole_run_speedup(benchmark, report):
             "whole_run_speedup_vs_pr2": round(speedup, 3),
             "target": LAZY_WHOLE_RUN_TARGET,
             "lazy_run_s": round(t_lazy, 4),
-            "eager_run_s": round(t_eager, 4),
+            "reference_run_s": round(t_ref, 4),
             "probe_s": round(probe, 5),
             "lazy_run_per_probe": round(t_lazy / probe, 2),
             "pr2_run_per_probe_frozen": PR2_RUN_PER_PROBE,

@@ -9,43 +9,50 @@
 #      workload at tiny size, checked, untraced and traced — the traced
 #      run installs perfbench/layers.py's patches, which look each timed
 #      method up in its own class body);
-#   3. the engine fast-path benchmark (>= 2x columnar engine speedup at
-#      n = 1024 on steady-state resubmission, plus stats/drop parity on
-#      violating rounds);
+#   3. the engine fast-path benchmark (>= 2x engine speedup at n = 1024
+#      on a resubmitted `BatchBuilder.batches()` mapping, the form every
+#      primitive submits, plus stats/drop parity on violating rounds; the
+#      plain-list row runs the same canonical walks on both engines and
+#      is reported, not gated);
 #   4. the columnar-submission benchmark (>= 1.5x end-to-end through
 #      `exchange` on aggregation-heavy traffic at n = 1024, plus a full
 #      aggregation-run no-regression check);
 #   5. the lazy-inbox whole-run gate (>= 2x full-aggregation-run vs the
 #      frozen PR 2 baseline at n = 1024, zero Message objects constructed
-#      on the clean run);
+#      on the clean run, outcome and stats identical to a reference-engine
+#      run of the same aggregation);
 #   6. the typed payload-column gates (>= 1.3x whole-aggregation-run vs
 #      the object-column pipeline at n = 4096, zero Message objects and
 #      zero Python payload boxes on the clean typed run), the
 #      n = 4096/16384/65536 scale ladder, and a check that both sections
 #      actually landed in BENCH_engine.json (the cross-PR trajectory
 #      artifact);
-#   7. the experiment-API sweep gates (Session.run_many byte-deterministic
+#   7. the paper-experiment benchmarks, named file by file (benchmarks/
+#      is collected only when a file is named): the five Table 1 rows,
+#      model separation, sync fidelity, the three ablations, orientation,
+#      the k-machine conversion and the overlay bootstrap;
+#   8. the experiment-API sweep gates (Session.run_many byte-deterministic
 #      for any jobs value through the serial path and the persistent
 #      worker service; >= 1.2x persistent-pool speedup at jobs=2 when
 #      >= 2 cores and >= 1.6x at jobs=4 when >= 4 cores), plus a
 #      `python -m repro sweep` smoke whose JSONL lands in
 #      SWEEP_results.jsonl (override with SWEEP_JSONL) for the CI artifact;
-#   8. the scenario subsystem: per-family workload-build/run timings
+#   9. the scenario subsystem: per-family workload-build/run timings
 #      (benchmarks/bench_scenarios.py -> BENCH_engine.json `scenarios`)
 #      and a `python -m repro matrix` smoke (>= 6 families x >= 3
 #      algorithms) whose JSONL lands in MATRIX_results.jsonl (override
 #      with MATRIX_JSONL) next to the sweep artifact;
-#   9. the sweep-stress smoke: a 1000-run grid driven through the
+#  10. the sweep-stress smoke: a 1000-run grid driven through the
 #      persistent pool into a sharded result store (SWEEP_store, override
 #      with SWEEP_STORE), deliberately stopped at row 400 and resumed via
 #      `sweep --resume`, then verified complete — exercising the manifest,
 #      the store, and crash-safe resume end to end;
-#  10. the sharded-engine ladder (benchmarks/bench_sharded.py ->
+#  11. the sharded-engine ladder (benchmarks/bench_sharded.py ->
 #      BENCH_engine.json `sharded_ladder`): batched vs sharded rounds/sec
 #      at n = 10^5 and 10^6 — the n = 10^6 sharded row completing is an
 #      acceptance artifact on any host; the speedup gate applies only on
 #      >= 4 cores (below that the pool shares the parent's core);
-#  11. the telemetry gates: the disabled-tracer overhead benchmark
+#  12. the telemetry gates: the disabled-tracer overhead benchmark
 #      (hook firings x guard cost <= 3% of the P-TYPED run ->
 #      BENCH_engine.json `telemetry_overhead`), a traced parity replay
 #      (tests/test_engine_parity.py under --tracing: live hooks must not
@@ -54,14 +61,14 @@
 #      + `--bounds` summaries of it, and a pooled `sweep --telemetry`
 #      whose merged trace/events/summary land in TRACE_sweep/ (override
 #      with TRACE_SWEEP_DIR) for the CI artifact;
-#  12. reprolint (`python -m repro lint --strict`): the AST invariant
+#  13. reprolint (`python -m repro lint --strict`): the AST invariant
 #      checks — determinism, hot-path purity, registry discipline,
 #      canonical-schema freeze, engine-parity locality, pool fork-safety,
 #      telemetry clock containment —
 #      fail on any non-baselined finding or a baseline that should have
 #      shrunk; the JSON findings document lands in REPROLINT_findings.json
 #      (override with REPROLINT_JSON) for the CI artifact;
-#  13. a final check that every expected section actually landed in
+#  14. a final check that every expected section actually landed in
 #      BENCH_engine.json (the cross-PR trajectory artifact) — this is the
 #      check that catches a benchmark silently dropping its section, as
 #      `sweep_session` once did.
@@ -74,11 +81,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-# The batched engine and both benchmark gates need numpy; fail up front with
-# a clear message instead of an import traceback halfway through the suite.
+# The whole package imports numpy (every round engine, the primitives, payload
+# sizing); fail up front with a clear message instead of an import traceback.
 if ! python -c "import numpy" >/dev/null 2>&1; then
     echo "verify: error: numpy is not installed." >&2
-    echo "verify: the batched round engine and the benchmark gates require it;" >&2
+    echo "verify: the repro package requires it at runtime;" >&2
     echo "verify: install it (pip install numpy) and re-run." >&2
     exit 1
 fi
@@ -106,6 +113,17 @@ python -m pytest -q benchmarks/bench_primitives.py -k "lazy"
 
 echo "== typed payload-column benchmark (gate + scale ladder) =="
 python -m pytest -q benchmarks/bench_primitives.py -k "typed_columns"
+
+echo "== paper-experiment benchmarks (Table 1, separation, ablations, k-machine) =="
+python -m pytest -q \
+    benchmarks/bench_table1_mst.py benchmarks/bench_table1_bfs.py \
+    benchmarks/bench_table1_mis.py benchmarks/bench_table1_matching.py \
+    benchmarks/bench_table1_coloring.py \
+    benchmarks/bench_model_separation.py benchmarks/bench_sync_fidelity.py \
+    benchmarks/bench_ablation_broadcast_trees.py \
+    benchmarks/bench_ablation_capacity.py benchmarks/bench_ablation_naive.py \
+    benchmarks/bench_orientation.py benchmarks/bench_kmachine.py \
+    benchmarks/bench_overlay_bootstrap.py
 
 echo "== sweep session benchmark =="
 python -m pytest -q benchmarks/bench_sweep.py

@@ -35,10 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
-try:  # pragma: no cover - exercised only on numpy-free installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from ..errors import ProtocolError
 from ..ncc.message import (
@@ -56,11 +53,7 @@ GroupT = Hashable  # must additionally be orderable; ints / tuples of ints
 #: like the object path's ``("D", level, group, value)`` tuples (the 1-char
 #: tag is a short string: 4 bits), so typed and object runs account
 #: identical wire bits.
-DATA_DTYPE = (
-    _np.dtype([("tag", "U1"), ("lvl", "i8"), ("g", "i8"), ("val", "i8")])
-    if _np is not None
-    else None
-)
+DATA_DTYPE = _np.dtype([("tag", "U1"), ("lvl", "i8"), ("g", "i8"), ("val", "i8")])
 
 
 def _group_bits(group: Any) -> int:
@@ -214,10 +207,6 @@ class CombiningRouter:
         """
         if self._ran:
             raise ProtocolError("router already ran")
-        if _np is None:
-            for c, g, v in zip(list(columns), list(groups), list(values), strict=True):
-                self.inject(int(c), g, v)
-            return
         carr = _np.asarray(columns, dtype=_np.int64)
         garr = _np.asarray(groups, dtype=_np.int64)
         varr = _np.asarray(values, dtype=_np.int64)
@@ -238,7 +227,7 @@ class CombiningRouter:
 
     def _box_typed_injections(self) -> None:
         """Replay the typed stash through :meth:`inject` (object fallback:
-        numpy-free runs, tree recording, token-mode sync, no ufunc)."""
+        tree recording, token-mode sync, no ufunc)."""
         stash = self._typed_cols
         self._typed_cols = None
         if stash is None:
@@ -255,8 +244,7 @@ class CombiningRouter:
         if self._typed_cols is not None:
             d = self.bf.d
             if (
-                _np is not None
-                and self.ufunc is not None
+                self.ufunc is not None
                 and self.trees is None
                 and d > 0
                 and _lightweight(self.net)
@@ -703,9 +691,7 @@ class MulticastRouter:
         # messages to mix in) a round whose cross traffic is all plain-int
         # (group, value) pairs ships as one DATA_DTYPE column instead of
         # per-packet tuples; any other round keeps the object builder.
-        typed_wire = (
-            DATA_DTYPE is not None and lightweight and typed_payloads_enabled()
-        )
+        typed_wire = lightweight and typed_payloads_enabled()
         # Contention key (rank, group) per group, cached across rounds: the
         # per-edge minimum consults it once per queued packet per round.
         cand_cache: dict[GroupT, tuple[int, GroupT]] = {}

@@ -17,7 +17,7 @@ regardless of which round engine executes the rounds (the observer hook is
 part of the engine-independent :meth:`~repro.ncc.network.NCCNetwork.exchange`
 interface).  Link-load accounting mirrors the engines' columnar idiom: each
 round's traffic becomes parallel ``(src, dst)`` arrays mapped through the
-vertex partition, with a pure-Python fallback when numpy is unavailable.
+vertex partition.
 """
 
 from __future__ import annotations
@@ -26,12 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-try:  # pragma: no cover - exercised only on numpy-free installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
-from ..ncc.message import InboxBatch, MessageBatch
+from ..ncc.message import InboxBatch
 from ..ncc.network import NCCNetwork
 from .model import random_vertex_partition
 
@@ -64,9 +61,7 @@ class KMachineSimulation:
         self.k = k
         self.messages_per_link = messages_per_link
         self.assignment = random_vertex_partition(net.n, k, seed)
-        self._assignment_arr = (
-            _np.asarray(self.assignment, dtype=_np.int64) if _np is not None else None
-        )
+        self._assignment_arr = _np.asarray(self.assignment, dtype=_np.int64)
         self.cost = KMachineCost()
         self._prev_observer = net.round_observer
         net.round_observer = self._observe
@@ -75,10 +70,7 @@ class KMachineSimulation:
     def _observe(self, round_index: int, per_sender: Mapping[int, list]) -> None:
         if self._prev_observer is not None:
             self._prev_observer(round_index, per_sender)
-        if self._assignment_arr is not None:
-            cross, local, max_load = self._round_load_columnar(per_sender)
-        else:
-            cross, local, max_load = self._round_load_scalar(per_sender)
+        cross, local, max_load = self._round_load(per_sender)
         self.cost.kmachine_rounds += max(
             1, math.ceil(max_load / self.messages_per_link)
         )
@@ -87,7 +79,7 @@ class KMachineSimulation:
         self.cost.local_messages += local
         self.cost.max_link_load = max(self.cost.max_link_load, max_load)
 
-    def _round_load_columnar(
+    def _round_load(
         self, per_sender: Mapping[int, list]
     ) -> tuple[int, int, int]:
         """One round's (cross, local, max directed link load), computed over
@@ -96,15 +88,10 @@ class KMachineSimulation:
         total = sum(len(msgs) for msgs in groups)
         if total == 0:
             return 0, 0, 0
-        if all(type(g) is MessageBatch for g in groups):
-            # Columnar submissions already carry the (src, dst) columns; by
-            # observer time the engine has validated src == sender key.
-            cols = _np.concatenate([g.int_cols[:2] for g in groups], axis=1)
-            src_ids, dst_ids = cols
-        elif all(type(g) is InboxBatch for g in groups):
+        if all(type(g) is InboxBatch for g in groups):
             # Lazy columnar submissions: read the id columns straight off
             # the batches — materializing Messages here would undo the
-            # whole point of the deferred round.
+            # whole point of the lazy round.
             src_ids = _np.fromiter(
                 (s for g in groups for s in g.srcs()), _np.int64, total
             )
@@ -132,27 +119,6 @@ class KMachineSimulation:
         codes = m_src[cross_mask] * self.k + m_dst[cross_mask]
         max_load = int(_np.bincount(codes).max())
         return cross, total - cross, max_load
-
-    def _round_load_scalar(
-        self, per_sender: Mapping[int, list]
-    ) -> tuple[int, int, int]:
-        link_load: dict[tuple[int, int], int] = {}
-        cross = 0
-        local = 0
-        for src, msgs in per_sender.items():
-            m_src = self.assignment[src]
-            dsts = (
-                msgs.dsts()
-                if type(msgs) is InboxBatch
-                else (m.dst for m in msgs)
-            )
-            for m_dst in map(self.assignment.__getitem__, dsts):
-                if m_src == m_dst:
-                    local += 1
-                else:
-                    link_load[(m_src, m_dst)] = link_load.get((m_src, m_dst), 0) + 1
-                    cross += 1
-        return cross, local, max(link_load.values(), default=0)
 
     def detach(self) -> KMachineCost:
         """Stop observing; returns the accumulated cost."""

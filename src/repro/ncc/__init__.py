@@ -14,14 +14,13 @@ EXPERIMENTS.md.
 
 from .engine import ReferenceEngine, RoundEngine, build_engine, engine_names, register_engine
 from .graph_input import InputGraph
-from .message import Message, MessageBatch, payload_bits, payload_bits_memoized
+from .message import Message, payload_bits, payload_bits_memoized
 from .network import NCCNetwork
 from .stats import NetworkStats, PhaseStats, Violation
 
 __all__ = [
     "InputGraph",
     "Message",
-    "MessageBatch",
     "payload_bits",
     "payload_bits_memoized",
     "NCCNetwork",

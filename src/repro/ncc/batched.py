@@ -3,74 +3,59 @@
 The reference engine pays several Python-level operations per message
 (node-id checks, src consistency, ``sized()`` calls, dict bucketing).  At
 the n >= 1024 scales of the ROADMAP targets that per-object walk dominates
-simulation wall time.  This engine represents a round's traffic as parallel
-``(src, dst, bits, payload-ref)`` arrays and replaces the per-message work
-with vectorized/bucketed operations:
+simulation wall time.  This engine runs a round straight off the columns
+:class:`~repro.ncc.message.BatchBuilder` records, replacing the per-message
+work with bucketed operations:
 
-* id validation / src consistency — array bound checks plus one
-  ``repeat``/equality pass over the ``src`` column;
+* id validation — C-level min/max over the sender and destination columns;
 * send capacity — a max over the per-sender group sizes;
-* message-size budget and bit accounting — max/sum over the ``bits`` column;
-* receive bucketing — one stable argsort over the ``dst`` column, groups
-  emitted in first-arrival order via fancy indexing of the object column.
+* message-size budget and bit accounting — the bits sum/max the builder
+  tracked while accumulating;
+* receive bucketing — one stable argsort over the ``dst`` column (or, below
+  :data:`SMALL_ROUND_CUTOFF` messages, one plain-Python pass), inboxes
+  emitted in first-arrival order as :class:`~repro.ncc.message.InboxBatch`
+  spans over the permuted columns.
 
-When every sender group is a :class:`~repro.ncc.message.MessageBatch` the
-columns are simply concatenated (no per-message attribute access at all);
-plain lists are lowered to columns first.  The clean round — no violations,
-no malformed input — never takes a per-message Python branch.
+A clean round therefore constructs **zero** ``Message`` objects
+end-to-end, at any round size.  A builder handed to ``exchange`` skips even
+the per-sender groups: :meth:`BatchedEngine.run_builder` reads an object
+builder's per-sender lists, and a typed builder's finalized whole-round
+columns (senders range-checked by min/max), so a clean typed round creates
+no per-sender Python object at all.  Per-sender spans
+(``BatchBuilder.batches``) are cut only for round observers and anomaly
+replays; :meth:`BatchedEngine.run_round` takes them, and builder-shaped
+``InboxBatch`` groups, down the same column path.
 
-Deferred (lazy) rounds go further still: when every group is a
-column-backed :class:`~repro.ncc.message.InboxBatch` — the default
-:class:`~repro.ncc.message.BatchBuilder` output — the send-side checks run
-entirely off construction metadata (uniform sender, bits sum/max, C-level
-min/max over the dst columns) and delivery permutes the *columns*, handing
-each destination an ``InboxBatch`` span.  A clean deferred round therefore
-constructs **zero** ``Message`` objects end-to-end, at any round size, with
-or without numpy (small or numpy-free rounds bucket the columns in plain
-Python instead of via argsort — same observables, still object-free).
-A builder handed to ``exchange`` skips even those groups:
-:meth:`BatchedEngine.run_builder` reads an object builder's per-sender
-lists, and a typed builder's finalized whole-round columns (senders
-range-checked by min/max), so a clean typed round creates no per-sender
-Python object at all.  Per-sender spans (``BatchBuilder.batches``) are
-cut only for round observers and anomaly replays.
-
-A round with *any* anomaly replays the canonical walks of
-:class:`~repro.ncc.engine.RoundEngine`, which keeps the violation-ledger
-order, STRICT raise points, and DROP-mode rng draws byte-for-byte identical
-to the reference engine — the invariant ``tests/test_engine_parity.py``
-certifies.  (For lazy groups the walk materializes the messages, which is
-exactly what the reference engine observes.)  Receive-side overloads (the
-model-faithful DROP scenario) keep the bucketed argsort delivery and only
-walk per-inbox, not per-message.
-
-numpy is optional: without it non-deferred submissions degrade to the
-canonical walks (identical behavior, no speedup), so importing this module
-never hard-fails.
+Every other submission — plain ``list[Message]`` groups, mappings of them,
+re-sent delivered inboxes — and a round with *any* anomaly replay the
+canonical walks of :class:`~repro.ncc.engine.RoundEngine`, which keeps the
+violation-ledger order, STRICT raise points, and DROP-mode rng draws
+byte-for-byte identical to the reference engine — the invariant
+``tests/test_engine_parity.py`` certifies.  (For lazy groups the walk
+materializes the messages, which is exactly what the reference engine
+observes.)  Receive-side overloads (the model-faithful DROP scenario) keep
+the bucketed delivery and only walk per-inbox, not per-message.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-try:  # pragma: no cover - exercised only on numpy-free installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from ..telemetry import tracer as _tracer
 from ..telemetry.metrics import METRICS
 from .engine import RoundEngine, RoundResult, register_engine
-from .message import BuilderBatches, InboxBatch, Message, MessageBatch
+from .message import BuilderBatches, InboxBatch, Message
 from .message import _count_boxes
-
-HAVE_NUMPY = _np is not None
 
 _TYPED_FALLBACKS = METRICS.counter("ncc.typed_fallbacks")
 
-#: Below this many messages per round the fixed cost of the numpy round
-#: setup (~a few dozen array ops) exceeds the per-message walk, so small
-#: rounds take the canonical walks — same observable behavior either way.
+#: Below this many messages per object round the fixed cost of the numpy
+#: round setup (~a few dozen array ops) exceeds a plain-Python pass, so
+#: small object rounds are bucketed in Python
+#: (:meth:`BatchedEngine._deliver_deferred_py`) — same observables, still
+#: zero ``Message`` construction.
 SMALL_ROUND_CUTOFF = 128
 
 
@@ -95,14 +80,12 @@ class BatchedEngine(RoundEngine):
                 trusted=True,
                 round_bits=(per_sender.bits_sum, per_sender.bits_max),
             )
-        deferred = True
         for g in groups:
             # The lazy path needs builder-shaped groups: column-backed,
-            # uniform sender, whole-span (delivered spans have non-scalar
-            # srcs and resubmissions of them take the generic paths below).
+            # uniform sender, whole-span.  Anything else — plain lists,
+            # delivered spans (non-scalar srcs) — takes the canonical walks.
             if (
                 type(g) is not InboxBatch
-                or g._msgs is not None
                 or type(g._srcs) is not int
                 or g._start != 0
                 or g._end != len(g._payloads)
@@ -110,151 +93,8 @@ class BatchedEngine(RoundEngine):
                 # of more than one element raises on bool().
                 or len(g._payloads) == 0
             ):
-                deferred = False
-                break
-        if deferred:
-            return self._run_deferred(senders, groups)
-        if _np is None:
-            return self._run_walks(senders, groups)
-        counts_l = [len(g) for g in groups]
-        m_count = sum(counts_l)
-        if m_count < SMALL_ROUND_CUTOFF:
-            # Empty rounds included: the walk still validates sender ids
-            # exactly like the reference engine.
-            return self._run_walks(senders, groups)
-
-        # Two ways to know the send-side facts of a round: full per-message
-        # ``src``/``bits`` columns, or per-group metadata proved at batch
-        # construction (uniform sender + bits sum/max).  The metadata form
-        # replaces O(messages) column work with O(senders) work and is the
-        # common case for primitive-built traffic.
-        src = bits = None
-        usrc = bsum = bmax = None
-        # One classification pass: are all groups MessageBatch, do they all
-        # have cached numpy columns (steady-state resubmission), and do they
-        # all carry construction-time metadata (fresh builder batches)?
-        all_batches = cached = meta = True
-        for g in groups:
-            if type(g) is not MessageBatch:
-                all_batches = cached = meta = False
-                break
-            if g._int_cols is None:
-                cached = False
-            if g._uniform_src is None or g._bits_agg is None:
-                meta = False
-        try:
-            if all_batches and cached:
-                # Steady-state resubmission (the same batches replayed
-                # round after round, e.g. by benchmarks): concatenate the
-                # cached per-batch arrays — one call for all three int
-                # rows, one for the object refs.
-                cols = _np.concatenate([g.int_cols for g in groups], axis=1)
-                if cols.dtype != _np.int64:  # a batch degraded to lists
-                    return self._run_walks(senders, groups)
-                src, dst, bits = cols
-                obj = _np.concatenate([g.obj_col for g in groups])
-            elif all_batches and meta:
-                # Fresh builder/from_columns batches (the common case:
-                # primitives build new batches every round): the sender is
-                # uniform per group by construction and the bits aggregates
-                # were captured at finalize, so only the dst and object
-                # columns need to exist per message — send-side checks
-                # become O(senders) instead of O(messages).
-                dst_l: list[int] = []
-                flat: list[Message] = []
-                for g in groups:
-                    dst_l += g.list_cols[1]
-                    flat += g
-                dst = _np.fromiter(dst_l, _np.int64, m_count)
-                obj = _np.fromiter(flat, dtype=object, count=m_count)
-                k = len(groups)
-                usrc = _np.fromiter([g._uniform_src for g in groups], _np.int64, k)
-                bsum = _np.fromiter([g._bits_agg[0] for g in groups], _np.int64, k)
-                bmax = _np.fromiter([g._bits_agg[1] for g in groups], _np.int64, k)
-            elif all_batches:
-                # Batches without construction-time metadata: flat-extend
-                # the Python-list columns — one memcpy per group — then
-                # lower each column once.
-                src_l: list[int] = []
-                dst_l = []
-                bits_l: list[int] = []
-                flat = []
-                for g in groups:
-                    s, d, b = g.list_cols
-                    src_l += s
-                    dst_l += d
-                    bits_l += b
-                    flat += g
-                src = _np.fromiter(src_l, _np.int64, m_count)
-                dst = _np.fromiter(dst_l, _np.int64, m_count)
-                bits = _np.fromiter(bits_l, _np.int64, m_count)
-                obj = _np.fromiter(flat, dtype=object, count=m_count)
-            else:
-                # Plain lists: lower the groups to columns once, flat order.
-                flat = []
-                for g in groups:
-                    flat.extend(g)
-                src = _np.fromiter([m.src for m in flat], _np.int64, m_count)
-                dst = _np.fromiter([m.dst for m in flat], _np.int64, m_count)
-                bits = _np.fromiter([m.bits for m in flat], _np.int64, m_count)
-                obj = _np.fromiter(flat, dtype=object, count=m_count)
-            counts = _np.fromiter(counts_l, _np.int64, len(counts_l))
-            snd = _np.fromiter(senders, _np.int64, len(senders))
-        except (OverflowError, TypeError, ValueError):
-            # A value that does not lower to int64 (e.g. an id >= 2**63)
-            # cannot take the columnar path; the canonical walks raise the
-            # same errors the reference engine would.
-            return self._run_walks(senders, groups)
-
-        net = self.net
-        stats = net.stats
-        n = net.n
-
-        # dst must be range-checked BEFORE bincount: the count table is
-        # dst.max()+1 slots, so a single absurd id would otherwise turn the
-        # reference engine's ValueError into a huge allocation.  Bucketing
-        # happens here, before any statistics are touched.
-        bounds = None
-        if 0 <= int(dst.min()) and int(dst.max()) < n:
-            per_dst = _np.bincount(dst)
-            dsts_present = _np.flatnonzero(per_dst)
-            group_counts = per_dst[dsts_present]
-            bounds = (dsts_present, group_counts)
-
-        max_sent = int(counts.max())
-        if src is not None:
-            src_consistent = bool((src == _np.repeat(snd, counts)).all())
-            max_bits = int(bits.max())
-        else:
-            src_consistent = bool((usrc == snd).all())
-            max_bits = int(bmax.max())
-        clean = (
-            bounds is not None
-            and 0 <= int(snd.min())
-            and int(snd.max()) < n
-            and max_sent <= net.capacity
-            and max_bits <= net.message_bits
-            and src_consistent
-        )
-        if not clean:
-            # Malformed input or a send/bits anomaly: replay the canonical
-            # ordered walk so errors, ledger order, and DROP sampling match
-            # the reference engine exactly.
-            accepted, sent_messages, sent_bits = self._send_walk(senders, groups)
-            if not accepted:
-                return {}, sent_messages, sent_bits
-            dst = _np.fromiter([m.dst for m in accepted], _np.int64, len(accepted))
-            obj = _np.fromiter(accepted, dtype=object, count=len(accepted))
-            per_dst = _np.bincount(dst)
-            dsts_present = _np.flatnonzero(per_dst)
-            bounds = (dsts_present, per_dst[dsts_present])
-        else:
-            if max_sent > stats.max_sent_per_round:
-                stats.max_sent_per_round = max_sent
-            sent_messages = m_count
-            sent_bits = int(bits.sum()) if bits is not None else int(bsum.sum())
-
-        return self._deliver(obj, dst, bounds), sent_messages, sent_bits
+                return self._run_walks(senders, groups)
+        return self._run_deferred(senders, groups)
 
     def _run_walks(self, senders, groups) -> RoundResult:
         accepted, sent_messages, sent_bits = self._send_walk(senders, groups)
@@ -332,12 +172,12 @@ class BatchedEngine(RoundEngine):
         return delivered, m_count, sent_bits
 
     def run_builder(self, builder) -> RoundResult:
-        """Execute a round straight off a deferred builder's raw columns —
-        no per-sender batch objects on the clean path (a typed builder
-        delivers from its finalized whole-round columns).  Anomalous,
-        eager, or empty rounds finalize through ``builder.batches()`` and
-        replay via :meth:`run_round` (identical observables by construction)."""
-        if not builder._deferred or not builder:
+        """Execute a round straight off a builder's raw columns — no
+        per-sender batch objects on the clean path (a typed builder
+        delivers from its finalized whole-round columns).  Anomalous or
+        empty rounds finalize through ``builder.batches()`` and replay via
+        :meth:`run_round` (identical observables by construction)."""
+        if not builder:
             return self.run_round(builder.batches())
         net = self.net
         n = net.n
@@ -370,7 +210,7 @@ class BatchedEngine(RoundEngine):
         max_sent = 0
         ok = True
         for s, cols in builder._groups.items():
-            if type(s) is not int or not 0 <= s < n:
+            if not 0 <= s < n:
                 ok = False
                 break
             dsts = cols[0]
@@ -408,19 +248,8 @@ class BatchedEngine(RoundEngine):
                 typed = True
                 break
         if typed:
-            uniform = _np is not None
-            dt = None
-            if uniform:
-                for p in pcols:
-                    if type(p) is list:
-                        uniform = False
-                        break
-                    if dt is None:
-                        dt = p.dtype
-                    elif p.dtype != dt:
-                        uniform = False
-                        break
-            if uniform:
+            dt = getattr(pcols[0], "dtype", None)
+            if all(type(p) is not list and p.dtype == dt for p in pcols):
                 # Fully typed round: concatenate the raw columns and take
                 # the argsort path at any size — the data is already in
                 # arrays, so the small-round Python bucketing would only
@@ -443,9 +272,8 @@ class BatchedEngine(RoundEngine):
                 return self._deliver_deferred_np(
                     senders, kcols, counts, m_count, dst, pay
                 )
-            # Mixed typed/object columns (or a typed round under a
-            # numpy-free engine): box the typed sides — the object-fallback
-            # contract — and continue on the generic list paths.
+            # Mixed typed/object columns: box the typed sides — the
+            # object-fallback contract — and continue on the list paths.
             boxed = 0
             for i, p in enumerate(pcols):
                 if type(p) is not list:
@@ -465,7 +293,7 @@ class BatchedEngine(RoundEngine):
             for i, d in enumerate(dcols):
                 if type(d) is not list:
                     dcols[i] = d.tolist()
-        if _np is not None and m_count >= SMALL_ROUND_CUTOFF:
+        if m_count >= SMALL_ROUND_CUTOFF:
             dst_l: list[int] = []
             pay_l: list = []
             for i, dsts in enumerate(dcols):
@@ -555,10 +383,10 @@ class BatchedEngine(RoundEngine):
         return self._recv_walk(delivered)
 
     def _deliver_deferred_py(self, senders, dcols, pcols, kcols):
-        """Plain-Python columnar bucketing for small or numpy-free deferred
-        rounds: one pass over the columns into per-destination column
-        lists — still zero ``Message`` construction.  (Like the numpy
-        path, the bits column is dropped; sizes re-derive on demand.)"""
+        """Plain-Python columnar bucketing for small object rounds: one
+        pass over the columns into per-destination column lists — still
+        zero ``Message`` construction.  (Like the numpy path, the bits
+        column is dropped; sizes re-derive on demand.)"""
         net = self.net
         stats = net.stats
         kind_scalar = self._round_kind_scalar(kcols)
@@ -592,49 +420,6 @@ class BatchedEngine(RoundEngine):
                 stats.max_received_per_round = max_recv
             return delivered
         return self._recv_walk(delivered)
-
-    # ------------------------------------------------------------------
-    def _deliver(self, obj, dst, bounds) -> dict[int, list[Message]]:
-        """Bucket the object column into inboxes via one stable argsort and
-        enforce receive capacity.  Inboxes are emitted in first-arrival
-        order and each keeps the flat (send-order) message order, matching
-        the reference engine's incremental dict bucketing.  Clean rounds
-        return message-backed :class:`InboxBatch` spans over the permuted
-        object column — no ``.tolist()``, no per-inbox list slicing."""
-        net = self.net
-        stats = net.stats
-        dsts_present, group_counts = bounds
-
-        order = _np.argsort(dst, kind="stable")
-        # Bucket boundaries without re-gathering dst: per-destination counts
-        # prefix-sum to the group extents in ascending-dst order, matching
-        # the argsort's group layout.
-        ends = _np.cumsum(group_counts)
-        starts = ends - group_counts
-        max_recv = int(group_counts.max())
-        # order[starts[j]] is the flat index of group j's first message, so
-        # sorting groups by it recovers first-arrival order.
-        arrival = _np.argsort(order[starts], kind="stable")
-
-        permuted = obj.take(order)
-        starts_l = starts.tolist()
-        ends_l = ends.tolist()
-        dsts_l = dsts_present.tolist()
-
-        of_messages = InboxBatch._of_messages
-        inboxes: dict[int, InboxBatch] = {}
-        for j in arrival.tolist():
-            inboxes[dsts_l[j]] = of_messages(
-                permuted, dsts_l[j], starts_l[j], ends_l[j]
-            )
-        if max_recv <= net.capacity:
-            if max_recv > stats.max_received_per_round:
-                stats.max_received_per_round = max_recv
-            return inboxes
-
-        # Overloaded receivers: run the canonical receive walk over the
-        # (still bucketed) spans for ledger/rng parity.
-        return self._recv_walk(inboxes)
 
 
 register_engine(BatchedEngine.name, BatchedEngine)

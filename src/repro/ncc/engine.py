@@ -52,9 +52,10 @@ from .message import InboxBatch, Message
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import NCCNetwork
 
-#: One delivered inbox: a plain message list (reference engine, anomalous
-#: rounds) or a lazy :class:`~repro.ncc.message.InboxBatch` column view
-#: (batched engine, clean rounds).  The two compare equal element-wise and
+#: One delivered inbox: a plain message list (reference engine, and every
+#: round the batched engine walks) or a lazy
+#: :class:`~repro.ncc.message.InboxBatch` column view (batched engine,
+#: clean columnar rounds).  The two compare equal element-wise and
 #: are interchangeable by the engine-indistinguishability contract.
 InboxT = list[Message] | InboxBatch
 
@@ -203,7 +204,7 @@ def engine_names() -> tuple[str, ...]:
 def build_engine(name: str, net: "NCCNetwork") -> RoundEngine:
     """Instantiate the engine registered under ``name`` for ``net``."""
     if name not in _REGISTRY and name == "batched":
-        # Imported lazily so the numpy-free reference path never pays for it.
+        # Imported lazily so the reference path never pays for it.
         from . import batched  # noqa: F401  (registers itself on import)
     elif name not in _REGISTRY and name == "sharded":
         from . import sharded  # noqa: F401  (registers itself on import)

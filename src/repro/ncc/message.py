@@ -6,22 +6,16 @@ is intentionally simple and conservative-ish: identifiers and weights count
 their binary length, containers add their parts, and objects can opt in by
 providing a ``size_bits()`` method (e.g. parity sketches).
 
-:class:`MessageBatch` is the columnar companion of :class:`Message`: one
-sender's messages together with parallel ``(src, dst, bits)`` arrays so the
-batched round engine can account a whole group without touching per-message
-attributes.  It behaves exactly like the plain list the reference engine
-expects.
-
-:class:`InboxBatch` goes one step further: a lazy, frozen,
-``list[Message]``-compatible *view* over parallel ``(src, dst, payload,
-bits, kind)`` columns that materializes a :class:`Message` only when an
-element is actually accessed.  It serves both directions of a round: the
-(default) deferred mode of :class:`BatchBuilder` finalizes each sender's
-traffic into one, and the batched engine delivers each destination's slice
-of the round's permuted columns as one — so a clean batched-engine round
-never constructs a single ``Message`` end-to-end.  Consumers that only need
-the payload column read it via :meth:`InboxBatch.payloads` (or the
-engine-agnostic :func:`payloads_of`) without triggering materialization.
+:class:`InboxBatch` is the columnar companion of :class:`Message`: a lazy,
+frozen, ``list[Message]``-compatible *view* over parallel ``(src, dst,
+payload, bits, kind)`` columns that materializes a :class:`Message` only
+when an element is actually accessed.  It serves both directions of a
+round: :class:`BatchBuilder` finalizes each sender's traffic into one, and
+the batched engine delivers each destination's slice of the round's
+permuted columns as one — so a clean batched-engine round never constructs
+a single ``Message`` end-to-end.  Consumers that only need the payload
+column read it via :meth:`InboxBatch.payloads` (or the engine-agnostic
+:func:`payloads_of`) without triggering materialization.
 """
 
 from __future__ import annotations
@@ -31,10 +25,7 @@ from itertools import repeat
 from operator import attrgetter, is_
 from typing import Any, Iterable, Sequence
 
-try:  # pragma: no cover - exercised only on numpy-free installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 
 def payload_bits(payload: Any) -> int:
@@ -76,7 +67,7 @@ def payload_bits(payload: Any) -> int:
         return total
     if isinstance(payload, int):  # IntEnum and friends
         return (payload.bit_length() or 1) + (1 if payload < 0 else 0)
-    if _np is not None and isinstance(payload, _np.generic):
+    if isinstance(payload, _np.generic):
         return _np_scalar_bits(payload)
     size = getattr(payload, "size_bits", None)
     if callable(size):
@@ -248,7 +239,7 @@ def typed_payloads_enabled() -> bool:
 
 #: ``2**k`` for ``k = 0..63`` as uint64: a magnitude's insertion point
 #: (``side="right"``) in this table is its ``bit_length``.
-_POW2 = None if _np is None else _np.uint64(1) << _np.arange(64, dtype=_np.uint64)
+_POW2 = _np.uint64(1) << _np.arange(64, dtype=_np.uint64)
 
 
 def _int_col_bits(v):
@@ -369,158 +360,9 @@ class Message:
         return hash((self.src, self.dst, self.kind, payload_key))
 
 
-class MessageBatch(list):
-    """One sender's messages plus parallel ``(src, dst, bits)`` columns.
-
-    A ``MessageBatch`` *is* a ``list[Message]`` — it flows through
-    normalization, the reference engine, DROP sampling, and equality checks
-    exactly like a plain list.  The batched engine additionally trusts the
-    cached columns instead of re-reading per-message attributes, so the
-    batch is frozen: every list mutator raises :class:`TypeError` (a stale
-    column would silently corrupt the capacity accounting).
-
-    With numpy available the integer columns are stacked into one
-    ``(3, len)`` int64 array (rows: src, dst, bits) so a round's groups
-    concatenate with a single call, plus an object array of the message
-    references for fancy-indexed delivery.  Columns are built lazily on
-    first access: a round served by the reference engine (or a batched
-    slow path) never pays for them.  Without numpy — or when a value does
-    not fit int64 — the columns degrade to plain lists and engines fall
-    back to their per-message paths.
-    """
-
-    __slots__ = ("_int_cols", "_obj_col", "_list_cols", "_uniform_src", "_bits_agg")
-
-    def __init__(self, messages: Iterable[Message]):
-        super().__init__(messages)
-        self._int_cols = None
-        self._obj_col = None
-        self._list_cols = None
-        #: The single sender id shared by every message, when the
-        #: constructor can prove it (BatchBuilder groups by sender;
-        #: from_columns with a scalar src).  ``None`` = unknown/mixed.
-        self._uniform_src = None
-        #: ``(sum, max)`` of the bits column, captured at finalize so a
-        #: clean round needs no per-message bits array at all.
-        self._bits_agg = None
-
-    @property
-    def int_cols(self):
-        cols = self._int_cols
-        if cols is None:
-            cols = self._int_cols = self._build_int_cols()
-        return cols
-
-    @property
-    def list_cols(self) -> tuple[list[int], list[int], list[int]]:
-        """``(src, dst, bits)`` as plain Python lists.
-
-        :meth:`from_columns` captures these for free while constructing the
-        messages; a batch built straight from ``Message`` objects derives
-        them on first access.  The batched engine flat-extends these lists
-        across a round's groups — one C-level ``memcpy`` per group instead
-        of a per-message attribute walk or per-group numpy allocations
-        (fresh small batches dominate primitive rounds, so per-batch array
-        construction would cost more than it saves).
-        """
-        cols = self._list_cols
-        if cols is None:
-            cols = self._list_cols = (
-                [m.src for m in self],
-                [m.dst for m in self],
-                [m.bits for m in self],
-            )
-        return cols
-
-    @property
-    def obj_col(self):
-        col = self._obj_col
-        if col is None:
-            if _np is not None:
-                col = _np.fromiter(self, dtype=object, count=len(self))
-            else:
-                col = list(self)
-            self._obj_col = col
-        return col
-
-    def _build_int_cols(self):
-        k = len(self)
-        srcs, dsts, bits = self.list_cols
-        if _np is not None:
-            try:
-                cols = _np.empty((3, k), dtype=_np.int64)
-                cols[0] = _np.fromiter(srcs, _np.int64, k)
-                cols[1] = _np.fromiter(dsts, _np.int64, k)
-                cols[2] = _np.fromiter(bits, _np.int64, k)
-                return cols
-            except OverflowError:
-                # An id/bits value beyond int64 cannot be columnar; the
-                # list form routes engines onto their per-message walks,
-                # which raise the canonical out-of-range errors.
-                pass
-        return [srcs, dsts, bits]
-
-    @classmethod
-    def from_columns(
-        cls,
-        src: int | Sequence[int],
-        dsts: Sequence[int],
-        payloads: Sequence[Any],
-        *,
-        kind: str | Sequence[str] = "",
-    ) -> "MessageBatch":
-        """Build a batch from parallel columns (the cheap constructor).
-
-        ``kind`` may be a single tag for the whole batch or a parallel
-        column of per-message tags (a round may mix e.g. data and token
-        messages from one sender).
-        """
-        if isinstance(src, int):
-            # bool passes the int check (it subclasses int); normalize it so
-            # a ``True`` sender does not leak into the ``_uniform_src``
-            # metadata and the int64 engine columns as a non-int.
-            src = int(src)
-            srcs: Sequence[int] = (src,) * len(dsts)
-        else:
-            srcs = src
-        if isinstance(kind, str):
-            kinds: Sequence[str] = (kind,) * len(dsts)
-        else:
-            kinds = kind
-        msgs: list[Message] = []
-        src_l: list[int] = []
-        dst_l: list[int] = []
-        bits_l: list[int] = []
-        for s, d, p, k in zip(srcs, dsts, payloads, kinds, strict=True):
-            m = Message(s, d, p, k)
-            msgs.append(m)
-            src_l.append(s)
-            dst_l.append(d)
-            bits_l.append(m.bits)
-        batch = cls(msgs)
-        # The columns are known as a by-product of construction; cache them
-        # so the engine never re-reads per-message attributes.
-        batch._list_cols = (src_l, dst_l, bits_l)
-        if isinstance(src, int):
-            batch._uniform_src = src
-        batch._bits_agg = (sum(bits_l), max(bits_l, default=0))
-        return batch
-
-    # -- frozen: all mutators raise ------------------------------------
-    def _frozen(self, *_args: Any, **_kwargs: Any):
-        raise TypeError("MessageBatch is immutable (columns would go stale)")
-
-    append = extend = insert = remove = pop = clear = _frozen
-    sort = reverse = __setitem__ = __delitem__ = _frozen
-    __iadd__ = __imul__ = _frozen
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MessageBatch({list.__repr__(self)})"
-
-
 class BuilderBatches(dict):
-    """The finalize product of :class:`BatchBuilder`'s deferred mode: a
-    frozen ``sender -> InboxBatch`` mapping.
+    """The finalize product of :class:`BatchBuilder`: a frozen
+    ``sender -> InboxBatch`` mapping.
 
     The type itself is the engine's provenance proof: every value is a
     column-backed, uniform-sender, whole-span :class:`InboxBatch` with int
@@ -531,19 +373,14 @@ class BuilderBatches(dict):
     ``bits_sum`` / ``bits_max`` carry the round-level bit aggregates the
     builder tracked while accumulating, so the engine's send-side
     accounting is O(1) instead of O(senders) dict walks.
-
-    ``dtype`` records the declared payload dtype when every group is a
-    typed column (``None`` for the object layout): the engine's cue that
-    delivery can stay in ndarrays end-to-end.
     """
 
-    __slots__ = ("bits_sum", "bits_max", "dtype")
+    __slots__ = ("bits_sum", "bits_max")
 
-    def __init__(self, bits_sum: int = 0, bits_max: int = 0, dtype: Any = None):
+    def __init__(self, bits_sum: int = 0, bits_max: int = 0):
         super().__init__()
         self.bits_sum = bits_sum
         self.bits_max = bits_max
-        self.dtype = dtype
 
     def _frozen(self, *_args: Any, **_kwargs: Any):
         raise TypeError("BuilderBatches is immutable (engine provenance proof)")
@@ -556,18 +393,13 @@ class InboxBatch(_SequenceABC):
     """A lazy, frozen ``list[Message]``-compatible view over parallel
     ``(src, dst, payload, bits, kind)`` columns.
 
-    Two backings exist:
-
-    * *column-backed* — the deferred :class:`BatchBuilder` output (uniform
-      ``src``, per-message ``dst``) and the batched engine's clean-round
-      delivery (shared permuted round columns, a ``[start, end)`` span per
-      destination, uniform ``dst``).  A :class:`Message` is constructed
-      only when an element is accessed, and cached per index;
-      :meth:`payloads` / :meth:`srcs` / :meth:`items` read the columns
-      without constructing anything.
-    * *message-backed* — a span over an already-materialized message
-      column (the batched engine's eager ``MessageBatch`` delivery);
-      element access just indexes, nothing is re-built.
+    One column backing serves both directions of a round: the
+    :class:`BatchBuilder` output (uniform ``src``, per-message ``dst``) and
+    the batched engine's clean-round delivery (shared permuted round
+    columns, a ``[start, end)`` span per destination, uniform ``dst``).  A
+    :class:`Message` is constructed only when an element is accessed, and
+    cached per index; :meth:`payloads` / :meth:`srcs` / :meth:`items` read
+    the columns without constructing anything.
 
     The view is frozen: it has no mutators, and the scalar/list columns it
     wraps are owned by the batch (accessors return copies).  Equality is
@@ -578,7 +410,7 @@ class InboxBatch(_SequenceABC):
 
     __slots__ = (
         "_srcs", "_dsts", "_payloads", "_bits", "_kinds",
-        "_start", "_end", "_msgs", "_mat", "_bits_agg",
+        "_start", "_end", "_mat", "_bits_agg",
     )
 
     def __init__(
@@ -608,7 +440,6 @@ class InboxBatch(_SequenceABC):
                 raise ValueError("kind column length mismatch")
         self._start = 0
         self._end = k
-        self._msgs = None
         self._mat = None
         self._bits_agg = None
 
@@ -624,7 +455,6 @@ class InboxBatch(_SequenceABC):
         self._kinds = kinds
         self._start = start
         self._end = end
-        self._msgs = None
         self._mat = None
         self._bits_agg = bits_agg
         return self
@@ -658,24 +488,10 @@ class InboxBatch(_SequenceABC):
             self._kinds = kinds
             self._start = starts[j]
             self._end = ends[j]
-            self._msgs = None
             self._mat = None
             self._bits_agg = None
             delivered[d] = self
         return delivered
-
-    @classmethod
-    def _of_messages(cls, msgs, dst, start, end):
-        """Span over an already-materialized message column."""
-        self = object.__new__(cls)
-        self._srcs = self._payloads = self._bits = self._kinds = None
-        self._dsts = dst
-        self._start = start
-        self._end = end
-        self._msgs = msgs
-        self._mat = None
-        self._bits_agg = None
-        return self
 
     # -- sequence protocol ----------------------------------------------
     def __len__(self) -> int:
@@ -689,8 +505,6 @@ class InboxBatch(_SequenceABC):
             i += k
         if not 0 <= i < k:
             raise IndexError("inbox index out of range")
-        if self._msgs is not None:
-            return self._msgs[self._start + i]
         mat = self._mat
         if mat is None:
             mat = self._mat = [None] * k
@@ -730,18 +544,11 @@ class InboxBatch(_SequenceABC):
         return m
 
     def __iter__(self):
-        if self._msgs is not None:
-            msgs = self._msgs
-            for j in range(self._start, self._end):
-                yield msgs[j]
-        else:
-            for i in range(self._end - self._start):
-                yield self[i]
+        for i in range(self._end - self._start):
+            yield self[i]
 
     # -- per-index column reads (no materialization) ---------------------
     def _src_at(self, i: int) -> int:
-        if self._msgs is not None:
-            return self._msgs[self._start + i].src
         s = self._srcs
         if type(s) is int:
             return s
@@ -749,8 +556,6 @@ class InboxBatch(_SequenceABC):
         return v if type(v) is int else int(v)
 
     def _dst_at(self, i: int) -> int:
-        if self._msgs is not None:
-            return self._msgs[self._start + i].dst
         d = self._dsts
         if type(d) is int:
             return d
@@ -758,8 +563,6 @@ class InboxBatch(_SequenceABC):
         return v if type(v) is int else int(v)
 
     def _payload_at(self, i: int) -> Any:
-        if self._msgs is not None:
-            return self._msgs[self._start + i].payload
         pays = self._payloads
         if type(pays) is list:
             return pays[self._start + i]
@@ -771,8 +574,6 @@ class InboxBatch(_SequenceABC):
         return pays.item(self._start + i)
 
     def _kind_at(self, i: int) -> str:
-        if self._msgs is not None:
-            return self._msgs[self._start + i].kind
         k = self._kinds
         return k if type(k) is not list else k[self._start + i]
 
@@ -784,8 +585,6 @@ class InboxBatch(_SequenceABC):
         (counted by :func:`payload_box_count`); consumers that can operate
         on the raw column should read :meth:`payload_array` instead.
         """
-        if self._msgs is not None:
-            return [m.payload for m in self]
         pays = self._payloads
         if type(pays) is list:
             return pays[self._start:self._end]
@@ -795,17 +594,15 @@ class InboxBatch(_SequenceABC):
 
     def payload_array(self):
         """The typed payload column span as an ndarray (zero-copy view),
-        or ``None`` when this inbox is object- or message-backed.  Reading
-        fields off the returned array is not a payload box."""
+        or ``None`` when this inbox is object-backed.  Reading fields off
+        the returned array is not a payload box."""
         pays = self._payloads
-        if self._msgs is not None or type(pays) is list:
+        if type(pays) is list:
             return None
         return pays[self._start:self._end]
 
     def srcs(self) -> list[int]:
         """The sender column (fresh list; no ``Message`` is constructed)."""
-        if self._msgs is not None:
-            return [m.src for m in self]
         s = self._srcs
         if type(s) is int:
             return [s] * (self._end - self._start)
@@ -814,8 +611,6 @@ class InboxBatch(_SequenceABC):
 
     def dsts(self) -> list[int]:
         """The destination column (fresh list)."""
-        if self._msgs is not None:
-            return [m.dst for m in self]
         d = self._dsts
         if type(d) is int:
             return [d] * (self._end - self._start)
@@ -824,8 +619,6 @@ class InboxBatch(_SequenceABC):
 
     def kinds(self) -> list[str]:
         """The kind-tag column (fresh list)."""
-        if self._msgs is not None:
-            return [m.kind for m in self]
         k = self._kinds
         if type(k) is not list:
             return [k] * (self._end - self._start)
@@ -840,9 +633,7 @@ class InboxBatch(_SequenceABC):
         """``(sum, max)`` of the bits column (cached)."""
         agg = self._bits_agg
         if agg is None:
-            if self._msgs is not None:
-                col = [m.bits for m in self]
-            elif self._bits is None:
+            if self._bits is None:
                 pays = self._payloads
                 if type(pays) is not list:
                     barr = typed_payload_bits(pays[self._start:self._end])
@@ -906,10 +697,8 @@ class InboxBatch(_SequenceABC):
 
     @classmethod
     def _concat(cls, a: "InboxBatch", b: "InboxBatch"):
-        """Concatenate two batches; stays lazy when both are column-backed
-        (used by multi-round inbox merges), else returns a plain list."""
-        if a._msgs is not None or b._msgs is not None:
-            return list(a) + list(b)
+        """Concatenate two batches, staying lazy (used by multi-round
+        inbox merges)."""
         ka, kb = len(a), len(b)
         sa, sb = a._srcs, b._srcs
         srcs = sa if type(sa) is int and type(sb) is int and sa == sb else a.srcs() + b.srcs()
@@ -958,20 +747,20 @@ def gather_typed_spans(inboxes):
     destination-shard block, hosts in disjoint ascending ranges); those
     concatenate — in min-host block order, which is exactly the
     single-process destination-ascending order — into one column pair.
-    Returns ``None`` for any other layout (object columns, message-backed
-    inboxes, merged rounds, the reference engine); callers keep their
-    per-inbox loop as the fallback.
+    Returns ``None`` for any other layout (object columns, merged rounds,
+    the reference engine); callers keep their per-inbox loop as the
+    fallback.
 
     Python touches each inbox only to read its ``(base, start, end)``; the
     ordering, the tiling check and the destination column are numpy.
     """
-    if _np is None or not inboxes:
+    if not inboxes:
         return None
     recs = list(inboxes.values())
     if set(map(type, recs)) != {InboxBatch}:
         return None
     # Spans group by backing column (identity: spans *share* their base);
-    # object- and message-backed spans have no ndarray base.
+    # object-backed spans have no ndarray base.
     bases = list(map(attrgetter("_payloads"), recs))
     one_base = all(map(is_, bases, repeat(bases[0])))
     if set(map(type, bases[:1] if one_base else bases)) != {_np.ndarray}:
@@ -1087,25 +876,6 @@ def merge_round_inboxes(
             merged[dst] = lst
 
 
-#: Process-wide default for :class:`BatchBuilder`'s deferred mode.  True
-#: (the shipped default) means builders record columns and finalize into
-#: lazy :class:`InboxBatch` groups — no ``Message`` is constructed unless
-#: an engine or consumer actually touches one.  The eager mode (False)
-#: reproduces the pre-lazy pipeline (``Message`` built in :meth:`add`,
-#: :class:`MessageBatch` groups) and is kept as the measured baseline of
-#: ``benchmarks/bench_primitives.py``'s whole-run gate.
-_DEFERRED_DEFAULT = True
-
-
-def set_deferred_submission(flag: bool) -> bool:
-    """Set the process-wide deferred-submission default; returns the
-    previous value (benchmark/test hook — always restore)."""
-    global _DEFERRED_DEFAULT
-    previous = _DEFERRED_DEFAULT
-    _DEFERRED_DEFAULT = bool(flag)
-    return previous
-
-
 class BatchBuilder:
     """Accumulates one round's ``(dst, payload)`` pairs per sender and
     finalizes them into per-sender columnar groups.
@@ -1119,13 +889,10 @@ class BatchBuilder:
     ``exchange`` applies to a flat iterable — so the submission form is
     observably identical under every engine.
 
-    In the default *deferred* mode only the ``(dst, payload, bits, kind)``
-    columns are recorded and finalization produces lazy
-    :class:`InboxBatch` groups: no ``Message`` object exists unless the
-    reference walk (or a consumer) materializes one.  Eager mode
-    (``deferred=False`` or :func:`set_deferred_submission`) builds the
-    ``Message`` in :meth:`add` and finalizes into :class:`MessageBatch`
-    groups, reproducing the previous pipeline.
+    Only the ``(dst, payload, bits, kind)`` columns are recorded and
+    finalization produces lazy :class:`InboxBatch` groups: no ``Message``
+    object exists unless the reference walk (or a consumer) materializes
+    one.
 
     A builder with a declared ``dtype`` keeps the round as whole-round typed
     columns instead: no per-sender Python object exists unless
@@ -1137,38 +904,27 @@ class BatchBuilder:
     """
 
     __slots__ = (
-        "kind", "_groups", "_spent", "_deferred", "_bits_sum", "_bits_max",
-        "_dtype", "_chunks",
+        "kind", "_groups", "_spent", "_bits_sum", "_bits_max", "_dtype", "_chunks",
     )
 
-    def __init__(
-        self,
-        kind: str = "",
-        *,
-        deferred: bool | None = None,
-        dtype: Any = None,
-    ):
+    def __init__(self, kind: str = "", *, dtype: Any = None):
         self.kind = kind
-        # Deferred: src -> [dsts, payloads, bits, kinds] where ``kinds`` is
-        # the scalar tag until a per-message override forces a column.
-        # Eager: src -> (messages, dsts, bits) — the Message is built once,
-        # in add(), and its columns captured as a by-product.
+        # src -> [dsts, payloads, bits, kinds] where ``kinds`` is the scalar
+        # tag until a per-message override forces a column.
         self._groups: dict[int, Any] = {}
         # Typed (``dtype`` declared): one sender-sorted ``(senders, counts,
         # dsts, values, bits)`` chunk per add_array(s) call; see _typed_round.
         self._chunks: list[tuple] = []
         self._spent = False
-        self._deferred = _DEFERRED_DEFAULT if deferred is None else bool(deferred)
         # Round-level bit aggregates, tracked as messages are queued so the
         # engine's send-side accounting needs no per-group reduction.
         self._bits_sum = 0
         self._bits_max = 0
         # Declared payload dtype.  The object fallback is part of the
-        # contract: without numpy, in eager mode (whose product is Message
-        # objects by definition), or with typed payloads globally disabled
-        # (the benchmark kill-switch), the declaration degrades to the
-        # object layout and every submission is boxed on entry.
-        if dtype is not None and _np is not None and self._deferred and _TYPED_DEFAULT:
+        # contract: with typed payloads globally disabled (the benchmark
+        # kill-switch) the declaration degrades to the object layout and
+        # every submission is boxed on entry.
+        if dtype is not None and _TYPED_DEFAULT:
             dtype = _np.dtype(dtype)
             if not _typed_dtype_ok(dtype):
                 raise TypeError(
@@ -1188,20 +944,11 @@ class BatchBuilder:
             )
         if self._dtype is not None:
             self._box_typed_groups()
-        if not self._deferred:
-            m = Message(src, dst, payload, self.kind if kind is None else kind)
-            g = self._groups.get(src)
-            if g is None:
-                self._groups[src] = g = ([], [], [])
-            g[0].append(m)
-            g[1].append(dst)
-            g[2].append(m.bits)
-            return
-        # Deferred: same validation and sizing the Message constructor
-        # would perform, minus the object.  (type() fast path; the
-        # isinstance retry accepts bool/IntEnum ids like the Message
-        # constructor does, but normalizes them to plain ints — a bool in
-        # a column would corrupt the delivered inbox keys/scalars.)
+        # The same validation and sizing the Message constructor would
+        # perform, minus the object.  (type() fast path; the isinstance
+        # retry accepts bool/IntEnum ids like the Message constructor does,
+        # but normalizes them to plain ints — a bool in a column would
+        # corrupt the delivered inbox keys/scalars.)
         if type(src) is not int or type(dst) is not int:
             if not isinstance(src, int) or not isinstance(dst, int):
                 raise TypeError(
@@ -1245,25 +992,6 @@ class BatchBuilder:
             )
         if self._dtype is not None:
             self._box_typed_groups()
-        if not self._deferred:
-            kind = self.kind
-            msgs: list[Message] = []
-            dst_l: list[int] = []
-            bits_l: list[int] = []
-            for d, p in zip(dsts, payloads, strict=True):
-                m = Message(src, d, p, kind)
-                msgs.append(m)
-                dst_l.append(d)
-                bits_l.append(m.bits)
-            if not msgs:
-                return
-            g = self._groups.get(src)
-            if g is None:
-                self._groups[src] = g = ([], [], [])
-            g[0].extend(msgs)
-            g[1].extend(dst_l)
-            g[2].extend(bits_l)
-            return
         if type(src) is not int:
             if not isinstance(src, int):
                 raise TypeError(f"node ids must be ints, got {type(src).__name__}")
@@ -1306,7 +1034,7 @@ class BatchBuilder:
         ``values`` must match the builder's declared dtype; bit sizes are
         derived per-column by :func:`typed_payload_bits` with no Python
         per element.  On a builder without an active dtype (undeclared,
-        numpy-free, eager mode, or degraded by a mixed submission) the
+        typed payloads disabled, or degraded by a mixed submission) the
         columns are boxed on entry and routed through :meth:`add_many` —
         the object-fallback contract.
         """
@@ -1318,10 +1046,10 @@ class BatchBuilder:
         dt = self._dtype
         if dt is None:
             global _box_count
-            if _np is not None and isinstance(values, _np.ndarray):
+            if isinstance(values, _np.ndarray):
                 _box_count += len(values)
                 values = values.tolist()
-            if _np is not None and isinstance(dsts, _np.ndarray):
+            if isinstance(dsts, _np.ndarray):
                 dsts = dsts.tolist()
             self.add_many(src, dsts, values)
             return
@@ -1367,6 +1095,9 @@ class BatchBuilder:
         Senders are grouped in ascending-id order (a stable sort over the
         sender column), each keeping its submissions in input order.  The
         sorted columns are kept whole: no per-sender object is created.
+        Without an active dtype the columns are boxed on entry and queued
+        through :meth:`add`, which validates the ids exactly like the typed
+        path (a float id raises, it is never truncated).
         """
         if self._spent:
             raise TypeError(
@@ -1375,15 +1106,13 @@ class BatchBuilder:
             )
         if self._dtype is None:
             global _box_count
-            if _np is not None and isinstance(values, _np.ndarray):
+            if isinstance(values, _np.ndarray):
                 _box_count += len(values)
                 values = values.tolist()
-            if _np is not None and isinstance(dsts, _np.ndarray):
-                dsts = dsts.tolist()
-            if _np is not None and isinstance(srcs, _np.ndarray):
-                srcs = srcs.tolist()
-            for s, d, v in zip(list(srcs), list(dsts), list(values), strict=True):
-                self.add(int(s), int(d), v)
+            srcs = _np.asarray(srcs).tolist()
+            dsts = _np.asarray(dsts).tolist()
+            for s, d, v in zip(srcs, dsts, list(values), strict=True):
+                self.add(s, d, v)
             return
         sarr = _np.asarray(srcs)
         if sarr.dtype.kind not in "iub":
@@ -1483,52 +1212,32 @@ class BatchBuilder:
             return self._typed_round()[0].tolist()
         return list(self._groups)
 
-    def batches(self) -> "dict[int, MessageBatch] | BuilderBatches":
+    def batches(self) -> BuilderBatches:
         """Finalize into per-sender batches with pre-captured columns.
 
-        Deferred mode yields lazy :class:`InboxBatch` groups inside a
-        frozen :class:`BuilderBatches` mapping (the engine's proof that the
-        lazy columnar path applies); eager mode yields plain
-        :class:`MessageBatch` groups.  Finalization is zero-copy either
-        way: the batches take ownership of the builder's lists, so the
-        builder is spent afterwards — further ``add`` calls raise (a stale
-        alias would silently corrupt the frozen batches' cached columns).
+        Yields lazy :class:`InboxBatch` groups inside a frozen
+        :class:`BuilderBatches` mapping (the engine's proof that the lazy
+        columnar path applies).  Finalization is zero-copy: the batches
+        take ownership of the builder's lists, so the builder is spent
+        afterwards — further ``add`` calls raise (a stale alias would
+        silently corrupt the frozen batches' cached columns).
         """
         self._spent = True
-        # ``int(src)`` normalizes a (pathological) bool sender key so the
-        # finalize product can be fed to an engine as-is — the same
-        # coercion ``exchange`` applies to Mapping submissions.
+        lazy = BuilderBatches(self._bits_sum, self._bits_max)
+        lazy_set = dict.__setitem__  # lazy itself is frozen
+        over = InboxBatch._over
         if self._dtype is not None:
             # The one place a typed round is cut into per-sender spans: the
             # reference engine, round observers and anomaly replays.
-            lazy = BuilderBatches(self._bits_sum, self._bits_max, self._dtype)
-            lazy_set = dict.__setitem__  # lazy itself is frozen
-            over = InboxBatch._over
             kind = self.kind
-            for src, dsts, vals, bits in self._typed_groups():
-                lazy_set(lazy, src, over(src, dsts, vals, bits, kind, 0, len(dsts)))
-            return lazy
-        if self._deferred:
-            lazy = BuilderBatches(self._bits_sum, self._bits_max)
-            lazy_set = dict.__setitem__  # lazy itself is frozen
-            over = InboxBatch._over
-            for src, (dsts, pays, bits, kinds) in self._groups.items():
-                if type(src) is not int:
-                    src = int(src)
-                # Per-group bit aggregates stay lazy (InboxBatch derives
-                # and caches them if the batch is ever resubmitted solo);
-                # the round-level aggregates ride on the mapping itself.
-                lazy_set(
-                    lazy, src, over(src, dsts, pays, bits, kinds, 0, len(dsts))
-                )
-            return lazy
-        out: dict[int, MessageBatch] = {}
-        for src, (msgs, dsts, bits) in self._groups.items():
-            if type(src) is not int:
-                src = int(src)
-            batch = MessageBatch(msgs)
-            batch._list_cols = ([src] * len(msgs), dsts, bits)
-            batch._uniform_src = src
-            batch._bits_agg = (sum(bits), max(bits, default=0))
-            out[src] = batch
-        return out
+            groups = ((s, d, v, b, kind) for s, d, v, b in self._typed_groups())
+        else:
+            # Sender keys are plain ints already: add/add_many normalize
+            # bool/IntEnum ids before grouping.
+            groups = ((s, *cols) for s, cols in self._groups.items())
+        # Per-group bit aggregates stay lazy (InboxBatch derives and caches
+        # them if the batch is ever resubmitted solo); the round-level
+        # aggregates ride on the mapping itself.
+        for src, dsts, pays, bits, kinds in groups:
+            lazy_set(lazy, src, over(src, dsts, pays, bits, kinds, 0, len(dsts)))
+        return lazy

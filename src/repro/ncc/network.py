@@ -145,9 +145,10 @@ class NCCNetwork:
         return value is available to the caller's next iteration.  Each
         inbox is ``list[Message]``-compatible but not necessarily a list:
         the batched engine delivers lazy
-        :class:`~repro.ncc.message.InboxBatch` column views on clean rounds
-        (element access materializes a ``Message``; ``payloads()`` and
-        friends read the columns without constructing any).
+        :class:`~repro.ncc.message.InboxBatch` column views on clean
+        columnar rounds (element access materializes a ``Message``;
+        ``payloads()`` and friends read the columns without constructing
+        any).
         """
         if self._round >= self.config.max_rounds:
             raise SimulationLimitError(
@@ -197,9 +198,9 @@ class NCCNetwork:
                     existing = per_sender.get(src)
                     if existing is None:
                         # Engines never mutate a sender's group, so the
-                        # caller's list (or MessageBatch / InboxBatch) can
-                        # be shared instead of copied — listing an
-                        # InboxBatch here would defeat its laziness.
+                        # caller's list (or InboxBatch) can be shared
+                        # instead of copied — listing an InboxBatch here
+                        # would defeat its laziness.
                         per_sender[src] = (
                             msgs
                             if isinstance(msgs, (list, InboxBatch))

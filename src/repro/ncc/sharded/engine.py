@@ -27,18 +27,15 @@ value:
   :class:`~repro.ncc.engine.RoundEngine`, never re-derived semantics.
 
 Everything else — small rounds, object-payload rounds, mixed-kind
-rounds, numpy-free installs, daemonic processes (a ``Session`` sweep
-worker cannot spawn children), hosts without shared memory, or a pool
-whose workers all died — simply inherits the batched behavior, so the
-engine degrades to single-process without changing a byte of output.
+rounds, daemonic processes (a ``Session`` sweep worker cannot spawn
+children), hosts without shared memory, or a pool whose workers all died
+— simply inherits the batched behavior, so the engine degrades to
+single-process without changing a byte of output.
 """
 
 from __future__ import annotations
 
-try:  # pragma: no cover - exercised only on numpy-free installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from ...telemetry import tracer as _tracer
 from ...telemetry.metrics import METRICS
@@ -90,8 +87,6 @@ class ShardedEngine(BatchedEngine):
         #: (``None`` while fully sharded) — surfaced as the telemetry
         #: ``sharded-degraded`` event's ``reason`` field.
         self._disabled_reason: str | None = None
-        if _np is None:  # pragma: no cover - exercised only without numpy
-            self._degrade("numpy-unavailable")
 
     def _degrade(self, reason: str) -> None:
         """Fall back to single-process delivery, keeping the reason

@@ -25,10 +25,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Mapping
 
-try:  # pragma: no cover - exercised only on numpy-free installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from ..butterfly.routing import CombiningRouter
 from ..butterfly.topology import ButterflyGrid
@@ -49,16 +46,8 @@ GroupT = Hashable
 #: object-path tuple counterpart (1-char tag = short string = 4 bits; int
 #: fields size by binary length), so typed and object runs account
 #: identical bits.
-INJECT_DTYPE = (
-    _np.dtype([("tag", "U1"), ("col", "i8"), ("g", "i8"), ("val", "i8")])
-    if _np is not None
-    else None
-)
-RESULT_DTYPE = (
-    _np.dtype([("tag", "U1"), ("g", "i8"), ("val", "i8")])
-    if _np is not None
-    else None
-)
+INJECT_DTYPE = _np.dtype([("tag", "U1"), ("col", "i8"), ("g", "i8"), ("val", "i8")])
+RESULT_DTYPE = _np.dtype([("tag", "U1"), ("g", "i8"), ("val", "i8")])
 
 
 def _typed_applicable(
@@ -66,7 +55,7 @@ def _typed_applicable(
 ) -> bool:
     """Whether this instance can run the fully typed flow.
 
-    Requires numpy, the process-wide typed default, a ufunc-backed
+    Requires the process-wide typed default, a ufunc-backed
     aggregate, lightweight sync (token traffic would mix object messages
     into the typed builders), a non-degenerate butterfly, and an instance
     whose groups/values are plain ints safely inside int64 (for SUM the
@@ -75,8 +64,7 @@ def _typed_applicable(
     documented fallback contract.
     """
     if (
-        INJECT_DTYPE is None
-        or not typed_payloads_enabled()
+        not typed_payloads_enabled()
         or problem.fn.ufunc is None
         or bf.d <= 0
         or not net.config.extras.get("lightweight_sync", False)

@@ -12,10 +12,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-try:  # pragma: no cover - exercised only on numpy-free installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from ..ncc.message import BatchBuilder, InboxBatch, Message, merge_round_inboxes
 from ..ncc.network import NCCNetwork
@@ -35,9 +32,9 @@ def send_direct(
 ) -> dict[int, list[Message] | InboxBatch]:
     """One round of direct messages; returns the inboxes.
 
-    Sends are grouped per sender into lazy columnar submissions (the
-    builder's deferred mode) so the batched round engine can account and
-    deliver them without constructing ``Message`` objects; sender order
+    Sends are grouped per sender into lazy columnar submissions so the
+    batched round engine can account and deliver them without
+    constructing ``Message`` objects; sender order
     (first occurrence) and per-sender message order match what a flat
     message list would produce, so the round is engine- and
     representation-independent.

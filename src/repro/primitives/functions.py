@@ -13,10 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
-try:  # pragma: no cover - exercised only on numpy-free installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 
 @dataclass(frozen=True)
@@ -45,16 +42,10 @@ class Aggregate:
 
 _SENTINEL = object()
 
-SUM = Aggregate("SUM", lambda a, b: a + b, _np.add if _np is not None else None)
-MIN = Aggregate(
-    "MIN", lambda a, b: a if a <= b else b, _np.minimum if _np is not None else None
-)
-MAX = Aggregate(
-    "MAX", lambda a, b: a if a >= b else b, _np.maximum if _np is not None else None
-)
-XOR = Aggregate(
-    "XOR", lambda a, b: a ^ b, _np.bitwise_xor if _np is not None else None
-)
+SUM = Aggregate("SUM", lambda a, b: a + b, _np.add)
+MIN = Aggregate("MIN", lambda a, b: a if a <= b else b, _np.minimum)
+MAX = Aggregate("MAX", lambda a, b: a if a >= b else b, _np.maximum)
+XOR = Aggregate("XOR", lambda a, b: a ^ b, _np.bitwise_xor)
 
 #: (xor, count) pairs — the aggregate of the Identification Algorithm
 #: (Section 4.1): first coordinates XOR, second coordinates add.

@@ -18,10 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Mapping
 
-try:  # pragma: no cover - exercised only on numpy-free installs
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+import numpy as _np
 
 from ..butterfly.routing import MulticastRouter, TreeSet
 from ..butterfly.topology import ButterflyGrid
@@ -43,11 +40,7 @@ GroupT = Hashable
 #: Sizes exactly like the object-path ``(tag, g, payload)`` tuples (1-char
 #: tag = short string = 4 bits), so typed and object runs account identical
 #: wire bits.
-MCAST_DTYPE = (
-    _np.dtype([("tag", "U1"), ("g", "i8"), ("val", "i8")])
-    if _np is not None
-    else None
-)
+MCAST_DTYPE = _np.dtype([("tag", "U1"), ("g", "i8"), ("val", "i8")])
 
 
 @dataclass
@@ -103,16 +96,9 @@ def run_multicast(
         # spreading inside the router, leaf delivery below); anything else
         # keeps the object tuples — the fallback contract.
         lim = 1 << 62
-        use_typed = (
-            MCAST_DTYPE is not None
-            and typed_payloads_enabled()
-            and all(
-                type(g) is int
-                and type(p) is int
-                and -lim < g < lim
-                and -lim < p < lim
-                for g, p in packets.items()
-            )
+        use_typed = typed_payloads_enabled() and all(
+            type(g) is int and type(p) is int and -lim < g < lim and -lim < p < lim
+            for g, p in packets.items()
         )
         per_source: dict[int, tuple[list[int], list[Any]]] = {}
         for g, payload in packets.items():

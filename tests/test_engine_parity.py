@@ -22,8 +22,6 @@ import random
 
 import pytest
 
-import repro.ncc.batched as batched_mod
-import repro.ncc.message as message_mod
 from repro import Enforcement, NCCConfig, NCCRuntime, ReproError
 from repro.graphs import generators
 from repro.registry import iter_algorithms
@@ -31,7 +29,6 @@ from repro.ncc.message import (
     BatchBuilder,
     InboxBatch,
     Message,
-    MessageBatch,
     message_construction_count,
     set_typed_payloads,
 )
@@ -133,7 +130,7 @@ class TestAlgorithmParity:
 # ----------------------------------------------------------------------
 # Primitive-level parity: every primitive that submits columnar
 # ----------------------------------------------------------------------
-# All primitives now build MessageBatch columns via BatchBuilder instead of
+# All primitives build columnar submissions via BatchBuilder instead of
 # per-message Message lists; each one must stay observably identical under
 # both engines in every enforcement mode.
 def _memberships(rt):
@@ -328,8 +325,9 @@ class TestTypedRepresentationParity:
 # ----------------------------------------------------------------------
 def _random_round(rng: random.Random, n: int, cap: int, *, batch: bool):
     """One round of random traffic: some senders over capacity, some
-    receivers hot, occasional oversized payloads."""
-    out = {}
+    receivers hot, occasional oversized payloads.  ``batch`` submits it
+    as a :class:`BatchBuilder`, else as a mapping of message lists."""
+    out = BatchBuilder(kind="fuzz") if batch else {}
     hot = rng.randrange(n)  # attract extra traffic to one receiver
     for src in rng.sample(range(n), rng.randrange(1, n)):
         count = rng.choice((0, 1, 2, rng.randrange(1, cap + 6)))
@@ -343,7 +341,7 @@ def _random_round(rng: random.Random, n: int, cap: int, *, batch: bool):
             else:
                 payloads.append((src, rng.randrange(1 << 16)))
         if batch:
-            out[src] = MessageBatch.from_columns(src, dsts, payloads, kind="fuzz")
+            out.add_many(src, dsts, payloads)
         else:
             out[src] = [Message(src, d, p, kind="fuzz") for d, p in zip(dsts, payloads)]
     return out
@@ -414,7 +412,8 @@ class TestExchangeFuzzParity:
                 dsts = [(s + 1) % 1024 for s in range(300)]
                 dsts[150] = 2**63
                 if batch:
-                    out = {0: MessageBatch.from_columns(0, dsts, ["x"] * 300)}
+                    out = BatchBuilder()
+                    out.add_many(0, dsts, ["x"] * 300)
                 else:
                     out = {0: [Message(0, d, "x") for d in dsts]}
                 with pytest.raises(ValueError) as e:
@@ -422,13 +421,13 @@ class TestExchangeFuzzParity:
                 outcomes[(engine, batch)] = str(e.value)
         assert len(set(outcomes.values())) == 1
 
-    def test_from_columns_rejects_mismatched_column_lengths(self):
+    def test_builder_rejects_mismatched_column_lengths(self):
         """Misaligned parallel columns must error, not silently drop the
         tail of the traffic (zip truncation would corrupt accounting)."""
         with pytest.raises(ValueError):
-            MessageBatch.from_columns(0, [1, 2, 3], ["a", "b"])
+            BatchBuilder().add_many(0, [1, 2, 3], ["a", "b"])
         with pytest.raises(ValueError):
-            MessageBatch.from_columns([0, 1], [1, 2, 3], ["a", "b", "c"])
+            BatchBuilder().add_arrays([0, 1], [1, 2, 3], ["a", "b", "c"])
 
     def test_non_int_node_ids_rejected_at_message_boundary(self):
         """Float ids would be distinct inbox keys to a per-message walk but
@@ -439,34 +438,36 @@ class TestExchangeFuzzParity:
         with pytest.raises(TypeError, match="node ids must be ints"):
             Message(1.5, 2, "x")
         with pytest.raises(TypeError, match="node ids must be ints"):
-            MessageBatch.from_columns(0, [1, 2.5], ["a", "b"])
+            BatchBuilder().add_many(0, [1, 2.5], ["a", "b"])
 
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-    def test_from_columns_empty_batch(self, mode):
+    def test_builder_empty_batch(self, mode):
         """An empty batch must behave like no traffic at all: a round still
         elapses, nothing is delivered, statistics untouched — identically
-        under both engines."""
+        under every engine."""
         outcomes = {}
         for engine in ENGINES:
             net = NCCNetwork(16, _engine_cfg(engine, seed=1, enforcement=mode))
-            empty = MessageBatch.from_columns(3, [], [])
+            empty = BatchBuilder()
+            empty.add_many(3, [], [])
             assert len(empty) == 0
-            assert empty.list_cols == ([], [], [])
-            inbox = net.exchange({3: empty})
+            assert not empty
+            inbox = net.exchange(empty)
             outcomes[engine] = (inbox, net.round_index, net.stats.comparable())
         _assert_parity(outcomes)
         assert outcomes["reference"][0] == {}
         assert outcomes["reference"][1] == 1
 
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-    def test_from_columns_single_message(self, mode):
+    def test_builder_single_message(self, mode):
         """A one-message batch delivers exactly that message, with correct
-        bits accounting, under both engines."""
+        bits accounting, under every engine."""
         outcomes = {}
         for engine in ENGINES:
             net = NCCNetwork(16, _engine_cfg(engine, seed=1, enforcement=mode))
-            batch = MessageBatch.from_columns(4, [9], [("one", 5)], kind="solo")
-            inbox = net.exchange({4: batch})
+            batch = BatchBuilder(kind="solo")
+            batch.add_many(4, [9], [("one", 5)])
+            inbox = net.exchange(batch)
             outcomes[engine] = (
                 [(d, msgs) for d, msgs in inbox.items()],
                 net.stats.comparable(),
@@ -479,7 +480,7 @@ class TestExchangeFuzzParity:
         assert msgs[0].kind == "solo"
 
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-    def test_from_columns_mixed_payloads(self, mode):
+    def test_builder_mixed_payloads(self, mode):
         """Mixed tuple/scalar payloads in one batch: sizing and delivery
         must agree between engines (tuples sum their parts, scalars size
         directly, None is a 1-bit token)."""
@@ -487,10 +488,9 @@ class TestExchangeFuzzParity:
         outcomes = {}
         for engine in ENGINES:
             net = NCCNetwork(16, _engine_cfg(engine, seed=1, enforcement=mode))
-            batch = MessageBatch.from_columns(
-                0, list(range(1, len(payloads) + 1)), payloads, kind="mix"
-            )
-            inbox = net.exchange({0: batch})
+            batch = BatchBuilder(kind="mix")
+            batch.add_many(0, list(range(1, len(payloads) + 1)), payloads)
+            inbox = net.exchange(batch)
             outcomes[engine] = (
                 [(d, [(m.payload, m.bits) for m in msgs]) for d, msgs in inbox.items()],
                 net.stats.comparable(),
@@ -679,36 +679,9 @@ class TestInboxBatchParity:
                 outcomes[engine] = (type(e).__name__, str(e), net.stats.comparable())
         _assert_parity(outcomes)
 
-    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-    def test_numpy_free_degraded_path(self, mode, monkeypatch):
-        """Without numpy the deferred path buckets the columns in plain
-        Python: still InboxBatch delivery, still zero construction on
-        clean rounds, still indistinguishable from the reference."""
-        monkeypatch.setattr(batched_mod, "_np", None)
-        monkeypatch.setattr(message_mod, "_np", None)
-        n = 32
-        inboxes = {}
-        stats = {}
-        constructed = {}
-        for engine in ENGINES:
-            net = NCCNetwork(n, _engine_cfg(engine, seed=1, enforcement=mode))
-            before = message_construction_count()
-            inboxes[engine] = net.exchange(_deferred_round_traffic(n, 8))
-            constructed[engine] = message_construction_count() - before
-            stats[engine] = net.stats.comparable()
-        assert constructed["reference"] > 0
-        for engine in ENGINES[1:]:
-            assert stats["reference"] == stats[engine], engine
-            assert inboxes["reference"] == inboxes[engine], engine
-            assert list(inboxes["reference"]) == list(inboxes[engine]), engine
-            assert constructed[engine] == 0, engine
-            assert all(
-                type(b) is InboxBatch for b in inboxes[engine].values()
-            ), engine
-
-    def test_numpy_free_overload_parity(self, monkeypatch):
-        monkeypatch.setattr(batched_mod, "_np", None)
-        monkeypatch.setattr(message_mod, "_np", None)
+    def test_small_round_overload_parity(self):
+        """A receive overload below SMALL_ROUND_CUTOFF, bucketed in plain
+        Python, walks to the reference DROP draws and ledger."""
         outcomes = {}
         for engine in ENGINES:
             net = NCCNetwork(

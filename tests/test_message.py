@@ -8,7 +8,6 @@ from repro.ncc.message import (
     BuilderBatches,
     InboxBatch,
     Message,
-    MessageBatch,
     items_of,
     message_construction_count,
     payload_bits,
@@ -124,38 +123,6 @@ class TestMessage:
                     assert hash(m1) == hash(m2), (m1, m2)
 
 
-class TestMessageBatchColumns:
-    def test_from_columns_captures_list_cols(self):
-        b = MessageBatch.from_columns(2, [5, 6], [("a", 1), 9], kind="k")
-        srcs, dsts, bits = b.list_cols
-        assert srcs == [2, 2]
-        assert dsts == [5, 6]
-        assert bits == [payload_bits(("a", 1)), payload_bits(9)]
-
-    def test_from_columns_empty(self):
-        b = MessageBatch.from_columns(0, [], [])
-        assert list(b) == []
-        assert b.list_cols == ([], [], [])
-
-    def test_from_columns_per_message_kinds(self):
-        b = MessageBatch.from_columns(0, [1, 2], ["x", "y"], kind=["a", "b"])
-        assert [m.kind for m in b] == ["a", "b"]
-
-    def test_raw_batch_derives_list_cols_lazily(self):
-        b = MessageBatch([Message(1, 2, "x"), Message(3, 4, "y")])
-        srcs, dsts, bits = b.list_cols
-        assert srcs == [1, 3]
-        assert dsts == [2, 4]
-        assert bits == [4, 4]
-
-    def test_batch_is_frozen(self):
-        b = MessageBatch.from_columns(0, [1], ["x"])
-        with pytest.raises(TypeError):
-            b.append(Message(0, 2, "y"))
-        with pytest.raises(TypeError):
-            b[0] = Message(0, 2, "y")
-
-
 class TestBatchBuilder:
     def test_groups_by_sender_in_first_occurrence_order(self):
         out = BatchBuilder(kind="t")
@@ -221,16 +188,6 @@ class TestBatchBuilder:
             out.add_many(0, [2], ["y"])
         assert len(batch) == 1
         assert (batch.srcs(), batch.dsts(), [m.bits for m in batch]) == ([0], [1], [4])
-
-    def test_spent_after_finalize_eager(self):
-        """Same contract in eager mode, where batches are MessageBatch."""
-        out = BatchBuilder(deferred=False)
-        out.add(0, 1, "x")
-        batch = out.batches()[0]
-        with pytest.raises(TypeError, match="finalized"):
-            out.add(0, 2, "y")
-        assert isinstance(batch, MessageBatch)
-        assert batch.list_cols == ([0], [1], [4])
 
     def test_deferred_finalize_is_frozen_tagged_mapping(self):
         out = BatchBuilder(kind="t")
@@ -349,16 +306,6 @@ class TestInboxBatch:
 
 
 class TestBoolSrcNormalization:
-    def test_from_columns_bool_src_normalized(self):
-        """bool passes the isinstance(src, int) check; it must not leak
-        into the uniform-src metadata or the built messages as a bool."""
-        b = MessageBatch.from_columns(True, [3, 4], ["a", "b"])
-        assert b._uniform_src == 1
-        assert type(b._uniform_src) is int
-        assert [type(m.src) for m in b] == [int, int]
-        assert b.list_cols[0] == [1, 1]
-        assert b == MessageBatch.from_columns(1, [3, 4], ["a", "b"])
-
     def test_builder_bool_src_key_normalized(self):
         out = BatchBuilder()
         out.add(True, 3, "a")

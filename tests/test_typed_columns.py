@@ -17,7 +17,6 @@ import random
 import numpy as np
 import pytest
 
-import repro.ncc.message as message_mod
 from repro.config import Enforcement, NCCConfig
 from repro.errors import ProtocolError
 from repro.ncc.message import (
@@ -155,12 +154,43 @@ class TestTypedBuilder:
         finally:
             set_typed_payloads(prev)
 
-    def test_numpy_free_declaration_degrades(self, monkeypatch, typed_on):
-        monkeypatch.setattr(message_mod, "_np", None)
-        b = BatchBuilder(dtype="i8")
-        assert b._dtype is None
-        b.add(0, 1, 42)
-        assert len(b) == 1
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            (np.asarray([0.5]), [2], [7]),
+            ([0], np.asarray([2.5]), [7]),
+            ([0], [2.5], [7]),
+        ],
+        ids=["float-src-array", "float-dst-array", "float-dst-list"],
+    )
+    @pytest.mark.parametrize("builder", ["typed", "typed-off", "no-dtype"])
+    def test_add_arrays_rejects_float_ids(self, builder, columns):
+        """A float node id raises on the typed and the object path alike;
+        neither truncates it to a neighbouring node."""
+        prev = set_typed_payloads(builder != "typed-off")
+        try:
+            b = BatchBuilder(dtype=None if builder == "no-dtype" else np.int64)
+            assert (b._dtype is not None) == (builder == "typed")
+            with pytest.raises(TypeError, match="node ids must be ints"):
+                b.add_arrays(*columns)
+        finally:
+            set_typed_payloads(prev)
+        assert len(b) == 0
+
+    @pytest.mark.parametrize("builder", ["typed", "typed-off", "no-dtype"])
+    def test_add_arrays_accepts_int_like_ids(self, builder):
+        prev = set_typed_payloads(builder != "typed-off")
+        try:
+            b = BatchBuilder(dtype=None if builder == "no-dtype" else np.int64)
+            b.add_arrays([True, np.int64(2)], np.asarray([3, 0]), [7, 8])
+        finally:
+            set_typed_payloads(prev)
+        batches = b.batches()
+        assert list(batches) == [1, 2]
+        assert [(s, g.dsts(), g.payloads()) for s, g in batches.items()] == [
+            (1, [3], [7]),
+            (2, [0], [8]),
+        ]
 
 
 # ----------------------------------------------------------------------
