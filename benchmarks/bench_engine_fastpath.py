@@ -11,23 +11,26 @@ multicast leaf deliveries, scaled to the budget.
 
 Two submissions of the same traffic are measured:
 
-* ``columnar`` — one :class:`~repro.ncc.message.BatchBuilder` finalized
-  into its per-sender ``InboxBatch`` mapping (``batches()``, the form every
-  primitive produces): the batched engine reads the send-side facts off
-  the builder's tracked metadata and delivers column spans without
-  constructing a ``Message``.  **Acceptance: >= 2x faster than the
-  reference engine at n = 1024 (>= 1.5x at n = 256).**
-* ``plain`` — ordinary ``list[Message]`` groups: both engines run the same
-  canonical walks, so this row is reported, not gated.
+* ``columnar`` — a :class:`~repro.ncc.message.BatchBuilder`, the form every
+  primitive submits, through ``RoundEngine.run_builder`` (what ``exchange``
+  calls): the batched engine reads the send-side facts off the builder's
+  tracked metadata and delivers column spans without constructing a
+  ``Message``; the reference engine cuts ``batches()`` and walks it.
+  **Acceptance: >= 2x faster than the reference engine at n = 1024
+  (>= 1.5x at n = 256).**
+* ``plain`` — ordinary ``list[Message]`` groups through
+  ``RoundEngine.run_round``: both engines run the same canonical walks, so
+  this row is reported, not gated.
 
 Submissions are prebuilt outside the timed region (message *construction*
-is engine-independent), and the gate times the engine interface itself —
-``RoundEngine.run_round`` on normalized per-sender traffic — so the shared
-``exchange`` bookkeeping (normalization, observer, phase attribution)
-cannot dilute the engine-vs-engine comparison; end-to-end ``exchange``
-rows are reported alongside.  Each timed sample runs ``ROUNDS`` rounds and
-the per-engine result is the best of ``REPEATS`` samples.  Stats parity is
-asserted on every run so the speedup can never come from skipped work.
+is engine-independent).  A builder is single-shot, so every timed round
+gets a fresh one; the plain mapping is replayed.  The gate times the
+engine interface itself, so the shared ``exchange`` bookkeeping (phase
+attribution, the round span, statistics) cannot dilute the
+engine-vs-engine comparison; end-to-end ``exchange`` rows are reported
+alongside.  Each timed sample runs ``ROUNDS`` rounds and the per-engine
+result is the best of ``REPEATS`` samples.  Stats parity is asserted on
+every run so the speedup can never come from skipped work.
 """
 
 from __future__ import annotations
@@ -48,23 +51,30 @@ SPEEDUP_TARGET = 2.0
 def permutation_workload(n: int, *, columnar: bool):
     """Full-capacity clean traffic: node u sends to u+1, ..., u+capacity
     (mod n) — a union of shift permutations, so send and receive loads are
-    both exactly ``capacity`` and no enforcement branch fires."""
+    both exactly ``capacity`` and no enforcement branch fires.
+
+    Returns a zero-argument factory of one round's submission: a fresh
+    ``BatchBuilder`` per call when ``columnar``, else one prebuilt
+    ``sender -> list[Message]`` mapping, returned by every call."""
     cap = NCCConfig().capacity(n)
-    builder = BatchBuilder(kind="bench")
-    out = {}
-    for u in range(n):
-        dsts = [(u + i + 1) % n for i in range(cap)]
-        payloads = [(u, i) for i in range(cap)]
-        if columnar:
-            builder.add_many(u, dsts, payloads)
-        else:
-            out[u] = [
-                Message(u, d, p, kind="bench") for d, p in zip(dsts, payloads)
-            ]
-    # The finalized mapping is frozen, so the same columns replay every
-    # round.  Fresh-builder submission (new columns every round) is
-    # measured end-to-end by bench_primitives.
-    return builder.batches() if columnar else out
+    traffic = [
+        (u, [(u + i + 1) % n for i in range(cap)], [(u, i) for i in range(cap)])
+        for u in range(n)
+    ]
+    if columnar:
+
+        def fresh_builder() -> BatchBuilder:
+            builder = BatchBuilder(kind="bench")
+            for u, dsts, payloads in traffic:
+                builder.add_many(u, dsts, payloads)
+            return builder
+
+        return fresh_builder
+    out = {
+        u: [Message(u, d, p, kind="bench") for d, p in zip(dsts, payloads)]
+        for u, dsts, payloads in traffic
+    }
+    return lambda: out
 
 
 def _fresh_net(engine: str, n: int) -> NCCNetwork:
@@ -73,18 +83,29 @@ def _fresh_net(engine: str, n: int) -> NCCNetwork:
     )
 
 
-def time_engine(engine: str, n: int, per_sender) -> tuple[float, tuple]:
-    """Best-of-REPEATS seconds per ``run_round`` call on normalized
-    per-sender traffic, plus every observable the round produced."""
+def _submissions(make_round) -> list:
+    """One warmup round plus ``ROUNDS`` timed rounds, built up front."""
+    return [make_round() for _ in range(ROUNDS + 1)]
+
+
+def time_engine(engine: str, n: int, make_round) -> tuple[float, tuple]:
+    """Best-of-REPEATS seconds per engine call — ``run_builder`` on a
+    builder, ``run_round`` on a mapping — plus every observable the round
+    produced."""
     best = float("inf")
     observed = None
     for _ in range(REPEATS):
         net = _fresh_net(engine, n)
-        eng = net.engine
-        eng.run_round(per_sender)  # warmup: first-touch allocations
+        warmup, *rounds = _submissions(make_round)
+        run = (
+            net.engine.run_builder
+            if isinstance(warmup, BatchBuilder)
+            else net.engine.run_round
+        )
+        run(warmup)  # first-touch allocations
         t0 = time.perf_counter()
-        for _ in range(ROUNDS):
-            delivered, sent_messages, sent_bits = eng.run_round(per_sender)
+        for out in rounds:
+            delivered, sent_messages, sent_bits = run(out)
         best = min(best, (time.perf_counter() - t0) / ROUNDS)
         observed = (
             sent_messages,
@@ -95,15 +116,16 @@ def time_engine(engine: str, n: int, per_sender) -> tuple[float, tuple]:
     return best, observed
 
 
-def time_exchange(engine: str, n: int, outgoing) -> float:
+def time_exchange(engine: str, n: int, make_round) -> float:
     """End-to-end ``exchange`` seconds per round (best of REPEATS)."""
     best = float("inf")
     for _ in range(REPEATS):
         net = _fresh_net(engine, n)
-        net.exchange(outgoing)
+        warmup, *rounds = _submissions(make_round)
+        net.exchange(warmup)
         t0 = time.perf_counter()
-        for _ in range(ROUNDS):
-            net.exchange(outgoing)
+        for out in rounds:
+            net.exchange(out)
         best = min(best, (time.perf_counter() - t0) / ROUNDS)
     return best
 
@@ -115,14 +137,14 @@ def test_engine_fastpath_speedup(benchmark, report):
     headline_speedup = None
     for n in (256, 1024):
         for label, columnar in (("columnar", True), ("plain", False)):
-            out = permutation_workload(n, columnar=columnar)
-            t_ref, o_ref = time_engine("reference", n, out)
-            t_bat, o_bat = time_engine("batched", n, out)
+            make_round = permutation_workload(n, columnar=columnar)
+            t_ref, o_ref = time_engine("reference", n, make_round)
+            t_bat, o_bat = time_engine("batched", n, make_round)
             assert o_ref == o_bat, "engines diverged — parity violated"
-            x_ref = time_exchange("reference", n, out)
-            x_bat = time_exchange("batched", n, out)
+            x_ref = time_exchange("reference", n, make_round)
+            x_bat = time_exchange("batched", n, make_round)
             speedup = t_ref / t_bat
-            msgs = sum(len(v) for v in out.values())
+            msgs = n * NCCConfig().capacity(n)
             rows.append(
                 [n, label, msgs,
                  round(t_ref * 1e3, 2), round(t_bat * 1e3, 2), round(speedup, 2),
@@ -162,8 +184,8 @@ def test_engine_fastpath_speedup(benchmark, report):
             "rows": rows,
         },
     )
-    out = permutation_workload(1024, columnar=True)
-    run_once(benchmark, lambda: time_engine("batched", 1024, out))
+    make_round = permutation_workload(1024, columnar=True)
+    run_once(benchmark, lambda: time_engine("batched", 1024, make_round))
 
 
 def test_engine_fastpath_violating_round_parity(benchmark, report):

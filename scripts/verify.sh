@@ -10,13 +10,13 @@
 #      run installs perfbench/layers.py's patches, which look each timed
 #      method up in its own class body);
 #   3. the engine fast-path benchmark (>= 2x engine speedup at n = 1024
-#      on a resubmitted `BatchBuilder.batches()` mapping, the form every
-#      primitive submits, plus stats/drop parity on violating rounds; the
-#      plain-list row runs the same canonical walks on both engines and
-#      is reported, not gated);
+#      on a fresh `BatchBuilder` per round through `run_builder`, the call
+#      `exchange` makes for the builder every primitive submits, plus
+#      stats/drop parity on violating rounds; the plain-list row runs the
+#      same canonical walks on both engines and is reported, not gated);
 #   4. the columnar-submission benchmark (>= 1.5x end-to-end through
-#      `exchange` on aggregation-heavy traffic at n = 1024, plus a full
-#      aggregation-run no-regression check);
+#      `exchange` on aggregation-heavy traffic at n = 1024, a fresh
+#      builder per round, plus a full aggregation-run no-regression check);
 #   5. the lazy-inbox whole-run gate (>= 2x full-aggregation-run vs the
 #      frozen PR 2 baseline at n = 1024, zero Message objects constructed
 #      on the clean run, outcome and stats identical to a reference-engine
@@ -56,7 +56,10 @@
 #      (hook firings x guard cost <= 3% of the P-TYPED run ->
 #      BENCH_engine.json `telemetry_overhead`), a traced parity replay
 #      (tests/test_engine_parity.py under --tracing: live hooks must not
-#      change a byte), and a traced smoke — `run --trace` into
+#      change a byte), a traced replay on the batched engine of the
+#      network, k-machine, typed-column and telemetry tests (exchange's
+#      one round block — span, observer, bookkeeping — with and without a
+#      round observer), and a traced smoke — `run --trace` into
 #      TRACE_run.json (override with TRACE_RUN_JSON), `repro trace`
 #      + `--bounds` summaries of it, and a pooled `sweep --telemetry`
 #      whose merged trace/events/summary land in TRACE_sweep/ (override
@@ -168,6 +171,10 @@ python -m pytest -q benchmarks/bench_primitives.py -k "telemetry"
 
 echo "== traced parity replay (live hooks change nothing) =="
 python -m pytest -q tests/test_engine_parity.py tests/test_telemetry.py --tracing
+
+echo "== traced replay on the batched engine (exchange's round block) =="
+python -m pytest -q tests/test_network.py tests/test_kmachine.py \
+    tests/test_typed_columns.py tests/test_telemetry.py --tracing --engine=batched
 
 echo "== telemetry smoke (run --trace, repro trace, sweep --telemetry) =="
 TRACE_RUN_JSON="${TRACE_RUN_JSON:-TRACE_run.json}"

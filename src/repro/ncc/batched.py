@@ -3,34 +3,32 @@
 The reference engine pays several Python-level operations per message
 (node-id checks, src consistency, ``sized()`` calls, dict bucketing).  At
 the n >= 1024 scales of the ROADMAP targets that per-object walk dominates
-simulation wall time.  This engine runs a round straight off the columns
-:class:`~repro.ncc.message.BatchBuilder` records, replacing the per-message
-work with bucketed operations:
+simulation wall time.  This engine runs a builder round straight off the
+columns :class:`~repro.ncc.message.BatchBuilder` records, replacing the
+per-message work with bucketed operations:
 
 * id validation — C-level min/max over the sender and destination columns;
 * send capacity — a max over the per-sender group sizes;
 * message-size budget and bit accounting — the bits sum/max the builder
   tracked while accumulating;
 * receive bucketing — one stable argsort over the ``dst`` column (or, below
-  :data:`SMALL_ROUND_CUTOFF` messages, one plain-Python pass), inboxes
-  emitted in first-arrival order as :class:`~repro.ncc.message.InboxBatch`
-  spans over the permuted columns.
+  :data:`SMALL_ROUND_CUTOFF` messages of an object round, one plain-Python
+  pass), inboxes emitted in first-arrival order as
+  :class:`~repro.ncc.message.InboxBatch` spans over the permuted columns.
 
-A clean round therefore constructs **zero** ``Message`` objects
-end-to-end, at any round size.  A builder handed to ``exchange`` skips even
-the per-sender groups: :meth:`BatchedEngine.run_builder` reads an object
-builder's per-sender lists, and a typed builder's finalized whole-round
-columns (senders range-checked by min/max), so a clean typed round creates
-no per-sender Python object at all.  Per-sender spans
-(``BatchBuilder.batches``) are cut only for round observers and anomaly
-replays; :meth:`BatchedEngine.run_round` takes them, and builder-shaped
-``InboxBatch`` groups, down the same column path.
+:meth:`BatchedEngine.run_builder` is the engine's one column entry point.
+It reads an object builder's per-sender lists, and a typed builder's
+finalized whole-round columns (senders range-checked by min/max), so a
+clean round constructs **zero** ``Message`` objects end-to-end at any
+round size, and a clean typed round creates no per-sender Python object
+at all.
 
-Every other submission — plain ``list[Message]`` groups, mappings of them,
-re-sent delivered inboxes — and a round with *any* anomaly replay the
-canonical walks of :class:`~repro.ncc.engine.RoundEngine`, which keeps the
-violation-ledger order, STRICT raise points, and DROP-mode rng draws
-byte-for-byte identical to the reference engine — the invariant
+Every other submission — plain ``list[Message]`` groups, mappings of them
+(a ``BatchBuilder.batches()`` mapping included), re-sent delivered
+inboxes — and a builder round with *any* anomaly take the canonical walks
+of :class:`~repro.ncc.engine.RoundEngine` through :meth:`run_round`, which
+keeps the violation-ledger order, STRICT raise points, and DROP-mode rng
+draws byte-for-byte identical to the reference engine — the invariant
 ``tests/test_engine_parity.py`` certifies.  (For lazy groups the walk
 materializes the messages, which is exactly what the reference engine
 observes.)  Receive-side overloads (the model-faithful DROP scenario) keep
@@ -43,13 +41,8 @@ from typing import Mapping
 
 import numpy as _np
 
-from ..telemetry import tracer as _tracer
-from ..telemetry.metrics import METRICS
 from .engine import RoundEngine, RoundResult, register_engine
-from .message import BuilderBatches, InboxBatch, Message
-from .message import _count_boxes
-
-_TYPED_FALLBACKS = METRICS.counter("ncc.typed_fallbacks")
+from .message import BatchBuilder, InboxBatch, Message
 
 #: Below this many messages per object round the fixed cost of the numpy
 #: round setup (~a few dozen array ops) exceeds a plain-Python pass, so
@@ -65,120 +58,21 @@ class BatchedEngine(RoundEngine):
     name = "batched"
 
     def run_round(self, per_sender: Mapping[int, list[Message]]) -> RoundResult:
+        """Mappings and flat lists take the canonical walks.  The empty
+        round — every idle round — returns before setting any up."""
         if not per_sender:
             return {}, 0, 0
-        senders = list(per_sender.keys())
-        groups = [per_sender[s] for s in senders]
-        if type(per_sender) is BuilderBatches:
-            # The builder's frozen finalize product: every group is proven
-            # column-backed, uniform-sender, whole-span and keyed by its
-            # own sender — no classification pass, no src-consistency scan,
-            # and the bit totals were tracked during accumulation.
-            return self._run_deferred(
-                senders,
-                groups,
-                trusted=True,
-                round_bits=(per_sender.bits_sum, per_sender.bits_max),
-            )
-        for g in groups:
-            # The lazy path needs builder-shaped groups: column-backed,
-            # uniform sender, whole-span.  Anything else — plain lists,
-            # delivered spans (non-scalar srcs) — takes the canonical walks.
-            if (
-                type(g) is not InboxBatch
-                or type(g._srcs) is not int
-                or g._start != 0
-                or g._end != len(g._payloads)
-                # len(), not truthiness: a typed (ndarray) payload column
-                # of more than one element raises on bool().
-                or len(g._payloads) == 0
-            ):
-                return self._run_walks(senders, groups)
-        return self._run_deferred(senders, groups)
+        return super().run_round(per_sender)
 
-    def _run_walks(self, senders, groups) -> RoundResult:
-        accepted, sent_messages, sent_bits = self._send_walk(senders, groups)
-        return self._recv_walk(self._bucket(accepted)), sent_messages, sent_bits
-
-    # ------------------------------------------------------------------
-    # Deferred (lazy columnar) rounds
-    # ------------------------------------------------------------------
-    def _run_deferred(
-        self, senders, groups, trusted: bool = False, round_bits=None
-    ) -> RoundResult:
-        """Execute a round whose groups are all column-backed, uniform-src
-        :class:`InboxBatch` es.  All send-side facts come from construction
-        metadata; a clean round constructs no ``Message`` anywhere.  Any
-        anomaly — bad ids, src mismatch, capacity or bits overruns —
-        replays the canonical walks (which materialize the lazy groups
-        exactly as the reference engine observes them) before any
-        statistic is touched.  ``trusted`` (the frozen ``BuilderBatches``
-        form) skips the src-consistency scan the builder already
-        guarantees, and ``round_bits`` carries its pre-tracked
-        ``(sum, max)`` bit totals."""
-        net = self.net
-        n = net.n
-        counts = []
-        m_count = 0
-        max_sent = 0
-        clean = True
-        try:
-            if round_bits is not None:
-                sent_bits, max_bits = round_bits
-                for s, g in zip(senders, groups):
-                    c = g._end
-                    counts.append(c)
-                    m_count += c
-                    if not 0 <= s < n:
-                        clean = False
-                        break
-                    if c > max_sent:
-                        max_sent = c
-            else:
-                sent_bits = 0
-                max_bits = 0
-                for s, g in zip(senders, groups):
-                    c = g._end
-                    counts.append(c)
-                    m_count += c
-                    if not 0 <= s < n or (not trusted and g._srcs != s):
-                        clean = False
-                        break
-                    agg = g._bits_agg
-                    bsum, bmax = agg if agg is not None else g.bits_agg
-                    sent_bits += bsum
-                    if bmax > max_bits:
-                        max_bits = bmax
-                    if c > max_sent:
-                        max_sent = c
-        except TypeError:
-            # A non-numeric sender key: the canonical walk raises the
-            # reference engine's error.
-            return self._run_walks(senders, groups)
-        if not clean or max_sent > net.capacity or max_bits > net.message_bits:
-            return self._run_walks(senders, groups)
-
-        delivered = self._deliver_deferred(
-            senders,
-            counts,
-            m_count,
-            max_sent,
-            [g._dsts for g in groups],
-            [g._payloads for g in groups],
-            [g._kinds for g in groups],
-        )
-        if delivered is None:  # bad/over-wide destination ids
-            return self._run_walks(senders, groups)
-        return delivered, m_count, sent_bits
-
-    def run_builder(self, builder) -> RoundResult:
+    def run_builder(self, builder: BatchBuilder) -> RoundResult:
         """Execute a round straight off a builder's raw columns — no
         per-sender batch objects on the clean path (a typed builder
-        delivers from its finalized whole-round columns).  Anomalous or
-        empty rounds finalize through ``builder.batches()`` and replay via
+        delivers from its finalized whole-round columns).  An anomalous
+        round cuts ``builder.batches()`` and walks it through
         :meth:`run_round` (identical observables by construction)."""
         if not builder:
-            return self.run_round(builder.batches())
+            builder._spent = True
+            return {}, 0, 0
         net = self.net
         n = net.n
         if builder._dtype is not None:
@@ -234,65 +128,14 @@ class BatchedEngine(RoundEngine):
         return delivered, m_count, builder._bits_sum
 
     def _deliver_deferred(self, senders, counts, m_count, max_sent, dcols, pcols, kcols):
-        """Shared clean-path tail of the deferred forms: bounds-check the
-        destination columns, commit the send watermark, and deliver.
+        """Clean-path tail of an object builder round: bounds-check the
+        destination lists, commit the send watermark, and deliver.
         Returns ``None`` — with no statistic touched — when a destination
         id is out of range or too wide for an int64 column, so the caller
         replays the canonical walks and raises the reference errors."""
         net = self.net
         stats = net.stats
         n = net.n
-        typed = False
-        for p in pcols:
-            if type(p) is not list:
-                typed = True
-                break
-        if typed:
-            dt = getattr(pcols[0], "dtype", None)
-            if all(type(p) is not list and p.dtype == dt for p in pcols):
-                # Fully typed round: concatenate the raw columns and take
-                # the argsort path at any size — the data is already in
-                # arrays, so the small-round Python bucketing would only
-                # add boxing.
-                try:
-                    chunks = [
-                        d if type(d) is not list else _np.fromiter(d, _np.int64, len(d))
-                        for d in dcols
-                    ]
-                except (OverflowError, TypeError, ValueError):
-                    return None
-                dst = chunks[0] if len(chunks) == 1 else _np.concatenate(chunks)
-                if dst.dtype != _np.int64:
-                    dst = dst.astype(_np.int64)
-                if int(dst.min()) < 0 or int(dst.max()) >= n:
-                    return None
-                pay = pcols[0] if len(pcols) == 1 else _np.concatenate(pcols)
-                if max_sent > stats.max_sent_per_round:
-                    stats.max_sent_per_round = max_sent
-                return self._deliver_deferred_np(
-                    senders, kcols, counts, m_count, dst, pay
-                )
-            # Mixed typed/object columns: box the typed sides — the
-            # object-fallback contract — and continue on the list paths.
-            boxed = 0
-            for i, p in enumerate(pcols):
-                if type(p) is not list:
-                    _count_boxes(len(p))
-                    boxed += len(p)
-                    pcols[i] = p.tolist()
-            if boxed:
-                _TYPED_FALLBACKS.inc()
-                tr = _tracer.CURRENT
-                if tr is not None:
-                    tr.event(
-                        "typed-fallback",
-                        boxed=boxed,
-                        messages=m_count,
-                        round=self.net._round,
-                    )
-            for i, d in enumerate(dcols):
-                if type(d) is not list:
-                    dcols[i] = d.tolist()
         if m_count >= SMALL_ROUND_CUTOFF:
             dst_l: list[int] = []
             pay_l: list = []

@@ -1,11 +1,12 @@
 """Pluggable round engines: the enforcement/accounting core of one round.
 
-:class:`~repro.ncc.network.NCCNetwork.exchange` normalizes the caller's
-outgoing traffic into a ``sender -> [Message]`` mapping and hands it to a
-:class:`RoundEngine`, which owns everything the model charges for inside a
-round: node-id validation, send/receive capacity enforcement, message-size
-budgets, DROP-mode sampling, and the per-message statistics.  Three engines
-exist:
+:class:`~repro.ncc.network.NCCNetwork.exchange` hands the caller's outgoing
+traffic to a :class:`RoundEngine` — a :class:`~repro.ncc.message.BatchBuilder`
+through :meth:`RoundEngine.run_builder`, anything else normalized into a
+``sender -> [Message]`` mapping through :meth:`RoundEngine.run_round`.  The
+engine owns everything the model charges for inside a round: node-id
+validation, send/receive capacity enforcement, message-size budgets,
+DROP-mode sampling, and the per-message statistics.  Three engines exist:
 
 * :class:`ReferenceEngine` — the per-message walk this repository started
   with, kept as the executable specification of round semantics;
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..config import Enforcement
 from ..errors import ConfigurationError
-from .message import InboxBatch, Message
+from .message import BatchBuilder, InboxBatch, Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .network import NCCNetwork
@@ -66,9 +67,12 @@ RoundResult = tuple[dict[int, InboxT], int, int]
 class RoundEngine:
     """Strategy object executing one synchronous round for a network.
 
-    Subclasses implement :meth:`run_round`.  The base class provides the
-    *canonical walks* — the reference-ordered send and receive passes — so
-    that every engine shares one implementation of the rare paths whose
+    The base class is the executable specification: :meth:`run_round` runs
+    the *canonical walks* — the reference-ordered send and receive passes —
+    and :meth:`run_builder` cuts a builder into per-sender groups for it.
+    Faster engines override the two entry points for the rounds they can
+    take off columns and fall back to the walks for everything else, so
+    every engine shares one implementation of the rare paths whose
     observable order matters (violation ledger entries, STRICT raise
     points, DROP rng draws).
     """
@@ -76,18 +80,22 @@ class RoundEngine:
     #: Registry name; also surfaced by ``NCCNetwork.__repr__``.
     name = "abstract"
 
-    #: Optional fast entry point taking a spent-able
-    #: :class:`~repro.ncc.message.BatchBuilder` directly (same contract as
-    #: ``run_round`` over the builder's finalize product).  ``None`` means
-    #: the network finalizes the builder and calls :meth:`run_round`.
-    run_builder = None
-
     def __init__(self, net: "NCCNetwork"):
         self.net = net
 
     def run_round(self, per_sender: Mapping[int, list[Message]]) -> RoundResult:
         """Execute one round over normalized per-sender traffic."""
-        raise NotImplementedError
+        senders = list(per_sender.keys())
+        groups = [per_sender[s] for s in senders]
+        accepted, sent_messages, sent_bits = self._send_walk(senders, groups)
+        delivered = self._recv_walk(self._bucket(accepted))
+        return delivered, sent_messages, sent_bits
+
+    def run_builder(self, builder: BatchBuilder) -> RoundResult:
+        """Execute one round submitted as a builder; spends the builder.
+        The default cuts its per-sender groups and runs :meth:`run_round`
+        on them."""
+        return self.run_round(builder.batches())
 
     # ------------------------------------------------------------------
     # Canonical walks (the executable specification of round semantics)
@@ -177,13 +185,6 @@ class ReferenceEngine(RoundEngine):
     """The per-message round engine: the canonical walks, verbatim."""
 
     name = "reference"
-
-    def run_round(self, per_sender: Mapping[int, list[Message]]) -> RoundResult:
-        senders = list(per_sender.keys())
-        groups = [per_sender[s] for s in senders]
-        accepted, sent_messages, sent_bits = self._send_walk(senders, groups)
-        delivered = self._recv_walk(self._bucket(accepted))
-        return delivered, sent_messages, sent_bits
 
 
 # ----------------------------------------------------------------------

@@ -10,12 +10,14 @@ providing a ``size_bits()`` method (e.g. parity sketches).
 frozen, ``list[Message]``-compatible *view* over parallel ``(src, dst,
 payload, bits, kind)`` columns that materializes a :class:`Message` only
 when an element is actually accessed.  It serves both directions of a
-round: :class:`BatchBuilder` finalizes each sender's traffic into one, and
-the batched engine delivers each destination's slice of the round's
-permuted columns as one — so a clean batched-engine round never constructs
-a single ``Message`` end-to-end.  Consumers that only need the payload
-column read it via :meth:`InboxBatch.payloads` (or the engine-agnostic
-:func:`payloads_of`) without triggering materialization.
+round: :meth:`BatchBuilder.batches` cuts each sender's traffic into one
+(a plain ``sender -> InboxBatch`` dict, for the reference engine, round
+observers and anomaly replays), and the batched engine delivers each
+destination's slice of the round's permuted columns as one — so a clean
+batched-engine round never constructs a single ``Message`` end-to-end.
+Consumers that only need the payload column read it via
+:meth:`InboxBatch.payloads` (or the engine-agnostic :func:`payloads_of`)
+without triggering materialization.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ from operator import attrgetter, is_
 from typing import Any, Iterable, Sequence
 
 import numpy as _np
+
+from ..telemetry import tracer as _tracer
+from ..telemetry.metrics import METRICS
 
 
 def payload_bits(payload: Any) -> int:
@@ -204,10 +209,9 @@ def payload_box_count() -> int:
     return _box_count
 
 
-def _count_boxes(k: int) -> None:
-    """Charge ``k`` typed-column boxes (internal: engine fallback paths)."""
-    global _box_count
-    _box_count += k
+#: Typed builders degraded to the object layout with at least one payload
+#: boxed (see :meth:`BatchBuilder._box_typed_groups`).
+_TYPED_FALLBACKS = METRICS.counter("ncc.typed_fallbacks")
 
 
 #: Process-wide default for typed payload submission: when True (shipped
@@ -360,35 +364,6 @@ class Message:
         return hash((self.src, self.dst, self.kind, payload_key))
 
 
-class BuilderBatches(dict):
-    """The finalize product of :class:`BatchBuilder`: a frozen
-    ``sender -> InboxBatch`` mapping.
-
-    The type itself is the engine's provenance proof: every value is a
-    column-backed, uniform-sender, whole-span :class:`InboxBatch` with int
-    keys and no empty groups, so the batched engine may take its lazy
-    columnar path without a per-group classification pass.  That proof
-    only holds if the mapping cannot be edited afterwards — hence frozen.
-
-    ``bits_sum`` / ``bits_max`` carry the round-level bit aggregates the
-    builder tracked while accumulating, so the engine's send-side
-    accounting is O(1) instead of O(senders) dict walks.
-    """
-
-    __slots__ = ("bits_sum", "bits_max")
-
-    def __init__(self, bits_sum: int = 0, bits_max: int = 0):
-        super().__init__()
-        self.bits_sum = bits_sum
-        self.bits_max = bits_max
-
-    def _frozen(self, *_args: Any, **_kwargs: Any):
-        raise TypeError("BuilderBatches is immutable (engine provenance proof)")
-
-    __setitem__ = __delitem__ = _frozen
-    update = pop = popitem = clear = setdefault = _frozen
-
-
 class InboxBatch(_SequenceABC):
     """A lazy, frozen ``list[Message]``-compatible view over parallel
     ``(src, dst, payload, bits, kind)`` columns.
@@ -410,7 +385,7 @@ class InboxBatch(_SequenceABC):
 
     __slots__ = (
         "_srcs", "_dsts", "_payloads", "_bits", "_kinds",
-        "_start", "_end", "_mat", "_bits_agg",
+        "_start", "_end", "_mat",
     )
 
     def __init__(
@@ -441,11 +416,10 @@ class InboxBatch(_SequenceABC):
         self._start = 0
         self._end = k
         self._mat = None
-        self._bits_agg = None
 
     # -- trusted constructors (columns already validated) ----------------
     @classmethod
-    def _over(cls, srcs, dsts, payloads, bits, kinds, start, end, bits_agg=None):
+    def _over(cls, srcs, dsts, payloads, bits, kinds, start, end):
         """Span ``[start, end)`` over shared, pre-validated columns."""
         self = object.__new__(cls)
         self._srcs = srcs
@@ -456,7 +430,6 @@ class InboxBatch(_SequenceABC):
         self._start = start
         self._end = end
         self._mat = None
-        self._bits_agg = bits_agg
         return self
 
     @classmethod
@@ -489,7 +462,6 @@ class InboxBatch(_SequenceABC):
             self._start = starts[j]
             self._end = ends[j]
             self._mat = None
-            self._bits_agg = None
             delivered[d] = self
         return delivered
 
@@ -627,37 +599,6 @@ class InboxBatch(_SequenceABC):
     def items(self) -> list[tuple[int, Any]]:
         """``(src, payload)`` pairs, the shape most consumers unpack."""
         return list(zip(self.srcs(), self.payloads()))
-
-    @property
-    def bits_agg(self) -> tuple[int, int]:
-        """``(sum, max)`` of the bits column (cached)."""
-        agg = self._bits_agg
-        if agg is None:
-            if self._bits is None:
-                pays = self._payloads
-                if type(pays) is not list:
-                    barr = typed_payload_bits(pays[self._start:self._end])
-                    agg = self._bits_agg = (
-                        int(barr.sum()),
-                        int(barr.max()) if len(barr) else 0,
-                    )
-                    return agg
-                col = [
-                    payload_bits_memoized(p)
-                    for p in pays[self._start:self._end]
-                ]
-            else:
-                b = self._bits
-                if type(b) is not list:
-                    span = b[self._start:self._end]
-                    agg = self._bits_agg = (
-                        int(span.sum()),
-                        int(span.max()) if len(span) else 0,
-                    )
-                    return agg
-                col = b[self._start:self._end]
-            agg = self._bits_agg = (sum(col), max(col, default=0))
-        return agg
 
     # -- equality ---------------------------------------------------------
     __hash__ = None  # like a list
@@ -877,20 +818,20 @@ def merge_round_inboxes(
 
 
 class BatchBuilder:
-    """Accumulates one round's ``(dst, payload)`` pairs per sender and
-    finalizes them into per-sender columnar groups.
+    """Accumulates one round's ``(dst, payload)`` pairs per sender.
 
     This is the columnar submission helper every primitive uses: instead of
     materializing a flat ``list[Message]`` and letting
     :meth:`~repro.ncc.network.NCCNetwork.exchange` bucket it per sender, the
     primitive appends ``(src, dst, payload)`` triples here and submits the
-    builder itself.  :meth:`batches` groups by sender in first-occurrence
-    order with per-sender append order preserved — exactly the normalization
+    builder itself, which the engine's ``run_builder`` reads.
+    :meth:`batches` groups by sender in first-occurrence order with
+    per-sender append order preserved — exactly the normalization
     ``exchange`` applies to a flat iterable — so the submission form is
     observably identical under every engine.
 
     Only the ``(dst, payload, bits, kind)`` columns are recorded and
-    finalization produces lazy :class:`InboxBatch` groups: no ``Message``
+    :meth:`batches` cuts lazy :class:`InboxBatch` groups: no ``Message``
     object exists unless the reference walk (or a consumer) materializes
     one.
 
@@ -1190,14 +1131,23 @@ class BatchBuilder:
 
         Mixing per-message submissions into a typed builder is legal —
         the whole builder just falls back to object columns, preserving
-        sender order and per-sender message order.
+        sender order and per-sender message order.  Boxing any payload
+        counts one ``ncc.typed_fallbacks`` and records a ``typed-fallback``
+        event.
         """
         global _box_count
+        boxed = 0
         for src, dsts, vals, bits in self._typed_groups():
-            _box_count += len(vals)
+            boxed += len(vals)
             self._groups[src] = [dsts.tolist(), vals.tolist(), bits.tolist(), self.kind]
         self._chunks = []
         self._dtype = None
+        if boxed:
+            _box_count += boxed
+            _TYPED_FALLBACKS.inc()
+            tr = _tracer.CURRENT
+            if tr is not None:
+                tr.event("typed-fallback", boxed=boxed, kind=self.kind)
 
     def __len__(self) -> int:
         if self._dtype is not None:
@@ -1212,19 +1162,17 @@ class BatchBuilder:
             return self._typed_round()[0].tolist()
         return list(self._groups)
 
-    def batches(self) -> BuilderBatches:
-        """Finalize into per-sender batches with pre-captured columns.
+    def batches(self) -> dict[int, InboxBatch]:
+        """Finalize into a ``sender -> InboxBatch`` dict, senders in
+        first-occurrence order.
 
-        Yields lazy :class:`InboxBatch` groups inside a frozen
-        :class:`BuilderBatches` mapping (the engine's proof that the lazy
-        columnar path applies).  Finalization is zero-copy: the batches
-        take ownership of the builder's lists, so the builder is spent
-        afterwards — further ``add`` calls raise (a stale alias would
-        silently corrupt the frozen batches' cached columns).
+        Finalization is zero-copy: the batches share the builder's
+        columns, so the builder is spent afterwards — further ``add``
+        calls raise (a stale alias would silently corrupt the batches'
+        cached columns).  Cutting again after a round yields equal
+        batches, which is how a round observer sees a builder round.
         """
         self._spent = True
-        lazy = BuilderBatches(self._bits_sum, self._bits_max)
-        lazy_set = dict.__setitem__  # lazy itself is frozen
         over = InboxBatch._over
         if self._dtype is not None:
             # The one place a typed round is cut into per-sender spans: the
@@ -1235,9 +1183,7 @@ class BatchBuilder:
             # Sender keys are plain ints already: add/add_many normalize
             # bool/IntEnum ids before grouping.
             groups = ((s, *cols) for s, cols in self._groups.items())
-        # Per-group bit aggregates stay lazy (InboxBatch derives and caches
-        # them if the batch is ever resubmitted solo); the round-level
-        # aggregates ride on the mapping itself.
-        for src, dsts, pays, bits, kinds in groups:
-            lazy_set(lazy, src, over(src, dsts, pays, bits, kinds, 0, len(dsts)))
-        return lazy
+        return {
+            src: over(src, dsts, pays, bits, kinds, 0, len(dsts))
+            for src, dsts, pays, bits, kinds in groups
+        }

@@ -27,8 +27,12 @@ Design notes
   :class:`~repro.ncc.engine.RoundEngine` selected by ``NCCConfig.engine``:
   the ``"reference"`` engine walks messages one by one (the executable
   specification), the ``"batched"`` engine (:mod:`repro.ncc.batched`) runs
-  the same checks columnar over parallel ``(src, dst, bits)`` arrays.  The
-  paper only charges for rounds, messages and bits, so the internal
+  the same checks columnar over a builder's columns.  ``exchange`` hands a
+  :class:`~repro.ncc.message.BatchBuilder` to ``engine.run_builder`` and
+  every other form, normalized into a ``sender -> messages`` mapping, to
+  ``engine.run_round``; one block of round bookkeeping (the ``round``
+  span, the observer, the round counter, the statistics) follows both.
+  The paper only charges for rounds, messages and bits, so the internal
   representation is free to change — but the engines must stay *observably
   indistinguishable*: same inboxes (including list and dict insertion
   order), same statistics, same violation-ledger order, same exceptions,
@@ -44,6 +48,7 @@ Design notes
 
 from __future__ import annotations
 
+import operator
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Mapping
 
@@ -136,7 +141,11 @@ class NCCNetwork:
 
         ``outgoing`` maps each sender to its messages, or is a flat iterable
         of messages, or a :class:`~repro.ncc.message.BatchBuilder` holding
-        the round's traffic in columnar form.
+        the round's traffic in columnar form.  Mapping keys are node ids:
+        ints, bools and numpy integers are accepted, anything else raises
+        ``TypeError`` before the round starts.  A ``round_observer`` sees
+        every round as a ``sender -> messages`` mapping; for a builder
+        that is ``builder.batches()``, cut after the round.
 
         Returns the inbox of every node that received at least one message,
         keyed by receiver in first-arrival order.  The model says messages
@@ -156,73 +165,39 @@ class NCCNetwork:
             )
 
         if isinstance(outgoing, BatchBuilder):
-            # Columnar submission: the builder finalizes straight into
-            # per-sender groups (first-occurrence sender order, per-sender
-            # append order — identical to flat-list bucketing) with int
-            # keys and no empty groups, so the normalization loop below
-            # would be a no-op.  An engine that can consume the builder's
-            # raw columns does so directly (skipping the per-group batch
-            # objects); with an observer installed the batch form is
-            # materialized anyway because observers receive the mapping.
-            if self.round_observer is None:
-                run_builder = self.engine.run_builder
-                if run_builder is not None:
-                    tr = _tracer.CURRENT
-                    if tr is None:
-                        delivered, sent_messages, sent_bits = run_builder(outgoing)
-                    else:
-                        t0 = tr.now()
-                        delivered, sent_messages, sent_bits = run_builder(outgoing)
-                        tr.add_span(
-                            "round",
-                            t0,
-                            tr.now(),
-                            round=self._round,
-                            phases="/".join(self._phase_stack),
-                            messages=sent_messages,
-                            bits=sent_bits,
-                        )
-                    self._round += 1
-                    self.stats.record_round(
-                        tuple(self._phase_stack), sent_messages, sent_bits
-                    )
-                    return delivered
-            per_sender = outgoing.batches()
-            return self._finish_round(per_sender)
-
-        per_sender: dict[int, list[Message]] = {}
-        if isinstance(outgoing, Mapping):
-            for src, msgs in outgoing.items():
-                if msgs:
-                    src = int(src)
-                    existing = per_sender.get(src)
-                    if existing is None:
+            # Columnar submission: the engine reads the builder's columns
+            # itself.  Its per-sender cut (first-occurrence sender order,
+            # per-sender append order — identical to flat-list bucketing)
+            # is made only for an observer, after the round.
+            run, submitted = self.engine.run_builder, outgoing
+        else:
+            per_sender: dict[int, list[Message]] = {}
+            if isinstance(outgoing, Mapping):
+                for src, msgs in outgoing.items():
+                    if msgs:
+                        if type(src) is not int:
+                            try:
+                                src = operator.index(src)
+                            except TypeError:
+                                raise TypeError(f"node ids must be ints, got {type(src).__name__}") from None
                         # Engines never mutate a sender's group, so the
                         # caller's list (or InboxBatch) can be shared
                         # instead of copied — listing an InboxBatch here
-                        # would defeat its laziness.
-                        per_sender[src] = (
-                            msgs
-                            if isinstance(msgs, (list, InboxBatch))
-                            else list(msgs)
-                        )
-                    else:  # distinct keys coercing to the same int
-                        per_sender[src] = list(existing) + list(msgs)
-        else:
-            for m in outgoing:
-                per_sender.setdefault(m.src, []).append(m)
+                        # would defeat its laziness.  Keys equal as ints
+                        # are one dict key, so no two keys normalize to
+                        # one sender.
+                        per_sender[src] = msgs if isinstance(msgs, (list, InboxBatch)) else list(msgs)
+            else:
+                for m in outgoing:
+                    per_sender.setdefault(m.src, []).append(m)
+            run, submitted = self.engine.run_round, per_sender
 
-        return self._finish_round(per_sender)
-
-    def _finish_round(self, per_sender: Mapping[int, list[Message]]) -> dict[int, InboxT]:
-        """Engine dispatch + round bookkeeping shared by every submission
-        form of :meth:`exchange`."""
         tr = _tracer.CURRENT
         if tr is None:
-            delivered, sent_messages, sent_bits = self.engine.run_round(per_sender)
+            delivered, sent_messages, sent_bits = run(submitted)
         else:
             t0 = tr.now()
-            delivered, sent_messages, sent_bits = self.engine.run_round(per_sender)
+            delivered, sent_messages, sent_bits = run(submitted)
             tr.add_span(
                 "round",
                 t0,
@@ -234,7 +209,9 @@ class NCCNetwork:
             )
 
         if self.round_observer is not None:
-            self.round_observer(self._round, per_sender)
+            if isinstance(submitted, BatchBuilder):
+                submitted = submitted.batches()
+            self.round_observer(self._round, submitted)
         self._round += 1
         self.stats.record_round(tuple(self._phase_stack), sent_messages, sent_bits)
         return delivered

@@ -127,11 +127,11 @@ class ShardedEngine(BatchedEngine):
     def _deliver_deferred_np(self, senders, kcols, counts, m_count, dst, pay_l):
         """Distribute the clean typed delivery; inherit everything else.
 
-        Both columnar call sites (``run_builder``'s whole-round typed
-        columns and ``_deliver_deferred``'s uniform typed path) land here
-        with the destination column already bounds-checked and the send
-        watermark committed, so the only remaining work is bucketing +
-        delivery — exactly the part that shards."""
+        The one typed call site, ``run_builder``'s whole-round columns,
+        lands here with the destination column already bounds-checked and
+        the send watermark committed, so the only remaining work is
+        bucketing + delivery — exactly the part that shards.  Object
+        rounds (``pay_l`` a list) always inherit the batched delivery."""
         if (
             self._disabled
             or m_count < self._cutoff

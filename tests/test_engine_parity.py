@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import Enforcement, NCCConfig, NCCRuntime, ReproError
@@ -441,6 +442,41 @@ class TestExchangeFuzzParity:
             BatchBuilder().add_many(0, [1, 2.5], ["a", "b"])
 
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    @pytest.mark.parametrize("key", [2.5, 2.0, "2"], ids=["float", "whole-float", "str"])
+    def test_non_int_mapping_keys_rejected(self, mode, key):
+        """A mapping key is a sender id: a float is never truncated and a
+        string never parsed into one.  Every engine raises the TypeError
+        Message and BatchBuilder raise for such ids, before any statistic
+        moves or a round elapses."""
+        outcomes = {}
+        for engine in ENGINES:
+            net = NCCNetwork(16, _engine_cfg(engine, seed=1, enforcement=mode))
+            fresh = net.stats.comparable()
+            with pytest.raises(TypeError, match="node ids must be ints") as e:
+                net.exchange({key: [Message(2, 3, "x")]})
+            assert net.stats.comparable() == fresh
+            outcomes[engine] = (str(e.value), net.round_index)
+        _assert_parity(outcomes)
+        assert outcomes["reference"] == (f"node ids must be ints, got {type(key).__name__}", 0)
+
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    @pytest.mark.parametrize("key", [np.int64(2), True], ids=["np.int64", "bool"])
+    def test_int_like_mapping_keys_deliver(self, mode, key):
+        """numpy-integer and bool keys are node ids: every engine delivers
+        them exactly as the plain int key."""
+        sender = int(key)
+        outcomes = {}
+        for engine in ENGINES:
+            for k in (key, sender):
+                net = NCCNetwork(16, _engine_cfg(engine, seed=1, enforcement=mode))
+                inbox = net.exchange({k: [Message(sender, 3, "x"), Message(sender, 4, "y")]})
+                outcomes[(engine, type(k))] = (
+                    [(d, list(m)) for d, m in inbox.items()],
+                    net.stats.comparable(),
+                )
+        assert len({repr(o) for o in outcomes.values()}) == 1
+
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
     def test_builder_empty_batch(self, mode):
         """An empty batch must behave like no traffic at all: a round still
         elapses, nothing is delivered, statistics untouched — identically
@@ -572,18 +608,27 @@ class TestInboxBatchParity:
                 assert box.items() == [(m.src, m.payload) for m in ref[dst]]
             assert message_construction_count() == before, engine
 
+    @pytest.mark.parametrize("observed", [False, True], ids=["unobserved", "observed"])
     @pytest.mark.parametrize("count", [2, 8], ids=["small", "argsort"])
-    def test_clean_batched_round_constructs_zero_messages(self, count):
+    def test_clean_batched_round_constructs_zero_messages(self, count, observed):
         n = 32
         net = NCCNetwork(
             n, NCCConfig(seed=1, enforcement=Enforcement.COUNT, engine="batched")
         )
+        seen = []
+        if observed:
+            net.round_observer = lambda r, per_sender: seen.append(
+                [(s, len(group)) for s, group in per_sender.items()]
+            )
         out = _deferred_round_traffic(n, count)
         before = message_construction_count()
         inbox = net.exchange(out)
         assert message_construction_count() == before, (
             "a clean batched round must not construct Message objects"
         )
+        # The observer sees the builder's per-sender cut: one group per
+        # sender, in first-occurrence order.
+        assert seen == ([[(u, count) for u in range(n)]] if observed else [])
         # Materialization happens exactly when elements are touched.
         m = next(iter(inbox.values()))[0]
         assert message_construction_count() == before + 1
@@ -656,28 +701,6 @@ class TestInboxBatchParity:
                     net.exchange(out)
                 outcomes[engine] = (str(e.value), net.stats.comparable())
             _assert_parity(outcomes)
-
-    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-    def test_duplicate_coercing_keys_merge_inbox_batches(self, mode):
-        """Mapping submissions with distinct keys coercing to one int must
-        merge even when the first value is a delivered InboxBatch."""
-        outcomes = {}
-        for engine in ENGINES:
-            net = NCCNetwork(32, _engine_cfg(engine, seed=1, enforcement=mode))
-            inbox = net.exchange(_deferred_round_traffic(32, 2))
-            box = inbox[2]  # receiver 2's batch: all messages have dst 2
-            # 2.5 and 2 are distinct dict keys but coerce to one sender.
-            resent = {2.5: box, 2: [Message(2, 5, "extra")]}
-            try:
-                second = net.exchange(resent)
-                outcomes[engine] = (
-                    "ok",
-                    [(d, list(m)) for d, m in second.items()],
-                    net.stats.comparable(),
-                )
-            except (ReproError, ValueError) as e:
-                outcomes[engine] = (type(e).__name__, str(e), net.stats.comparable())
-        _assert_parity(outcomes)
 
     def test_small_round_overload_parity(self):
         """A receive overload below SMALL_ROUND_CUTOFF, bucketed in plain

@@ -5,7 +5,6 @@ import pytest
 from repro.hashing.sketches import ParitySketch
 from repro.ncc.message import (
     BatchBuilder,
-    BuilderBatches,
     InboxBatch,
     Message,
     items_of,
@@ -189,21 +188,13 @@ class TestBatchBuilder:
         assert len(batch) == 1
         assert (batch.srcs(), batch.dsts(), [m.bits for m in batch]) == ([0], [1], [4])
 
-    def test_deferred_finalize_is_frozen_tagged_mapping(self):
+    def test_batches_are_inbox_batches_in_sender_order(self):
         out = BatchBuilder(kind="t")
         out.add(3, 1, "a")
         out.add(0, 2, ("b", 7))
         batches = out.batches()
-        assert type(batches) is BuilderBatches
         assert list(batches) == [3, 0]
         assert all(type(b) is InboxBatch for b in batches.values())
-        # Round-level bit totals tracked during accumulation.
-        assert batches.bits_sum == payload_bits("a") + payload_bits(("b", 7))
-        assert batches.bits_max == payload_bits(("b", 7))
-        with pytest.raises(TypeError, match="immutable"):
-            batches[9] = []
-        with pytest.raises(TypeError, match="immutable"):
-            batches.pop(3)
 
     def test_deferred_add_validates_like_message(self):
         out = BatchBuilder()
@@ -298,10 +289,9 @@ class TestInboxBatch:
         assert srcs_of(b) == srcs_of(msgs) == [2, 2, 2]
         assert items_of(b) == items_of(msgs)
 
-    def test_bits_agg_matches_payload_sizes(self):
+    def test_message_bits_match_payload_sizes(self):
         b = self.make()
         sizes = [payload_bits(("a", 1)), payload_bits(9), payload_bits(None)]
-        assert b.bits_agg == (sum(sizes), max(sizes))
         assert [m.bits for m in b] == sizes
 
 

@@ -39,6 +39,7 @@ from repro.primitives.aggregation import (
 from repro.primitives.direct import send_chunked, send_direct
 from repro.primitives.functions import MAX, MIN, SUM, XOR, xor_count
 from repro.runtime import NCCRuntime
+from repro.telemetry import METRICS, tracing
 
 ENGINES = ("reference", "batched")
 
@@ -119,13 +120,26 @@ class TestTypedBuilder:
         assert sorted(batches) == [1, 4]
 
     def test_mixing_object_adds_degrades_all_groups(self, typed_on):
+        fallbacks = METRICS.counter("ncc.typed_fallbacks")
         b = BatchBuilder(kind="t", dtype=np.int64)
         b.add_array(0, [1, 2], [5, 6])
-        boxes = payload_box_count()
-        b.add(3, 4, ("obj", 1))  # degrades the typed groups
+        boxes, before = payload_box_count(), fallbacks.value
+        with tracing() as tr:
+            b.add(3, 4, ("obj", 1))  # degrades the typed groups
         assert payload_box_count() - boxes == 2
+        assert fallbacks.value - before == 1
+        events = [(name, fields) for _, name, _, _, fields in tr.records]
+        assert events == [("typed-fallback", {"boxed": 2, "kind": "t"})]
         assert b._dtype is None
         assert len(b) == 3
+        # A clean typed round boxes nothing back: no event, no count.
+        for engine in ENGINES:
+            clean = BatchBuilder(kind="t", dtype=np.int64)
+            with tracing() as tr:
+                clean.add_arrays([4, 1], [7, 8], [1, 2])
+                NCCNetwork(16, _config(engine)).exchange(clean)
+            assert [r for r in tr.records if r[1] == "typed-fallback"] == []
+        assert fallbacks.value - before == 1
 
     def test_unsupported_dtype_rejected(self, typed_on):
         for bad in (np.float64, np.uint32, np.dtype("O"),
@@ -268,9 +282,9 @@ class TestTypedDelivery:
             results[dtype is None] = (rounds, net.stats.comparable())
         assert results[True] == results[False]
 
-    def test_typed_bits_agg_matches_object(self, typed_on):
-        """Delivered typed spans aggregate receive-side bits identically to
-        boxed payloads (the enforcement paths consume bits_agg)."""
+    def test_typed_round_accounts_bits_like_object(self, typed_on):
+        """A typed round charges the same bits as the same payloads boxed,
+        under STRICT enforcement of the message-size budget."""
         n = 16
         stats = {}
         for dtype in (PAIR_DTYPE, None):
