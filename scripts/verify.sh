@@ -67,7 +67,7 @@
 #  13. reprolint (`python -m repro lint --strict`): the AST invariant
 #      checks — determinism, hot-path purity, registry discipline,
 #      canonical-schema freeze, engine-parity locality, pool fork-safety,
-#      telemetry clock containment —
+#      read-only exchange results, telemetry clock containment —
 #      fail on any non-baselined finding or a baseline that should have
 #      shrunk; the JSON findings document lands in REPROLINT_findings.json
 #      (override with REPROLINT_JSON) for the CI artifact;

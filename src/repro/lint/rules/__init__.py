@@ -35,6 +35,7 @@ _RULE_MODULES = (
     "repro.lint.rules.ncc004_schema",
     "repro.lint.rules.ncc005_engine",
     "repro.lint.rules.ncc006_forksafety",
+    "repro.lint.rules.ncc007_readonly",
 )
 
 _RULES: dict[str, "Rule"] = {}

@@ -11,10 +11,13 @@ per-message work with bucketed operations:
 * send capacity — a max over the per-sender group sizes;
 * message-size budget and bit accounting — the bits sum/max the builder
   tracked while accumulating;
-* receive bucketing — one stable argsort over the ``dst`` column (or, below
-  :data:`SMALL_ROUND_CUTOFF` messages of an object round, one plain-Python
-  pass), inboxes emitted in first-arrival order as
-  :class:`~repro.ncc.message.InboxBatch` spans over the permuted columns.
+* receive bucketing — one stable argsort over the ``dst`` column, the
+  round delivered as one :class:`~repro.ncc.message.RoundInbox`: the
+  permuted columns in CSR form behind a read-only mapping whose keys run
+  in first-arrival order and whose per-receiver
+  :class:`~repro.ncc.message.InboxBatch` views are cut on demand.  Below
+  :data:`SMALL_ROUND_CUTOFF` messages an object round is bucketed in one
+  plain-Python pass into a plain dict of views instead.
 
 :meth:`BatchedEngine.run_builder` is the engine's one column entry point.
 It reads an object builder's per-sender lists, and a typed builder's
@@ -42,7 +45,7 @@ from typing import Mapping
 import numpy as _np
 
 from .engine import RoundEngine, RoundResult, register_engine
-from .message import BatchBuilder, InboxBatch, Message
+from .message import BatchBuilder, InboxBatch, Message, RoundInbox
 
 #: Below this many messages per object round the fixed cost of the numpy
 #: round setup (~a few dozen array ops) exceeds a plain-Python pass, so
@@ -176,22 +179,22 @@ class BatchedEngine(RoundEngine):
         return k0
 
     def _deliver_deferred_np(self, senders, kcols, counts, m_count, dst, pay_l):
-        """Argsort-bucketed delivery of the round's columns: each inbox is
-        an :class:`InboxBatch` span over the permuted (src, payload, kind)
-        columns — no object column, no ``Message``.  The src column stays
-        an int64 array (boxed lazily on access) and the bits column is
-        dropped entirely — sizes are re-derived on demand, which delivered
-        inboxes almost never need."""
+        """Argsort-bucketed delivery of the round's columns: one
+        :class:`RoundInbox` over the permuted (src, payload, kind) columns
+        — no object column, no ``Message``, no per-receiver object.  The
+        src column stays an int64 array (boxed lazily on access) and the
+        bits column is dropped entirely — sizes are re-derived on demand,
+        which delivered inboxes almost never need."""
         net = self.net
         stats = net.stats
         per_dst = _np.bincount(dst)
         dsts_present = _np.flatnonzero(per_dst)
         group_counts = per_dst[dsts_present]
         order = _np.argsort(dst, kind="stable")
-        ends = _np.cumsum(group_counts)
-        starts = ends - group_counts
+        offsets = _np.zeros(len(group_counts) + 1, dtype=_np.int64)
+        _np.cumsum(group_counts, out=offsets[1:])
         max_recv = int(group_counts.max())
-        arrival = _np.argsort(order[starts], kind="stable")
+        arrival = _np.argsort(order.take(offsets[:-1]), kind="stable")
 
         if type(pay_l) is list:
             pay_perm = (
@@ -211,18 +214,17 @@ class BatchedEngine(RoundEngine):
                 _np.fromiter(kinds_l, dtype=object, count=m_count).take(order).tolist()
             )
 
-        delivered = InboxBatch._over_spans(
-            src_perm, pay_perm, kind_perm,
-            dsts_present.tolist(), starts.tolist(), ends.tolist(),
-            arrival.tolist(),
+        delivered = RoundInbox(
+            dsts_present, offsets, src_perm, pay_perm, kind_perm, arrival
         )
         if max_recv <= net.capacity:
             if max_recv > stats.max_received_per_round:
                 stats.max_received_per_round = max_recv
             return delivered
-        # Overloaded receivers: the canonical receive walk keeps ledger
-        # order and DROP rng draws identical (sampling an InboxBatch draws
-        # the same indices a list would; only then are messages built).
+        # Overloaded receivers: the canonical receive walk reads the round
+        # as a mapping and keeps ledger order and DROP rng draws identical
+        # (sampling an InboxBatch draws the same indices a list would; only
+        # then are messages built).
         return self._recv_walk(delivered)
 
     def _deliver_deferred_py(self, senders, dcols, pcols, kcols):

@@ -57,11 +57,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: round the batched engine walks) or a lazy
 #: :class:`~repro.ncc.message.InboxBatch` column view (batched engine,
 #: clean columnar rounds).  The two compare equal element-wise and
-#: are interchangeable by the engine-indistinguishability contract.
+#: are interchangeable by the engine-indistinguishability contract.  The
+#: inboxes of one round arrive as a plain dict (reference engine, walked
+#: and small object rounds) or as a read-only
+#: :class:`~repro.ncc.message.RoundInbox` mapping (clean bulk rounds of
+#: the batched and sharded engines).
 InboxT = list[Message] | InboxBatch
 
 #: ``run_round`` result: (delivered inboxes, sent messages, sent bits).
-RoundResult = tuple[dict[int, InboxT], int, int]
+RoundResult = tuple[Mapping[int, InboxT], int, int]
 
 
 class RoundEngine:

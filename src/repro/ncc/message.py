@@ -12,19 +12,22 @@ payload, bits, kind)`` columns that materializes a :class:`Message` only
 when an element is actually accessed.  It serves both directions of a
 round: :meth:`BatchBuilder.batches` cuts each sender's traffic into one
 (a plain ``sender -> InboxBatch`` dict, for the reference engine, round
-observers and anomaly replays), and the batched engine delivers each
-destination's slice of the round's permuted columns as one — so a clean
-batched-engine round never constructs a single ``Message`` end-to-end.
-Consumers that only need the payload column read it via
+observers and anomaly replays), and the batched engine delivers a clean
+bulk round as one :class:`RoundInbox`, a read-only mapping over the
+round's permuted columns that cuts each receiver's view on demand — so a
+clean batched-engine round never constructs a single ``Message``
+end-to-end.  Consumers that only need the payload column read it via
 :meth:`InboxBatch.payloads` (or the engine-agnostic :func:`payloads_of`)
 without triggering materialization.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView as _ItemsView
+from collections.abc import Mapping as _MappingABC
 from collections.abc import Sequence as _SequenceABC
+from collections.abc import ValuesView as _ValuesView
 from itertools import repeat
-from operator import attrgetter, is_
 from typing import Any, Iterable, Sequence
 
 import numpy as _np
@@ -432,39 +435,6 @@ class InboxBatch(_SequenceABC):
         self._mat = None
         return self
 
-    @classmethod
-    def _over_spans(cls, srcs, payloads, kinds, dsts, starts, ends, arrival,
-                    cols=None):
-        """One round's delivered ``{dst: span}`` dict, built in bulk.
-
-        The engines' clean-round delivery builds one span per receiving
-        node; at n ≥ 10^5 the per-span :meth:`_over` call overhead (frame
-        + argument packing per inbox) dominates the merge, so this builds
-        the whole dict in one tight loop with the allocator bound locally.
-        ``dsts``/``starts``/``ends`` are per-group int lists; ``arrival``
-        gives the dict insertion order.  With ``cols``, group ``j`` reads
-        its ``(srcs, payloads)`` backing columns from ``cols[j]`` (the
-        sharded engine's per-block columns) instead of the shared
-        ``srcs``/``payloads``.
-        """
-        new = object.__new__
-        delivered: dict[int, "InboxBatch"] = {}
-        for j in arrival:
-            self = new(cls)
-            if cols is not None:
-                srcs, payloads = cols[j]
-            d = dsts[j]
-            self._srcs = srcs
-            self._dsts = d
-            self._payloads = payloads
-            self._bits = None
-            self._kinds = kinds
-            self._start = starts[j]
-            self._end = ends[j]
-            self._mat = None
-            delivered[d] = self
-        return delivered
-
     # -- sequence protocol ----------------------------------------------
     def __len__(self) -> int:
         return self._end - self._start
@@ -676,81 +646,108 @@ class InboxBatch(_SequenceABC):
         return f"InboxBatch({list(self)!r})"
 
 
+class RoundInbox(_MappingABC):
+    """One delivered round as a read-only ``Mapping[int, InboxBatch]``.
+
+    The round's columns are stored once, CSR style: receiver ``hosts[i]``
+    (int64, ascending) owns messages ``offsets[i]:offsets[i + 1]`` of the
+    permuted ``srcs`` (int64), ``payloads`` (an ndarray if typed, else a
+    list) and ``kinds`` (one tag, or a list) columns, in submission order.
+    ``arrival`` holds the positions of ``hosts`` in first-arrival order,
+    the key order.  Values are :class:`InboxBatch` views cut when read and
+    never cached: :meth:`items` and :meth:`values` walk ``arrival``, and
+    ``inbox[v]`` uses a ``{host: span}`` dict built on first use, so
+    lookups keep dict semantics (``np.int64(1)``, ``True`` and ``1.0``
+    find receiver 1; ``"x"`` raises ``KeyError``).  Equality, ``keys``,
+    ``get`` and ``in`` are :class:`~collections.abc.Mapping`'s; there are
+    no mutators.
+    """
+
+    __slots__ = ("hosts", "offsets", "srcs", "payloads", "kinds", "arrival",
+                 "_keys", "_index")
+
+    def __init__(self, hosts, offsets, srcs, payloads, kinds, arrival):
+        self.hosts = hosts
+        self.offsets = offsets
+        self.srcs = srcs
+        self.payloads = payloads
+        self.kinds = kinds
+        self.arrival = arrival
+        self._keys = None
+        self._index = None
+
+    def __len__(self) -> int:
+        return len(self.hosts)
+
+    def _arrival_keys(self) -> list[int]:
+        keys = self._keys
+        if keys is None:
+            keys = self._keys = self.hosts.take(self.arrival).tolist()
+        return keys
+
+    def __iter__(self):
+        return iter(self._arrival_keys())
+
+    def __getitem__(self, key) -> InboxBatch:
+        index = self._index
+        if index is None:
+            hosts = self.hosts.tolist()
+            off = self.offsets.tolist()
+            index = self._index = dict(zip(hosts, zip(hosts, off, off[1:])))
+        host, start, end = index[key]
+        return InboxBatch._over(
+            self.srcs, host, self.payloads, None, self.kinds, start, end
+        )
+
+    def _views(self):
+        """Every receiver's view in first-arrival order, each cut only when
+        the iteration reaches it."""
+        arrival = self.arrival
+        off = self.offsets
+        return map(
+            InboxBatch._over, repeat(self.srcs), self._arrival_keys(),
+            repeat(self.payloads), repeat(None), repeat(self.kinds),
+            off[:-1].take(arrival).tolist(), off[1:].take(arrival).tolist(),
+        )
+
+    def items(self):
+        return _RoundItems(self)
+
+    def values(self):
+        return _RoundValues(self)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"RoundInbox({dict(self.items())!r})"
+
+
+class _RoundItems(_ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        inbox = self._mapping
+        return zip(inbox._arrival_keys(), inbox._views())
+
+
+class _RoundValues(_ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._mapping._views()
+
+
 def gather_typed_spans(inboxes):
     """One round's typed inboxes as whole columns: ``(dsts, payloads)``.
 
-    When every inbox is a typed-column :class:`InboxBatch` whose spans are
-    views of a shared payload column and together tile it exactly — the
-    layout the batched engine delivers — this returns the destination
-    column (one id per message, int64) and that payload column directly:
-    no per-inbox array handling, no copies, no boxes.  The sharded engine
-    delivers the same layout in per-shard pieces (one backing column per
-    destination-shard block, hosts in disjoint ascending ranges); those
-    concatenate — in min-host block order, which is exactly the
-    single-process destination-ascending order — into one column pair.
-    Returns ``None`` for any other layout (object columns, merged rounds,
-    the reference engine); callers keep their per-inbox loop as the
-    fallback.
-
-    Python touches each inbox only to read its ``(base, start, end)``; the
-    ordering, the tiling check and the destination column are numpy.
+    For a typed :class:`RoundInbox` (a clean bulk typed round of the
+    batched or sharded engine) this is the destination column, one int64
+    id per message in ascending order, and the delivered payload column
+    itself: no copy, no box.  Anything else (object rounds, plain dicts
+    such as merged rounds or the reference engine's) gives ``None``, and
+    callers keep their per-inbox loop as the fallback.
     """
-    if not inboxes:
+    if type(inboxes) is not RoundInbox or type(inboxes.payloads) is list:
         return None
-    recs = list(inboxes.values())
-    if set(map(type, recs)) != {InboxBatch}:
-        return None
-    # Spans group by backing column (identity: spans *share* their base);
-    # object-backed spans have no ndarray base.
-    bases = list(map(attrgetter("_payloads"), recs))
-    one_base = all(map(is_, bases, repeat(bases[0])))
-    if set(map(type, bases[:1] if one_base else bases)) != {_np.ndarray}:
-        return None
-    k = len(recs)
-    hosts = _np.fromiter(inboxes, _np.int64, k)
-    starts = _np.fromiter(map(attrgetter("_start"), recs), _np.int64, k)
-    ends = _np.fromiter(map(attrgetter("_end"), recs), _np.int64, k)
-    if one_base:
-        group = None
-        order = _np.argsort(starts, kind="stable")
-    else:
-        # Several bases (shard blocks) must cover disjoint host ranges: in
-        # host order each base is then one run, and the runs number the
-        # bases in min-host order.
-        ids = list(map(id, bases))
-        by_host = _np.argsort(hosts)
-        base_id = _np.array(ids, dtype=_np.uint64).take(by_host)
-        step = base_id[1:] != base_id[:-1]
-        if int(step.sum()) + 1 != len(set(ids)):
-            return None
-        group = _np.empty(k, dtype=_np.int64)
-        group[by_host] = _np.concatenate(([0], _np.cumsum(step)))
-        order = _np.lexsort((starts, group))
-    starts = starts.take(order)
-    ends = ends.take(order)
-    # In start order, each base's spans must tile it from 0 to its end.
-    head = _np.zeros(k, dtype=bool)
-    head[0] = True
-    if group is not None:
-        group = group.take(order)
-        _np.not_equal(group[1:], group[:-1], out=head[1:])
-    prev = _np.empty(k, dtype=_np.int64)
-    prev[1:] = ends[:-1]
-    prev[head] = 0
-    heads = _np.flatnonzero(head)
-    cols = [bases[i] for i in order.take(heads).tolist()]
-    tails = _np.append(heads[1:], k) - 1
-    if not (
-        _np.array_equal(starts, prev)
-        and ends.take(tails).tolist() == [len(c) for c in cols]
-    ):
-        return None
-    dsts = _np.repeat(hosts.take(order), ends - starts)
-    if len(cols) == 1:
-        return dsts, cols[0]
-    if any(c.dtype != cols[0].dtype for c in cols):
-        return None
-    return dsts, _np.concatenate(cols)
+    return _np.repeat(inboxes.hosts, _np.diff(inboxes.offsets)), inboxes.payloads
 
 
 def _norm_id_column(ids: int | Sequence[int], k: int) -> int | list[int]:

@@ -136,7 +136,7 @@ class NCCNetwork:
     # ------------------------------------------------------------------
     # The round
     # ------------------------------------------------------------------
-    def exchange(self, outgoing: OutgoingT) -> dict[int, InboxT]:
+    def exchange(self, outgoing: OutgoingT) -> Mapping[int, InboxT]:
         """Run one synchronous round.
 
         ``outgoing`` maps each sender to its messages, or is a flat iterable
@@ -147,11 +147,15 @@ class NCCNetwork:
         every round as a ``sender -> messages`` mapping; for a builder
         that is ``builder.batches()``, cut after the round.
 
-        Returns the inbox of every node that received at least one message,
-        keyed by receiver in first-arrival order.  The model says messages
-        are received "at the beginning of the next round" (Section 1.1);
-        since the caller drives rounds explicitly, that simply means the
-        return value is available to the caller's next iteration.  Each
+        Returns a ``Mapping`` holding the inbox of every node that received
+        at least one message, keyed by receiver in first-arrival order.
+        The model says messages are received "at the beginning of the next
+        round" (Section 1.1); since the caller drives rounds explicitly,
+        that simply means the return value is available to the caller's
+        next iteration.  Treat the result as read-only: a clean bulk round
+        of the batched or sharded engine returns a frozen
+        :class:`~repro.ncc.message.RoundInbox` (mutating it raises), other
+        rounds a plain dict; copy it with ``dict(...)`` to edit.  Each
         inbox is ``list[Message]``-compatible but not necessarily a list:
         the batched engine delivers lazy
         :class:`~repro.ncc.message.InboxBatch` column views on clean

@@ -6,10 +6,10 @@ delivery — distributed across a persistent worker pool.  Node ids are
 partitioned into ``k`` contiguous shards (``shard_of(d) = d*k//n``); per
 round the parent splits the typed ``(src, dst, payload)`` columns into
 per-destination-shard blocks, ships them through one shared-memory block
-shuffle (:meth:`~repro.ncc.sharded.workers.ShardPool.shuffle`), and merges
-the returned span tables into the delivered ``InboxBatch`` dict.  A clean
-typed sharded round constructs zero ``Message`` objects, same as
-single-process.
+shuffle (:meth:`~repro.ncc.sharded.workers.ShardPool.shuffle`), and
+concatenates the returned per-block CSR tables into the delivered
+:class:`~repro.ncc.message.RoundInbox`.  A clean typed sharded round
+constructs zero ``Message`` objects, same as single-process.
 
 Byte-identity with the batched engine (the engine-parity invariant,
 pinned differentially in ``tests/test_engine_parity.py`` and
@@ -18,7 +18,9 @@ value:
 
 * within a destination, all messages live in one block (shards partition
   destinations) in round flat order — inbox-internal order is untouched;
-* across destinations, the global dict order is recovered by sorting all
+* blocks own ascending destination ranges, so their columns concatenated
+  in block order are the single-process columns, receivers ascending;
+* across destinations, the key order is recovered by sorting all
   blocks' groups on ``first`` (each group's global flat index), exactly
   the ``argsort(order[starts])`` arrival key of the single-process path;
 * all statistics are the same aggregates (``max_recv`` is the max of the
@@ -41,7 +43,7 @@ from ...telemetry import tracer as _tracer
 from ...telemetry.metrics import METRICS
 from ..batched import BatchedEngine
 from ..engine import register_engine
-from ..message import InboxBatch
+from ..message import RoundInbox
 
 _DEGRADATIONS = METRICS.counter("sharded.degradations")
 
@@ -196,31 +198,23 @@ class ShardedEngine(BatchedEngine):
             # batched delivery instead of paying the split for nothing.
             self._degrade("all-workers-dead")
 
-        # Merge: concatenating the blocks' group tables and sorting on the
-        # global flat index of each group's first message recovers the
-        # single-process first-arrival dict order (distinct keys, so the
-        # sort is a permutation); each inbox is a span over its own
-        # block's permuted columns — InboxBatch equality is element-wise,
-        # so per-block backing columns are observably identical to the
-        # single whole-round column.
-        firsts = _np.concatenate([r[3] for r in results])
-        arrival = _np.argsort(firsts, kind="stable")
-        dst_l: list[int] = []
-        starts_l: list[int] = []
-        ends_l: list[int] = []
-        cols: list[tuple] = []
-        max_recv = 0
-        for dsts_r, starts_r, ends_r, _first, src_perm, pay_perm, mr in results:
-            dst_l += dsts_r.tolist()
-            starts_l += starts_r.tolist()
-            ends_l += ends_r.tolist()
-            cols += [(src_perm, pay_perm)] * len(dsts_r)
-            if mr > max_recv:
-                max_recv = mr
-        delivered = InboxBatch._over_spans(
-            None, None, kind, dst_l, starts_l, ends_l, arrival.tolist(),
-            cols=cols,
+        # Merge: blocks own ascending host ranges, so concatenating their
+        # columns in block order is the single-process CSR round, each
+        # block's span ends shifted by the messages of the blocks before
+        # it; sorting the groups on the global flat index of their first
+        # message recovers the first-arrival key order (distinct keys, so
+        # the sort is a permutation).
+        dsts, _starts, ends, firsts, srcs, pays, max_recvs = zip(*results)
+        shift = _np.cumsum([0, *map(len, srcs)])
+        delivered = RoundInbox(
+            _np.concatenate(dsts),
+            _np.concatenate([shift[:1], *map(_np.add, ends, shift)]),
+            _np.concatenate(srcs),
+            _np.concatenate(pays),
+            kind,
+            _np.argsort(_np.concatenate(firsts), kind="stable"),
         )
+        max_recv = max(max_recvs)
         if max_recv <= net.capacity:
             if max_recv > stats.max_received_per_round:
                 stats.max_received_per_round = max_recv

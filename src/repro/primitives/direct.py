@@ -29,7 +29,7 @@ def send_direct(
     *,
     kind: str = "direct",
     dtype: Any = None,
-) -> dict[int, list[Message] | InboxBatch]:
+) -> Mapping[int, list[Message] | InboxBatch]:
     """One round of direct messages; returns the inboxes.
 
     Sends are grouped per sender into lazy columnar submissions so the
@@ -76,7 +76,7 @@ def send_chunked(
     *,
     kind: str = "direct",
     dtype: Any = None,
-) -> Iterator[dict[int, list[Message] | InboxBatch]]:
+) -> Iterator[Mapping[int, list[Message] | InboxBatch]]:
     """Drain per-sender column queues at ``chunk`` messages per round.
 
     Every sender advances through its queue in lockstep (round ``r`` sends

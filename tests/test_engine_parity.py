@@ -26,11 +26,14 @@ import pytest
 from repro import Enforcement, NCCConfig, NCCRuntime, ReproError
 from repro.graphs import generators
 from repro.registry import iter_algorithms
+from repro.ncc.batched import SMALL_ROUND_CUTOFF
 from repro.ncc.message import (
     BatchBuilder,
     InboxBatch,
     Message,
+    RoundInbox,
     message_construction_count,
+    payload_box_count,
     set_typed_payloads,
 )
 from repro.ncc.network import NCCNetwork
@@ -702,6 +705,36 @@ class TestInboxBatchParity:
                 outcomes[engine] = (str(e.value), net.stats.comparable())
             _assert_parity(outcomes)
 
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    def test_argsort_round_overload_parity(self, mode):
+        """A receive overload in an object round of at least
+        SMALL_ROUND_CUTOFF messages: the argsort delivery hands its round
+        to the canonical receive walk, which must keep the reference
+        receiver order, payload order, DROP draws, ledger and STRICT
+        raise."""
+        n = 64
+        outcomes = {}
+        for engine in ENGINES:
+            net = NCCNetwork(n, _engine_cfg(engine, seed=1, enforcement=mode))
+            out = BatchBuilder(kind="hot")
+            for u in range(n):
+                for i in range(3):
+                    hot = (3 * u + i) % 2 == 0
+                    out.add(u, 0 if hot else 1 + (u + i) % (n - 1), ("h", u, i))
+            assert len(out) == 192 >= SMALL_ROUND_CUTOFF
+            try:
+                inbox = net.exchange(out)
+                outcomes[engine] = (
+                    "ok",
+                    [(d, [m.payload for m in msgs]) for d, msgs in inbox.items()],
+                    net.stats.comparable(),
+                )
+            except ReproError as e:
+                outcomes[engine] = (type(e).__name__, str(e), net.stats.comparable())
+        _assert_parity(outcomes)
+        # Node 0 received 96 messages against a capacity of 24.
+        assert outcomes["reference"][-1]["max_received_per_round"] == 96
+
     def test_small_round_overload_parity(self):
         """A receive overload below SMALL_ROUND_CUTOFF, bucketed in plain
         Python, walks to the reference DROP draws and ledger."""
@@ -719,3 +752,69 @@ class TestInboxBatchParity:
                 net.stats.comparable(),
             )
         _assert_parity(outcomes)
+
+
+# ----------------------------------------------------------------------
+# RoundInbox: a clean bulk round is a faithful read-only Mapping
+# ----------------------------------------------------------------------
+def _bulk_round(n, typed):
+    """One clean round of ``8 * n`` messages along strided permutations
+    that skip node 0: node 1 receives, node 0 does not, and receivers
+    first hear from someone out of ascending order."""
+    src = np.repeat(np.arange(n, dtype=np.int64), 8)
+    dst = 1 + (5 * src + 3 * np.tile(np.arange(8, dtype=np.int64), n)) % (n - 1)
+    if typed:
+        out = BatchBuilder(kind="bulk", dtype=np.int64)
+        out.add_arrays(src, dst, src * 100 + dst)
+        return out
+    out = BatchBuilder(kind="bulk")
+    for s, d in zip(src.tolist(), dst.tolist()):
+        out.add(s, d, ("P", s, d))
+    return out
+
+
+@pytest.mark.engine("reference")  # differential by construction
+class TestRoundInboxMapping:
+    @pytest.mark.parametrize("typed", [False, True], ids=["object", "typed"])
+    def test_round_inbox_matches_reference_dict(self, typed):
+        n = 32
+        results = {}
+        for engine in ENGINES:
+            net = NCCNetwork(n, _engine_cfg(engine, seed=1))
+            out = _bulk_round(n, typed)
+            assert len(out) >= SMALL_ROUND_CUTOFF
+            results[engine] = net.exchange(out)
+            assert net.stats.violation_count == 0
+        ref = results["reference"]
+        assert type(ref) is dict and 1 in ref and 0 not in ref
+        assert list(ref) != sorted(ref)
+        present = next(reversed(ref))
+        keys = (present, np.int64(present), 1, True, 1.0, 0, -1, n, "x", None)
+        for engine in ENGINES[1:]:
+            got = results[engine]
+            assert type(got) is RoundInbox, engine
+            assert list(got) == list(ref) and len(got) == len(ref)
+            assert ref == got and got == ref and not (got != ref)
+            assert dict(got) == ref
+            assert list(got.items()) == list(ref.items())
+            assert got.keys() == ref.keys()
+            assert len(got.values()) == len(ref)
+            for key in keys:
+                assert (key in got) == (key in ref), (engine, key)
+                assert got.get(key) == ref.get(key), (engine, key)
+                if key in ref:
+                    assert got[key] == ref[key], (engine, key)
+                else:
+                    with pytest.raises(KeyError):
+                        got[key]
+
+    def test_typed_round_inbox_reads_without_boxing(self):
+        for engine in ENGINES[1:]:
+            net = NCCNetwork(32, _engine_cfg(engine, seed=1))
+            got = net.exchange(_bulk_round(32, typed=True))
+            before = (message_construction_count(), payload_box_count())
+            total = 0
+            for box in got.values():
+                total += int(box.payload_array().sum())
+            assert (message_construction_count(), payload_box_count()) == before
+            assert total == int(got.payloads.sum())

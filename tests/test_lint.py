@@ -30,7 +30,7 @@ from repro.lint.runner import parse_file
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(REPO, "tests", "lint_fixtures")
 
-ALL_RULES = ("NCC001", "NCC002", "NCC003", "NCC004", "NCC005", "NCC006")
+ALL_RULES = ("NCC001", "NCC002", "NCC003", "NCC004", "NCC005", "NCC006", "NCC007")
 
 
 def fixture(name):
@@ -100,6 +100,22 @@ class TestRuleCorpus:
             "_POOL = None\n"
         )
         assert run_paths([str(good)]).findings == []
+
+    def test_ncc007_catalogue(self):
+        # Every mutation site of the bad twin fires once: del, item and
+        # augmented item assignment, the five mutator calls, and a mutator
+        # call on a name bound by `:=`.
+        found = findings_for(fixture("ncc007_bad.py"), "NCC007")
+        assert len(found) == 9, found
+
+    def test_ncc007_is_library_scoped(self, tmp_path):
+        code = "def f(net, out):\n    inbox = net.exchange(out)\n    inbox.pop(0)\n"
+        lib = tmp_path / "lib.py"
+        lib.write_text("# reprolint: path=src/repro/primitives/fixture.py\n" + code)
+        assert [f.rule for f in run_paths([str(lib)]).findings] == ["NCC007"]
+        test = tmp_path / "test.py"
+        test.write_text("# reprolint: path=tests/test_fixture.py\n" + code)
+        assert run_paths([str(test)]).findings == []
 
     def test_ncc006_covers_worker_core(self, tmp_path):
         # The worker core both pools run on is forked with every worker:

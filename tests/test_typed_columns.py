@@ -22,6 +22,7 @@ from repro.errors import ProtocolError
 from repro.ncc.message import (
     BatchBuilder,
     InboxBatch,
+    RoundInbox,
     gather_typed_spans,
     message_construction_count,
     payload_bits,
@@ -423,21 +424,14 @@ class TestMixedTypedSubmissions:
 # ----------------------------------------------------------------------
 # gather_typed_spans: one round's typed inboxes as whole columns
 # ----------------------------------------------------------------------
-def _typed_inboxes(engine, n=64, receivers=None, dtype=np.int64):
+def _typed_inboxes(engine, n=64):
     """One clean typed round: every sender sends two messages (receivers
-    in first-arrival order differ from ascending order), optionally mapped
-    into ``receivers``."""
+    in first-arrival order differ from ascending order)."""
     senders = np.arange(n, dtype=np.int64)
     src = np.repeat(senders, 2)
     dst = np.stack([(senders + 1) % n, (senders * 7 + 3) % n], axis=1).ravel()
-    if receivers is not None:
-        dst = np.asarray(receivers, dtype=np.int64)[dst % len(receivers)]
-    values = np.zeros(len(src), dtype=dtype)
-    if values.dtype.names:
-        values[values.dtype.names[0]] = src
-    else:
-        values[:] = src * 10 + 1
-    b = BatchBuilder(kind="t", dtype=dtype)
+    values = src * 10 + 1
+    b = BatchBuilder(kind="t", dtype=np.int64)
     b.add_arrays(src, dst, values)
     net = NCCNetwork(n, _engine_config(engine))
     inbox = net.exchange(b)
@@ -462,9 +456,7 @@ class TestGatherTypedSpans:
 
     def test_sharded_round_gathers_like_batched(self, typed_on):
         batched = gather_typed_spans(_typed_inboxes("batched"))
-        inbox = _typed_inboxes("sharded")
-        assert len({id(rec._payloads) for rec in inbox.values()}) == 2
-        sharded = gather_typed_spans(inbox)
+        sharded = gather_typed_spans(_typed_inboxes("sharded"))
         assert sharded is not None
         for got, want in zip(sharded, batched, strict=True):
             assert got.dtype == want.dtype
@@ -478,16 +470,36 @@ class TestGatherTypedSpans:
         for s in range(16):
             b.add(s, (s + 1) % 16, s)
         assert gather_typed_spans(net.exchange(b)) is None
+        # A bulk object round is a RoundInbox, but its payloads are objects.
+        b = BatchBuilder(kind="t")
+        for s in range(16):
+            b.add_many(s, [(s + i) % 16 for i in range(1, 9)], list(range(8)))
+        inbox = net.exchange(b)
+        assert type(inbox) is RoundInbox and gather_typed_spans(inbox) is None
 
     @pytest.mark.parametrize("engine", ("batched", "sharded"))
-    @pytest.mark.parametrize("which", ("first", "middle", "last"))
-    def test_spans_that_do_not_tile_decline(self, engine, which, typed_on):
+    def test_round_inbox_is_read_only(self, engine, typed_on):
         inbox = _typed_inboxes(engine)
-        hosts = sorted(inbox)
-        drop = {"first": hosts[0], "middle": hosts[len(hosts) // 2],
-                "last": hosts[-1]}[which]
-        del inbox[drop]
-        assert gather_typed_spans(inbox) is None
+        assert type(inbox) is RoundInbox
+        before = [(host, rec.payload_array().tolist()) for host, rec in inbox.items()]
+        host = next(iter(inbox))
+        with pytest.raises(TypeError):
+            del inbox[host]
+        with pytest.raises(TypeError):
+            inbox[host] = []
+        for attempt in (
+            lambda: inbox.pop(host),
+            lambda: inbox.popitem(),
+            lambda: inbox.setdefault(host, []),
+            lambda: inbox.update({host: []}),
+            lambda: inbox.clear(),
+        ):
+            with pytest.raises((TypeError, AttributeError)):
+                attempt()
+        after = [(host, rec.payload_array().tolist()) for host, rec in inbox.items()]
+        assert after == before and len(inbox) == 64
+        # A copy is an ordinary dict: no longer the round's columns.
+        assert gather_typed_spans(dict(inbox)) is None
 
     def test_merged_rounds_decline(self, typed_on):
         from repro.ncc.message import merge_round_inboxes
@@ -499,15 +511,6 @@ class TestGatherTypedSpans:
             b.add_arrays(list(receivers), list(receivers), list(receivers))
             merge_round_inboxes(merged, net.exchange(b))
         assert gather_typed_spans(merged) is None
-
-    def test_bases_of_different_dtypes_decline(self, typed_on):
-        low = _typed_inboxes("batched", receivers=range(32))
-        high = _typed_inboxes("batched", receivers=range(32, 64))
-        dsts, base = gather_typed_spans({**high, **low})  # same dtype: joins
-        assert dsts.tolist() == sorted(dsts.tolist())
-        assert len(base) == 256
-        mixed = _typed_inboxes("batched", receivers=range(32, 64), dtype=PAIR_DTYPE)
-        assert gather_typed_spans({**low, **mixed}) is None
 
 
 # ----------------------------------------------------------------------
