@@ -46,6 +46,8 @@ class IdentificationResult:
     red_neighbors: dict[int, list[int]] = field(default_factory=dict)
     #: learners whose peeling stalled before recovering every red edge
     unsuccessful: set[int] = field(default_factory=set)
+    #: rounds the pass ran (the registry's demo run also counts its
+    #: family agreement)
     rounds: int = 0
 
 
@@ -86,6 +88,7 @@ def run_identification(
     q = family[0].range_size
     learners = list(learners)
     result = IdentificationResult()
+    start_round = rt.net.round_index
 
     with rt.net.phase(kind):
         # ---- playing side: build the aggregation memberships.
@@ -142,6 +145,7 @@ def run_identification(
             if not ok:
                 result.unsuccessful.add(u)
 
+    result.rounds = rt.net.round_index - start_round
     return result
 
 
@@ -155,13 +159,17 @@ def _demo_playing(g: InputGraph) -> set[int]:
 
 def _demo_run(rt: NCCRuntime, g: InputGraph) -> IdentificationResult:
     """One identification pass on the canonical demo instance: learners are
-    the non-playing nodes, candidates are all their neighbours."""
+    the non-playing nodes, candidates are all their neighbours.  Its
+    ``rounds`` counts the whole run, the family agreement included."""
+    start_round = rt.net.round_index
     playing = _demo_playing(g)
     fam = identification_family(rt, 7, 256, tag="parity-fam")
     learners = [u for u in range(g.n) if u not in playing]
     candidates = {u: list(g.neighbors(u)) for u in learners}
     potential = {v: [w for w in g.neighbors(v) if w not in playing] for v in playing}
-    return run_identification(rt, g, learners, candidates, potential, fam)
+    result = run_identification(rt, g, learners, candidates, potential, fam)
+    result.rounds = rt.net.round_index - start_round
+    return result
 
 
 def _check(g: InputGraph, result: IdentificationResult, params: dict) -> bool:

@@ -3,8 +3,9 @@
 A degree-(k−1) polynomial with uniformly random coefficients over a prime
 field is a k-wise independent hash family — the standard construction the
 paper appeals to (Section 2.2, citing Celis et al. [10]).  Evaluation uses
-Horner's rule with Python integers (exact, no overflow) and the Mersenne
-structure of the modulus for a cheap reduction.
+Horner's rule with Python integers (exact, no overflow), reducing each
+step modulo ``p`` with one ``%`` (every operand is below ``p``, so a step
+stays below ``p²``).
 
 Two deployment notes mirror the paper:
 
@@ -25,17 +26,6 @@ from typing import Iterable, Sequence
 from ..seeding import derived_rng
 
 MERSENNE_61 = (1 << 61) - 1
-
-
-def _mod_mersenne61(x: int) -> int:
-    """Reduce a non-negative integer modulo 2^61 − 1 without division.
-
-    Valid for ``x < 2^122`` which covers products of two field elements.
-    """
-    x = (x & MERSENNE_61) + (x >> 61)
-    if x >= MERSENNE_61:
-        x -= MERSENNE_61
-    return x
 
 
 class KWiseHash:
@@ -84,7 +74,7 @@ class KWiseHash:
         x = key % MERSENNE_61
         acc = 0
         for c in self._coeffs:
-            acc = _mod_mersenne61(acc * x + c)
+            acc = (acc * x + c) % MERSENNE_61
         return acc % self.range_size
 
     def hash_many(self, keys: Iterable[int]) -> list[int]:
@@ -100,7 +90,7 @@ class KWiseHash:
         x = key % MERSENNE_61
         acc = 0
         for c in self._coeffs:
-            acc = _mod_mersenne61(acc * x + c)
+            acc = (acc * x + c) % MERSENNE_61
         return acc & 1
 
     # ------------------------------------------------------------------

@@ -51,6 +51,10 @@ class TrialTable:
     node; the *remote* side is filled from the aggregated contributions of
     playing neighbours.  ``peel`` then extracts the difference (the red
     edges).
+
+    Only the trials a write touched are stored (a trial nobody wrote is
+    all zeros), so a table costs O(touched trials), not O(q): a learner
+    with a few dozen candidate edges touches a few dozen of the q trials.
     """
 
     __slots__ = ("q", "hashes", "_xor", "_cnt", "_remote_xor", "_remote_cnt")
@@ -63,19 +67,22 @@ class TrialTable:
                 raise ValueError("hash range_size must equal q")
         self.q = q
         self.hashes = tuple(hashes)
-        self._xor = [0] * q
-        self._cnt = [0] * q
-        self._remote_xor = [0] * q
-        self._remote_cnt = [0] * q
+        # trial -> value, for the trials some write touched.  The local
+        # pair and the remote pair each share one key set.
+        self._xor: dict[int, int] = {}
+        self._cnt: dict[int, int] = {}
+        self._remote_xor: dict[int, int] = {}
+        self._remote_cnt: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Filling
     # ------------------------------------------------------------------
     def add_local(self, edge_id: int) -> None:
         """Register a candidate edge (computed locally by the learner)."""
+        xor, cnt = self._xor, self._cnt
         for t in trials_of(edge_id, self.hashes):
-            self._xor[t] ^= edge_id
-            self._cnt[t] += 1
+            xor[t] = xor.get(t, 0) ^ edge_id
+            cnt[t] = cnt.get(t, 0) + 1
 
     def add_local_many(self, edge_ids: Iterable[int]) -> None:
         for e in edge_ids:
@@ -96,8 +103,8 @@ class TrialTable:
         """
         if not 0 <= trial < self.q:
             raise IndexError(trial)
-        self._remote_xor[trial] ^= xor_value
-        self._remote_cnt[trial] += count
+        self._remote_xor[trial] = self._remote_xor.get(trial, 0) ^ xor_value
+        self._remote_cnt[trial] = self._remote_cnt.get(trial, 0) + count
 
     # ------------------------------------------------------------------
     # Decoding
@@ -109,21 +116,33 @@ class TrialTable:
         ``x(t) = x'(t) + 1``, output ``X(t) ⊕ X'(t)``, remove that edge from
         every trial it participates in, repeat.  Stops when no singleton
         trial remains.
+
+        Runs in O(touched + peeled): an untouched trial is all zeros, so
+        it is neither a singleton nor unbalanced until a peel modifies
+        it.  The worklist is seeded with the touched singletons in
+        ascending trial order, and ``complete`` checks the touched trials
+        plus every trial a peel modified (a mis-decoded identifier may
+        land outside the touched set).
         """
-        xor = list(self._xor)
-        cnt = list(self._cnt)
+        rxor, rcnt = self._remote_xor, self._remote_cnt
+        # Working copies over the touched trials; peeling adds the trials
+        # it modifies, so at the end their keys are every trial that may
+        # be non-zero.
+        touched = sorted(self._cnt.keys() | rcnt.keys())
+        cnt = {t: self._cnt.get(t, 0) for t in touched}
+        xor = {t: self._xor.get(t, 0) for t in touched}
         result = PeelResult()
         limit = max_iterations if max_iterations is not None else self.q * 64 + 64
         # Worklist of candidate singleton trials.
-        pending = [t for t in range(self.q) if cnt[t] == self._remote_cnt[t] + 1]
+        pending = [t for t in touched if cnt[t] == rcnt.get(t, 0) + 1]
         seen_ids: set[int] = set()
         iterations = 0
         while pending and iterations < limit:
             iterations += 1
             t = pending.pop()
-            if cnt[t] != self._remote_cnt[t] + 1:
+            if cnt[t] != rcnt.get(t, 0) + 1:
                 continue  # stale entry
-            edge_id = xor[t] ^ self._remote_xor[t]
+            edge_id = xor[t] ^ rxor.get(t, 0)
             if edge_id == 0 or edge_id in seen_ids:
                 # A zero identifier here means the trial's XOR collapsed —
                 # cannot happen with valid (non-zero) edge identifiers unless
@@ -132,24 +151,22 @@ class TrialTable:
             seen_ids.add(edge_id)
             result.identified.append(edge_id)
             for t2 in trials_of(edge_id, self.hashes):
-                xor[t2] ^= edge_id
-                cnt[t2] -= 1
-                if cnt[t2] == self._remote_cnt[t2] + 1:
+                c = cnt.get(t2, 0) - 1
+                cnt[t2] = c
+                xor[t2] = xor.get(t2, 0) ^ edge_id
+                if c == rcnt.get(t2, 0) + 1:
                     pending.append(t2)
-        result.complete = all(
-            cnt[t] == self._remote_cnt[t] and xor[t] == self._remote_xor[t]
-            for t in range(self.q)
-        )
+        result.complete = all(c == rcnt.get(t, 0) and xor[t] == rxor.get(t, 0) for t, c in cnt.items())
         return result
 
     # ------------------------------------------------------------------
     # Introspection (used by tests)
     # ------------------------------------------------------------------
     def local_count(self, trial: int) -> int:
-        return self._cnt[trial]
+        return self._cnt.get(trial, 0)
 
     def remote_count(self, trial: int) -> int:
-        return self._remote_cnt[trial]
+        return self._remote_cnt.get(trial, 0)
 
 
 def simulate_identification(

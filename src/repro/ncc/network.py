@@ -40,6 +40,21 @@ Design notes
   differentially; ``run_rounds``, ``idle_rounds``, the ``round_observer``
   hook, and the k-machine conversion all funnel through the same
   ``exchange`` → engine interface, so parity there covers every consumer.
+* A round costs in proportion to its traffic, not to the rounds the model
+  charges.  Most rounds move nothing: aggregation delivery windows submit
+  empty builders, and barriers and router tails let fixed-length windows
+  elapse through :meth:`NCCNetwork.idle_rounds`.  An empty submission
+  (``()``, ``[]``, ``{}``, an empty builder) skips normalization and the
+  engine, and a mapping whose lists are all empty skips the engine; both
+  feed the same bookkeeping block an empty round (every engine delivers
+  ``{}`` and moves no statistic on such a round, and the engines keep
+  their own empty-round branches for direct calls).  It is still one
+  ``exchange`` call, with its span, observer call, round number and
+  statistics; an idle window of k rounds is k calls (the benchmark
+  counts rounds as ``exchange`` calls).  The phase stack is resolved
+  into its distinct labels' :class:`~repro.ncc.stats.PhaseStats` cells
+  once per phase entry and exit, so a round's statistics allocate
+  nothing.
 * Input validation (node ids, ``src`` consistency of a ``Mapping`` entry)
   happens *before* any DROP-mode trimming, so STRICT and DROP report the
   same offending messages: a malformed message cannot escape detection by
@@ -59,7 +74,7 @@ from ..telemetry import tracer as _tracer
 from ..telemetry.metrics import METRICS
 from .engine import InboxT, RoundEngine, build_engine
 from .message import BatchBuilder, InboxBatch, Message, merge_round_inboxes
-from .stats import NetworkStats, Violation
+from .stats import NetworkStats, PhaseStats, Violation
 
 # Registry counters for the rare events the tracer also records; one int
 # add per violation, cheap enough to run unconditionally.
@@ -67,6 +82,12 @@ _CAPACITY_VIOLATIONS = METRICS.counter("ncc.violations")
 _BITS_VIOLATIONS = METRICS.counter("ncc.bits_violations")
 
 OutgoingT = Mapping[int, list[Message]] | Iterable[Message] | BatchBuilder
+
+
+def _no_traffic(_submitted: object) -> tuple[dict, int, int]:
+    """The round of a submission without a message: nothing to enforce,
+    nothing delivered (a fresh dict per round — results are the caller's)."""
+    return {}, 0, 0
 
 
 class NCCNetwork:
@@ -91,6 +112,9 @@ class NCCNetwork:
         self.stats = NetworkStats()
         self._round = 0
         self._phase_stack: list[str] = []
+        # The stats cells every round charges: the stack's distinct
+        # labels, resolved once per phase entry and exit.
+        self._phase_cells: tuple[PhaseStats, ...] = ()
         self._drop_rng = derived_rng("ncc-drop", self.config.seed, n)
         #: The pluggable enforcement/accounting core executing each round.
         self.engine: RoundEngine = build_engine(self.config.resolve_engine(), self)
@@ -122,6 +146,7 @@ class NCCNetwork:
         """Attribute all traffic inside the block to ``label`` (stackable)."""
         self._phase_stack.append(label)
         self.stats.record_phase_entry(label)
+        self._phase_cells = self.stats.phase_cells(self._phase_stack)
         tr = _tracer.CURRENT
         if tr is not None:
             tr.begin("phase", label=label)
@@ -129,6 +154,7 @@ class NCCNetwork:
             yield
         finally:
             self._phase_stack.pop()
+            self._phase_cells = self.stats.phase_cells(self._phase_stack)
             tr = _tracer.CURRENT
             if tr is not None:
                 tr.end(rounds=self._round)
@@ -145,7 +171,9 @@ class NCCNetwork:
         ints, bools and numpy integers are accepted, anything else raises
         ``TypeError`` before the round starts.  A ``round_observer`` sees
         every round as a ``sender -> messages`` mapping; for a builder
-        that is ``builder.batches()``, cut after the round.
+        that is ``builder.batches()``, cut after the round.  A submission
+        without a message is a round too: it elapses, is observed (as
+        ``{}``) and counted, and returns ``{}``.
 
         Returns a ``Mapping`` holding the inbox of every node that received
         at least one message, keyed by receiver in first-arrival order.
@@ -168,7 +196,11 @@ class NCCNetwork:
                 f"simulation exceeded max_rounds={self.config.max_rounds}"
             )
 
-        if isinstance(outgoing, BatchBuilder):
+        if not outgoing:
+            if isinstance(outgoing, BatchBuilder):
+                outgoing._spent = True  # like any submitted builder
+            run, submitted = _no_traffic, {}
+        elif isinstance(outgoing, BatchBuilder):
             # Columnar submission: the engine reads the builder's columns
             # itself.  Its per-sender cut (first-occurrence sender order,
             # per-sender append order — identical to flat-list bucketing)
@@ -194,7 +226,8 @@ class NCCNetwork:
             else:
                 for m in outgoing:
                     per_sender.setdefault(m.src, []).append(m)
-            run, submitted = self.engine.run_round, per_sender
+            run = self.engine.run_round if per_sender else _no_traffic
+            submitted = per_sender
 
         tr = _tracer.CURRENT
         if tr is None:
@@ -217,7 +250,7 @@ class NCCNetwork:
                 submitted = submitted.batches()
             self.round_observer(self._round, submitted)
         self._round += 1
-        self.stats.record_round(tuple(self._phase_stack), sent_messages, sent_bits)
+        self.stats.charge_round(self._phase_cells, sent_messages, sent_bits)
         return delivered
 
     def run_rounds(

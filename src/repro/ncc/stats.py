@@ -10,7 +10,7 @@ instrumentation in the algorithms themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,31 @@ class NetworkStats:
     # ------------------------------------------------------------------
     def record_round(
         self,
-        active_phases: Iterator[str] | tuple[str, ...],
+        active_phases: Iterable[str],
         messages: int,
         bits: int,
     ) -> None:
+        """Charge one round to the totals and to every active phase.
+
+        ``active_phases`` is the raw phase stack.  A label nested inside
+        itself (e.g. a primitive reentered under the same tag) charges
+        each round/message/bit once, not once per stack level."""
+        self.charge_round(self.phase_cells(active_phases), messages, bits)
+
+    def phase_cells(self, labels: Iterable[str]) -> tuple[PhaseStats, ...]:
+        """The :class:`PhaseStats` of each distinct label, in first-occurrence
+        order, created (in that order) on first use.  The network resolves
+        its phase stack once per phase entry and exit and charges every
+        round of the phase to the same cells."""
+        return tuple(self.phases.setdefault(label, PhaseStats()) for label in dict.fromkeys(labels))
+
+    def charge_round(self, cells: tuple[PhaseStats, ...], messages: int, bits: int) -> None:
+        """Charge one round to the totals and to ``cells`` (distinct phases,
+        from :meth:`phase_cells`)."""
         self.rounds += 1
         self.messages += messages
         self.bits += bits
-        labels = (
-            active_phases
-            if isinstance(active_phases, tuple)
-            else tuple(active_phases)
-        )
-        if len(labels) > 1:
-            # The phase stack is raw nesting: a label nested inside itself
-            # (e.g. a primitive reentered under the same tag) must charge
-            # each round/message/bit once, not once per stack level.
-            labels = dict.fromkeys(labels)
-        for label in labels:
-            ps = self.phases.setdefault(label, PhaseStats())
+        for ps in cells:
             ps.rounds += 1
             ps.messages += messages
             ps.bits += bits

@@ -19,11 +19,13 @@ the engines distinguishable is a bug, regardless of which engine is
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
 
 from repro import Enforcement, NCCConfig, NCCRuntime, ReproError
+from repro.errors import SimulationLimitError
 from repro.graphs import generators
 from repro.registry import iter_algorithms
 from repro.ncc.batched import SMALL_ROUND_CUTOFF
@@ -37,6 +39,7 @@ from repro.ncc.message import (
     set_typed_payloads,
 )
 from repro.ncc.network import NCCNetwork
+from repro.telemetry.tracer import tracing
 
 ENGINES = ("reference", "batched", "sharded")
 MODES = tuple(Enforcement)
@@ -550,6 +553,81 @@ class TestExchangeFuzzParity:
                 net.exchange({0: msgs})
             outcomes[engine] = (str(e.value), net.stats.comparable())
         _assert_parity(outcomes)
+
+
+# ----------------------------------------------------------------------
+# Empty rounds: a submission without a message is still one full round
+# ----------------------------------------------------------------------
+def _empty_submissions():
+    """Every form of a round that sends nothing, fresh per call (a builder
+    is single-shot)."""
+    return [
+        (),
+        [],
+        {},
+        {3: []},
+        BatchBuilder("idle"),
+        BatchBuilder("idle", dtype=np.int64),
+    ]
+
+
+class TestEmptyRoundParity:
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    def test_empty_submissions_are_observed_counted_rounds(self, mode):
+        """Each empty form elapses one round under every engine: the round
+        index moves by one, the result is an empty mapping, a builder is
+        spent, the observer sees ``{}``, the tracer records a zero-traffic
+        ``round`` span, and every phase on the stack — a repeated label
+        once — is charged the round, and no phase once all have exited."""
+        outcomes = {}
+        for engine in ENGINES:
+            net = NCCNetwork(16, _engine_cfg(engine, seed=1, enforcement=mode))
+            seen = []
+            net.round_observer = lambda r, sub: seen.append((r, sub))
+            with tracing() as tr:
+                with net.phase("outer"), net.phase("inner"), net.phase("outer"):
+                    for sub in _empty_submissions():
+                        before = net.round_index
+                        got = net.exchange(sub)
+                        assert net.round_index == before + 1
+                        assert isinstance(got, Mapping) and len(got) == 0
+                        if isinstance(sub, BatchBuilder):
+                            with pytest.raises(TypeError, match="already finalized"):
+                                sub.add(0, 1, 5)
+                    net.idle_rounds(2)
+                net.exchange(())  # outside every phase: charged to none
+            spans = [f for kind, name, f in tr.structure() if name == "round"]
+            outcomes[engine] = (seen, spans, net.stats.comparable(), net.round_index)
+        _assert_parity(outcomes)
+        seen, spans, stats, rounds = outcomes["reference"]
+        assert rounds == 9
+        assert seen == [(r, {}) for r in range(9)]
+        assert spans == [
+            {"round": r, "phases": "outer/inner/outer" if r < 8 else "", "messages": 0, "bits": 0}
+            for r in range(9)
+        ]
+        assert (stats["rounds"], stats["messages"], stats["bits"]) == (9, 0, 0)
+        assert stats["phases"] == {
+            "outer": {"rounds": 8, "messages": 0, "bits": 0, "entries": 2},
+            "inner": {"rounds": 8, "messages": 0, "bits": 0, "entries": 1},
+        }
+
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    def test_idle_round_hits_max_rounds(self, mode):
+        """The round limit applies to rounds that move nothing: every empty
+        form raises once ``max_rounds`` have elapsed, and nothing moves."""
+        outcomes = {}
+        for engine in ENGINES:
+            net = NCCNetwork(
+                16, _engine_cfg(engine, seed=1, enforcement=mode, max_rounds=2)
+            )
+            net.idle_rounds(2)
+            for sub in _empty_submissions():
+                with pytest.raises(SimulationLimitError, match="max_rounds=2"):
+                    net.exchange(sub)
+            outcomes[engine] = (net.round_index, net.stats.comparable())
+        _assert_parity(outcomes)
+        assert outcomes["reference"][0] == 2
 
 
 # ----------------------------------------------------------------------

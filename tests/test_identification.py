@@ -82,5 +82,6 @@ class TestIdentification:
             g, playing=[0, 4, 8]
         )
         before = rt.net.round_index
-        run_identification(rt, g, learners, candidates, potential, fam)
+        res = run_identification(rt, g, learners, candidates, potential, fam)
         assert rt.net.round_index > before
+        assert res.rounds == rt.net.round_index - before

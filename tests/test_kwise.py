@@ -88,3 +88,33 @@ class TestModelHelpers:
         h = KWiseHash(3, 1000, seed=5)
         assert h(MERSENNE_61) == h(0)
         assert h(MERSENNE_61 + 5) == h(5)
+
+
+class TestValuePins:
+    """Exact outputs, pinned: every shared-randomness decision (trial
+    tables, FindMin sketches) hangs off these values, so a change to the
+    evaluation loop must reproduce them bit for bit."""
+
+    KEYS = [0, 1, MERSENNE_61 - 1, MERSENNE_61, MERSENNE_61 + 1, 2**64 - 1, 2**80]
+
+    @pytest.mark.parametrize(
+        "k, range_size, seed, values, bits",
+        [
+            (5, 1741, 11, [1123, 503, 623, 1123, 503, 1016, 269], [0, 0, 1, 0, 0, 0, 1]),
+            (
+                2,
+                1 << 40,
+                3,
+                [
+                    937213436621, 657227840597, 117687404869, 937213436621,
+                    657227840597, 76825892231, 347934835940,
+                ],
+                [1, 1, 1, 1, 1, 1, 0],
+            ),
+        ],
+        ids=["k5-q1741", "k2-2^40"],
+    )
+    def test_outputs_pinned(self, k, range_size, seed, values, bits):
+        h = KWiseHash(k, range_size, seed=seed)
+        assert [h(x) for x in self.KEYS] == values
+        assert [h.bit(x) for x in self.KEYS] == bits

@@ -76,6 +76,19 @@ class TestExecution:
         assert ex.runtime.net.stats.messages == ex.row["messages"]
         assert ex.graph.n == 16
 
+    @pytest.mark.parametrize(
+        "name", sorted(spec.name for spec in iter_algorithms() if spec.runnable)
+    )
+    def test_row_rounds_equal_report_rounds(self, name):
+        """Every row's ``rounds`` counts the whole run the report counts
+        (identification's demo run includes its family agreement)."""
+        from repro import RunSpec, Session
+
+        with Session() as session:
+            report = session.run(RunSpec(name, 16, seed=1, engine="batched"))
+        assert report.rounds > 0
+        assert report.row["rounds"] == report.rounds
+
     def test_workload_options_forwarded(self):
         row = get_algorithm("bfs").run_row(25, seed=1, family="grid")
         assert row["n"] == 25 and row["D"] == 8
