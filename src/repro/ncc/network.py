@@ -45,10 +45,10 @@ Design notes
   empty builders, and barriers and router tails let fixed-length windows
   elapse through :meth:`NCCNetwork.idle_rounds`.  An empty submission
   (``()``, ``[]``, ``{}``, an empty builder) skips normalization and the
-  engine, and a mapping whose lists are all empty skips the engine; both
-  feed the same bookkeeping block an empty round (every engine delivers
-  ``{}`` and moves no statistic on such a round, and the engines keep
-  their own empty-round branches for direct calls).  It is still one
+  engine and feeds the same bookkeeping block an empty round (every
+  engine delivers ``{}`` and moves no statistic on such a round, and the
+  engines keep their own empty-round branches for direct calls and for
+  submissions that normalize to nothing).  It is still one
   ``exchange`` call, with its span, observer call, round number and
   statistics; an idle window of k rounds is k calls (the benchmark
   counts rounds as ``exchange`` calls).  The phase stack is resolved
@@ -82,6 +82,11 @@ _CAPACITY_VIOLATIONS = METRICS.counter("ncc.violations")
 _BITS_VIOLATIONS = METRICS.counter("ncc.bits_violations")
 
 OutgoingT = Mapping[int, list[Message]] | Iterable[Message] | BatchBuilder
+
+# The submissions whose emptiness ends a round before normalization.  Any
+# other falsy argument (``None``, ``0``) takes the normal path and fails
+# there as a non-iterable.
+_EMPTY_FORMS = (tuple, list, dict, BatchBuilder)
 
 
 def _no_traffic(_submitted: object) -> tuple[dict, int, int]:
@@ -196,7 +201,7 @@ class NCCNetwork:
                 f"simulation exceeded max_rounds={self.config.max_rounds}"
             )
 
-        if not outgoing:
+        if not outgoing and isinstance(outgoing, _EMPTY_FORMS):
             if isinstance(outgoing, BatchBuilder):
                 outgoing._spent = True  # like any submitted builder
             run, submitted = _no_traffic, {}
@@ -226,8 +231,7 @@ class NCCNetwork:
             else:
                 for m in outgoing:
                     per_sender.setdefault(m.src, []).append(m)
-            run = self.engine.run_round if per_sender else _no_traffic
-            submitted = per_sender
+            run, submitted = self.engine.run_round, per_sender
 
         tr = _tracer.CURRENT
         if tr is None:

@@ -578,10 +578,14 @@ class TestEmptyRoundParity:
         index moves by one, the result is an empty mapping, a builder is
         spent, the observer sees ``{}``, the tracer records a zero-traffic
         ``round`` span, and every phase on the stack — a repeated label
-        once — is charged the round, and no phase once all have exited."""
+        once — is charged the round, and no phase once all have exited.
+        Once ``max_rounds`` have elapsed, every empty form is refused and
+        nothing moves."""
         outcomes = {}
         for engine in ENGINES:
-            net = NCCNetwork(16, _engine_cfg(engine, seed=1, enforcement=mode))
+            net = NCCNetwork(
+                16, _engine_cfg(engine, seed=1, enforcement=mode, max_rounds=9)
+            )
             seen = []
             net.round_observer = lambda r, sub: seen.append((r, sub))
             with tracing() as tr:
@@ -596,6 +600,9 @@ class TestEmptyRoundParity:
                                 sub.add(0, 1, 5)
                     net.idle_rounds(2)
                 net.exchange(())  # outside every phase: charged to none
+                for sub in _empty_submissions():
+                    with pytest.raises(SimulationLimitError, match="max_rounds=9"):
+                        net.exchange(sub)
             spans = [f for kind, name, f in tr.structure() if name == "round"]
             outcomes[engine] = (seen, spans, net.stats.comparable(), net.round_index)
         _assert_parity(outcomes)
@@ -612,22 +619,25 @@ class TestEmptyRoundParity:
             "inner": {"rounds": 8, "messages": 0, "bits": 0, "entries": 1},
         }
 
-    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-    def test_idle_round_hits_max_rounds(self, mode):
-        """The round limit applies to rounds that move nothing: every empty
-        form raises once ``max_rounds`` have elapsed, and nothing moves."""
+    def test_falsy_non_submission_raises(self):
+        """Only the empty submission forms end a round early: ``None``,
+        ``0`` and ``False`` fail as non-iterables on every engine, before
+        the round starts — no round, no observer call, no statistic."""
         outcomes = {}
         for engine in ENGINES:
-            net = NCCNetwork(
-                16, _engine_cfg(engine, seed=1, enforcement=mode, max_rounds=2)
-            )
-            net.idle_rounds(2)
-            for sub in _empty_submissions():
-                with pytest.raises(SimulationLimitError, match="max_rounds=2"):
-                    net.exchange(sub)
-            outcomes[engine] = (net.round_index, net.stats.comparable())
+            net = NCCNetwork(16, _engine_cfg(engine, seed=1))
+            seen = []
+            net.round_observer = lambda r, sub: seen.append(r)
+            errors = []
+            for bad in (None, 0, False):
+                with pytest.raises(TypeError, match="not iterable") as e:
+                    net.exchange(bad)
+                errors.append(str(e.value))
+            outcomes[engine] = (errors, seen, net.round_index, net.stats.comparable())
         _assert_parity(outcomes)
-        assert outcomes["reference"][0] == 2
+        _, seen, rounds, stats = outcomes["reference"]
+        assert (seen, rounds) == ([], 0)
+        assert stats == NCCNetwork(16).stats.comparable()
 
 
 # ----------------------------------------------------------------------
