@@ -26,13 +26,18 @@ round counts, fewer simulated message objects — used by large benchmarks).
 Straight butterfly edges connect nodes of one column and therefore stay
 inside one NCC node: they elapse a butterfly round but send no NCC message.
 Cross edges become real messages through :class:`~repro.ncc.network.NCCNetwork`,
-submitted columnar per host via :class:`~repro.ncc.message.BatchBuilder` so
-routed rounds stay on the batched engine's array path.
+submitted columnar per host via :class:`~repro.ncc.message.BatchBuilder`.
+Plain-int traffic ships as typed columns only in bulk rounds
+(:data:`~repro.ncc.message.SMALL_ROUND_CUTOFF` messages or more) and as
+object columns below that, where the numpy fixed cost does not pay.  Both
+forms list a round's senders in ascending order, so the wire choice never
+changes the submitted round.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Hashable
 
 import numpy as _np
@@ -42,7 +47,7 @@ from ..ncc.message import (
     BatchBuilder,
     InboxBatch,
     gather_typed_spans,
-    typed_payloads_enabled,
+    typed_round_pays,
 )
 from ..ncc.network import NCCNetwork
 from .topology import BFNode, ButterflyGrid
@@ -653,6 +658,15 @@ class MulticastRouter:
         Returns ``results[column] = {group: value}`` for every level-0
         column that is a leaf of some group's tree; the caller maps leaves
         to group members (the paper's ``l(i, u) → u`` delivery).
+
+        A data round ships as one ``DATA_DTYPE`` column when sync is
+        lightweight (no token sends), the round is a bulk one
+        (:func:`~repro.ncc.message.typed_round_pays`: typed payloads on, at
+        least ``SMALL_ROUND_CUTOFF`` cross packets) and every group and
+        value is an int; any other round ships object tuples.  The object form stable-sorts
+        the cross packets by source column first, so it submits the round
+        the typed form would: same senders in the same order, each with
+        the same messages in the same order.
         """
         net, bf = self.net, self.bf
         d = bf.d
@@ -687,11 +701,6 @@ class MulticastRouter:
             )
 
         lightweight = _lightweight(net)
-        # Typed wire applies per round: under lightweight sync (no token
-        # messages to mix in) a round whose cross traffic is all plain-int
-        # (group, value) pairs ships as one DATA_DTYPE column instead of
-        # per-packet tuples; any other round keeps the object builder.
-        typed_wire = lightweight and typed_payloads_enabled()
         # Contention key (rank, group) per group, cached across rounds: the
         # per-edge minimum consults it once per queued packet per round.
         cand_cache: dict[GroupT, tuple[int, GroupT]] = {}
@@ -762,11 +771,15 @@ class MulticastRouter:
                     cross_sends.append(
                         (src.column, dst.column, dst.level, g, val)
                     )
+            # Typed wire applies per round: under lightweight sync (no token
+            # messages to mix in) a bulk round (typed_round_pays) whose
+            # traffic is all plain-int (group, value) pairs ships as one
+            # DATA_DTYPE column instead of per-packet tuples; any other
+            # round keeps the object builder, where a small round is cheaper.
             out = None
             if (
-                typed_wire
-                and cross_sends
-                and not token_sends
+                lightweight
+                and typed_round_pays(len(cross_sends))
                 and all(
                     type(c[3]) is int and type(c[4]) is int
                     for c in cross_sends
@@ -788,6 +801,9 @@ class MulticastRouter:
                         payload,
                     )
             if out is None:
+                # Ascending senders, as add_arrays groups them: both wires
+                # submit the identical round.
+                cross_sends.sort(key=itemgetter(0))  # by source column
                 out = BatchBuilder(kind=self.kind)
                 out_add = out.add
                 for scol, dcol, lvl, g, val in cross_sends:
@@ -834,7 +850,7 @@ class MulticastRouter:
                         process_arrival(BFNode(lvl, host), g, val)
                     continue
                 payloads = (
-                    received.payloads()  # reprolint: disable=NCC002 — mixed token/data round fallback
+                    received.payloads()  # reprolint: disable=NCC002 — rounds below SMALL_ROUND_CUTOFF ship objects (cheaper), as do token rounds
                     if type(received) is InboxBatch
                     else [m.payload for m in received]
                 )

@@ -45,14 +45,13 @@ from typing import Mapping
 import numpy as _np
 
 from .engine import RoundEngine, RoundResult, register_engine
-from .message import BatchBuilder, InboxBatch, Message, RoundInbox
 
-#: Below this many messages per object round the fixed cost of the numpy
-#: round setup (~a few dozen array ops) exceeds a plain-Python pass, so
-#: small object rounds are bucketed in Python
-#: (:meth:`BatchedEngine._deliver_deferred_py`) — same observables, still
-#: zero ``Message`` construction.
-SMALL_ROUND_CUTOFF = 128
+# SMALL_ROUND_CUTOFF is defined next to the typed-wire rule that shares it:
+# object rounds below it are bucketed in Python
+# (:meth:`BatchedEngine._deliver_deferred_py`; same observables, still zero
+# ``Message`` construction), and producers that can choose ship typed
+# columns only from it up, so every small round takes that pass.
+from .message import SMALL_ROUND_CUTOFF, BatchBuilder, InboxBatch, Message, RoundInbox
 
 
 class BatchedEngine(RoundEngine):

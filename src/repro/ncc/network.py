@@ -64,8 +64,8 @@ Design notes
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Mapping
 
 from ..config import DEFAULT_CONFIG, Enforcement, NCCConfig
 from ..errors import CapacityError, MessageSizeError, SimulationLimitError

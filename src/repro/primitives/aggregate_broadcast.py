@@ -22,10 +22,17 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Iterable, Mapping
 
+import numpy as _np
+
 from ..butterfly.topology import ButterflyGrid
-from ..ncc.message import BatchBuilder, payloads_of
+from ..ncc.message import BatchBuilder, payloads_of, typed_round_pays
 from ..ncc.network import NCCNetwork
 from .functions import Aggregate
+
+#: Wire dtype of a bulk hash-agreement round (:func:`_broadcast_uniform`).
+#: Sizes exactly like the object path's ``("B", item)`` tuples (1-char tag =
+#: short string = 4 bits), so both wires account identical bits.
+BCAST_DTYPE = _np.dtype([("tag", "U1"), ("item", "i8")])
 
 
 def aggregate_and_broadcast(
@@ -224,7 +231,15 @@ def _broadcast_uniform(
     id ranges.  So one depth-indexed counter dict replays the exact
     traffic: same rounds, same flat message order, same batch sizes and
     payload values.  Pinned differentially against the generic loop in
-    ``tests/test_primitives.py``.
+    ``tests/test_aggregate_broadcast.py`` (both wires).
+
+    A round's message count has a closed form (each active depth's batch
+    times its tree edges), so the wire is picked per round: an int item
+    inside int64 range ships a bulk round (``typed_round_pays``) as one
+    typed ``BCAST_DTYPE`` column, built whole with numpy; any other round
+    ships ``("B", item)`` tuples sender by sender.  Both forms list the
+    senders ascending with each sender's left-child batch first, so they
+    submit the identical round.
     """
     n = net.n
     k = len(item_list)
@@ -232,20 +247,44 @@ def _broadcast_uniform(
     rate = max(1, net.capacity // 2)
     last_internal = (n - 2) // 2  # deepest node with a child in range
     maxd = (last_internal + 1).bit_length() - 1
+    typed_item = type(item) is int and -(1 << 63) <= item < 1 << 63
     qd: dict[int, int] = {0: k}  # tree depth -> queue length (uniform)
     while qd:
-        out = BatchBuilder(kind=kind)
-        takes = [(d, min(rate, qd[d])) for d in sorted(qd)]
-        for d, take in takes:
-            wrapped = [("B", item)] * take
-            lo = (1 << d) - 1
-            hi = min((1 << (d + 1)) - 2, last_internal)
-            for u in range(lo, hi + 1):
-                out.add_many(u, (2 * u + 1,) * take, wrapped)
-                if 2 * u + 2 < n:
-                    out.add_many(u, (2 * u + 2,) * take, wrapped)
+        # (depth, take, first node, last node) per active depth, ascending.
+        spans = [
+            (d, min(rate, qd[d]), (1 << d) - 1, min((1 << (d + 1)) - 2, last_internal))
+            for d in sorted(qd)
+        ]
+        # Only the last internal node can miss its right child (2u + 2 = n).
+        count = sum(
+            take * (2 * (hi - lo + 1) - (2 * hi + 2 >= n))
+            for _, take, lo, hi in spans
+        )
+        if typed_item and typed_round_pays(count):
+            out = BatchBuilder(kind=kind, dtype=BCAST_DTYPE)
+            srcs, dsts = [], []
+            for _, take, lo, hi in spans:
+                us = _np.arange(lo, hi + 1)
+                # Each sender's left-child batch, then its right-child one.
+                kids = (2 * us[:, None] + (1, 2)).ravel()
+                srcs.append(_np.repeat(us, 2 * take))
+                dsts.append(_np.repeat(kids, take))
+            dst = _np.concatenate(dsts)
+            keep = dst < n
+            payload = _np.empty(count, dtype=BCAST_DTYPE)
+            payload["tag"] = "B"
+            payload["item"] = item
+            out.add_arrays(_np.concatenate(srcs)[keep], dst[keep], payload)
+        else:
+            out = BatchBuilder(kind=kind)
+            for _, take, lo, hi in spans:
+                wrapped = [("B", item)] * take
+                for u in range(lo, hi + 1):
+                    out.add_many(u, (2 * u + 1,) * take, wrapped)
+                    if 2 * u + 2 < n:
+                        out.add_many(u, (2 * u + 2,) * take, wrapped)
         net.exchange(out)
-        for d, take in takes:
+        for d, take, _, _ in spans:
             qd[d] -= take
             if not qd[d]:
                 del qd[d]

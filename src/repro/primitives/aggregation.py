@@ -249,6 +249,11 @@ def run_aggregation(
         # ----- Postprocessing: deliver to real targets in random rounds.
         ell2 = problem.ell2_bound if problem.ell2_bound is not None else problem.ell2()
         window = max(1, math.ceil(ell2 / max(1, net.log2n)))
+        # A window round gets a builder only once it gets traffic; the
+        # others submit ``()``, the same empty round: most rounds of a wide
+        # window carry nothing, and a builder costs about as much as the
+        # empty round itself.
+        schedule: list[BatchBuilder | tuple] = [()] * window
         if use_typed:
             rows: list[tuple[list, list, list, list]] = [
                 ([], [], [], []) for _ in range(window)
@@ -262,23 +267,23 @@ def run_aggregation(
                 row[1].append(t)
                 row[2].append(g)
                 row[3].append(value)
-            schedule = []
-            for srcs, dsts, gs, vals in rows:
-                out = BatchBuilder(kind=kind, dtype=RESULT_DTYPE)
+            for r, (srcs, dsts, gs, vals) in enumerate(rows):
                 if srcs:
+                    out = schedule[r] = BatchBuilder(kind=kind, dtype=RESULT_DTYPE)
                     payload = _np.empty(len(srcs), dtype=RESULT_DTYPE)
                     payload["tag"] = "R"
                     payload["g"] = gs
                     payload["val"] = vals
                     out.add_arrays(srcs, dsts, payload)
-                schedule.append(out)
         else:
-            schedule = [BatchBuilder(kind=kind) for _ in range(window)]
             for g, value in res.results.items():
                 t = problem.targets[g]
                 src = target_col(key_of(g))  # host of (d, h(g))
                 r_rng = shared.node_rng(src, (tag, "deliver", _group_key(g)))
-                schedule[r_rng.randrange(window)].add(src, t, ("R", g, value))
+                r = r_rng.randrange(window)
+                if not schedule[r]:
+                    schedule[r] = BatchBuilder(kind=kind)
+                schedule[r].add(src, t, ("R", g, value))
         outcome = AggregationOutcome(values={}, rounds=0)
         for r in range(window):
             inbox = net.exchange(schedule[r])

@@ -138,7 +138,9 @@ def spread_exchange(
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    schedule = [BatchBuilder(kind=kind) for _ in range(window)]
+    # A round gets a builder only once it gets traffic; the others submit
+    # ``()``, the same empty round at no construction cost.
+    schedule: list[BatchBuilder | tuple] = [()] * window
     for idx, send in enumerate(sends):
         src, dst, payload = send
         if round_of is not None:
@@ -147,6 +149,8 @@ def spread_exchange(
             r = rng.randrange(window)
         else:
             r = idx % window
+        if not schedule[r]:
+            schedule[r] = BatchBuilder(kind=kind)
         schedule[r].add(src, dst, payload)
     merged: dict[int, list[Message] | InboxBatch] = {}
     for r in range(window):

@@ -27,6 +27,7 @@ from ..ncc.message import (
     InboxBatch,
     payloads_of,
     typed_payloads_enabled,
+    typed_round_pays,
 )
 from ..ncc.network import NCCNetwork
 from ..rng import SharedRandomness
@@ -92,9 +93,11 @@ def run_multicast(
         # batches these sends at the capacity limit.
         #
         # An instance whose groups and payloads are all plain int64-range
-        # ints rides the typed wire through every stage (handoff here,
-        # spreading inside the router, leaf delivery below); anything else
-        # keeps the object tuples — the fallback contract.
+        # ints may ride the typed wire in every stage (handoff here,
+        # spreading inside the router, leaf delivery below), but each round
+        # does so only when it is a bulk one (typed_round_pays); small
+        # rounds and any other instance keep the object tuples.  Both forms
+        # submit identical rounds, so the choice changes no observable.
         lim = 1 << 62
         use_typed = typed_payloads_enabled() and all(
             type(g) is int and type(p) is int and -lim < g < lim and -lim < p < lim
@@ -111,13 +114,17 @@ def run_multicast(
                 per_source[src] = c = ([], [])
             c[0].append(bf.host(root))
             c[1].append(("M", g, payload))
+        # The handoff's first round is its largest, and both forms send its
+        # senders in first-occurrence order.
+        first_round = sum(min(len(c[0]), net.capacity) for c in per_source.values())
+        typed_handoff = use_typed and typed_round_pays(first_round)
         root_packets: dict[GroupT, Any] = {}
         for inbox in send_chunked(
             net,
             per_source,
             net.capacity,
             kind=kind,
-            dtype=MCAST_DTYPE if use_typed else None,
+            dtype=MCAST_DTYPE if typed_handoff else None,
         ):
             for received in inbox.values():
                 arr = (
@@ -145,48 +152,40 @@ def run_multicast(
         if ell_bound is None:
             ell_bound = trees.member_load()
         window = max(1, math.ceil(max(1, ell_bound) / max(1, net.log2n)))
-        if use_typed:
-            # Same random round draws as the object flow; the draws simply
-            # accumulate into columns instead of per-packet builder adds.
-            rows: list[tuple[list, list, list, list]] = [
-                ([], [], [], []) for _ in range(window)
-            ]
-            for col, payloads in res.results.items():
-                host = col  # level-0 column col is hosted by NCC node col
-                for g, payload in payloads.items():
-                    for member in trees.leaf_members.get(g, {}).get(col, ()):
-                        r_rng = shared.node_rng(
-                            host, (tag, "leaf", _group_key(g), member)
-                        )
-                        row = rows[r_rng.randrange(window)]
-                        row[0].append(host)
-                        row[1].append(member)
-                        row[2].append(g)
-                        row[3].append(payload)
-            schedule = []
-            for srcs, dsts, gs, vals in rows:
+        # One row of (sender, member, group, payload) columns per window
+        # round.  Columns are visited in ascending order, so every row lists
+        # its senders ascending, as a typed add_arrays groups them; the
+        # round draws are keyed per (leaf, group, member), not per call.
+        rows: list[tuple[list, list, list, list]] = [
+            ([], [], [], []) for _ in range(window)
+        ]
+        for col in sorted(res.results):
+            host = col  # level-0 column col is hosted by NCC node col
+            for g, payload in res.results[col].items():
+                for member in trees.leaf_members.get(g, {}).get(col, ()):
+                    r_rng = shared.node_rng(
+                        host, (tag, "leaf", _group_key(g), member)
+                    )
+                    row = rows[r_rng.randrange(window)]
+                    row[0].append(host)
+                    row[1].append(member)
+                    row[2].append(g)
+                    row[3].append(payload)
+        for srcs, dsts, gs, vals in rows:
+            out: BatchBuilder | tuple = ()
+            if use_typed and typed_round_pays(len(srcs)):
                 out = BatchBuilder(kind=kind, dtype=MCAST_DTYPE)
-                if srcs:
-                    payload_arr = _np.empty(len(srcs), dtype=MCAST_DTYPE)
-                    payload_arr["tag"] = "L"
-                    payload_arr["g"] = gs
-                    payload_arr["val"] = vals
-                    out.add_arrays(srcs, dsts, payload_arr)
-                schedule.append(out)
-        else:
-            schedule = [BatchBuilder(kind=kind) for _ in range(window)]
-            for col, payloads in res.results.items():
-                host = col  # level-0 column col is hosted by NCC node col
-                for g, payload in payloads.items():
-                    for member in trees.leaf_members.get(g, {}).get(col, ()):
-                        r_rng = shared.node_rng(
-                            host, (tag, "leaf", _group_key(g), member)
-                        )
-                        schedule[r_rng.randrange(window)].add(
-                            host, member, ("L", g, payload)
-                        )
-        for r in range(window):
-            inbox = net.exchange(schedule[r])
+                payload_arr = _np.empty(len(srcs), dtype=MCAST_DTYPE)
+                payload_arr["tag"] = "L"
+                payload_arr["g"] = gs
+                payload_arr["val"] = vals
+                out.add_arrays(srcs, dsts, payload_arr)
+            elif srcs:
+                out = BatchBuilder(kind=kind)
+                out_add = out.add
+                for src, dst, g, payload in zip(srcs, dsts, gs, vals):
+                    out_add(src, dst, ("L", g, payload))
+            inbox = net.exchange(out)
             for u, received in inbox.items():
                 arr = (
                     received.payload_array()

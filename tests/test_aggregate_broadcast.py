@@ -92,6 +92,26 @@ class TestPipelinedBroadcast:
         rt32.pipelined_broadcast(list(range(64)))
         assert rt32.net.stats.violation_count == 0
 
+    @pytest.mark.parametrize("n", [2, 7, 32, 256])
+    def test_identical_items_replay_the_generic_loop(self, n, strict_config):
+        """``[x] * k`` takes the closed-form broadcast (typed columns for
+        its bulk rounds); ``k`` equal but distinct ints take the generic
+        FIFO loop.  Both submit the same rounds, message for message."""
+        item, k = 1000, 40
+
+        def record(items):
+            rt = NCCRuntime(n, strict_config)
+            rounds = []
+            rt.net.round_observer = lambda _r, sub: rounds.append(
+                [(s, b.dsts(), b.payloads(), b.kinds()) for s, b in sub.items()]
+            )
+            received = rt.pipelined_broadcast(items)
+            return rounds, received, rt.net.stats.comparable()
+
+        distinct = [int(str(item)) for _ in range(k)]
+        assert distinct[0] is not distinct[1]
+        assert record([item] * k) == record(distinct)
+
 
 class TestGatherToRoot:
     def test_collects_all_items_sorted_by_owner(self, rt20):

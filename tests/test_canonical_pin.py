@@ -3,7 +3,10 @@
 Each runnable algorithm runs at n = 16, seeds 0 and 1, on the batched
 engine, and its canonical JSONL line (:meth:`RunReport.to_json_line`) is
 compared by SHA-256 with a checked-in digest, next to its rounds,
-messages and bits.  A change that is meant to be invisible (a faster
+messages and bits.  Every round at n = 16 is small, so one larger run
+joins them: coloring at n = 256, seed 0, whose multicast stages and
+hash-agreement broadcasts submit both bulk typed rounds and small object
+rounds.  A change that is meant to be invisible (a faster
 round path, a cheaper decoder) must leave every pin as it is; a change
 that moves canonical output on purpose updates the pins in the same
 commit and says why.
@@ -33,10 +36,11 @@ from repro.registry import iter_algorithms
 
 names = sorted(spec.name for spec in iter_algorithms() if spec.runnable)
 specs = [RunSpec(name, 16, seed=seed, engine="batched") for name in names for seed in (0, 1)]
+specs.append(RunSpec("coloring", 256, seed=0, engine="batched"))
 with Session() as session:
     reports = session.run_many(specs, jobs=1)
 print(json.dumps({
-    f"{r.spec.algorithm}/{r.spec.seed}": [
+    f"{r.spec.algorithm}/{'' if r.spec.n == 16 else f'n{r.spec.n}/'}{r.spec.seed}": [
         r.rounds, r.messages, r.bits,
         hashlib.sha256(r.to_json_line().encode("utf-8")).hexdigest(),
     ]
@@ -44,7 +48,8 @@ print(json.dumps({
 }, sort_keys=True))
 """
 
-#: ``"<algorithm>/<seed>": (rounds, messages, bits, sha256 of the JSONL line)``
+#: ``"<algorithm>/<seed>"`` (n = 16) or ``"<algorithm>/n<n>/<seed>"``:
+#: ``(rounds, messages, bits, sha256 of the JSONL line)``
 PINS = {
     "bfs/0": (1030, 2316, 15756, "a243789baaf46fa48e416f90838ee43b796ba763205a1beec27c06a48055b2d0"),
     "bfs/1": (1025, 2317, 15888, "a28b4d51e3e312db4a766307b75733ef1cc675b3a680f7b087c8d90b9ef7a9a3"),
@@ -52,6 +57,7 @@ PINS = {
     "broadcast_trees/1": (730, 1926, 11794, "4db0e44e01475dd01c52eb228e8bf1092d813e29d2695dfbd1f8914ecf319216"),
     "coloring/0": (869, 2192, 15271, "bb7af2ea9c221edd4dcefd0680094addaf8e0ca9080c1c227f199409a2e6c88c"),
     "coloring/1": (921, 2204, 15190, "f0fadc480b7ef28e8a39eabac93441a9529adc8ee9c76e390dc24850aa515393"),
+    "coloring/n256/0": (2338, 83267, 1452056, "6b75f298c98fb7100be4e15dd572759c2e75bfa3918949640431cbb4186f523f"),
     "components/0": (11148, 17817, 268096, "d4bffe2fc46830174bfab3ef07d75cfb09c17d615ee5c9e829d088e11a7657af"),
     "components/1": (3956, 8801, 117795, "743a891ae6b59c43176b36404f628998861ec00032b9e54e139513ee5a26fe25"),
     "identification/0": (139, 1658, 15220, "968c4cc5fed469714fed35c01966b5ce0a269bad96b82997f6915089809b0ec8"),

@@ -326,6 +326,104 @@ class TestTypedRepresentationParity:
             assert run["rounds"] == base["rounds"], key
             assert run["stats"] == base["stats"], key
 
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    @pytest.mark.parametrize("n", [32, 256])
+    def test_wire_choice_submits_identical_rounds(self, n, mode):
+        """Round size picks the multicast and hash-agreement wire, and the
+        choice cannot change a round: typed on and off submit the same
+        rounds (senders, destinations, boxed payloads, kinds, in order),
+        with the same statistics and the same ``received`` dicts,
+        insertion order included, under every engine."""
+        runs = {}
+        for engine in ENGINES:
+            for typed in (True, False):
+                prev = set_typed_payloads(typed)
+                try:
+                    runs[(engine, typed)] = _record_wire_instance(engine, mode, n)
+                finally:
+                    set_typed_payloads(prev)
+        base = runs[("reference", False)]
+        for key, run in runs.items():
+            assert run["error"] == base["error"], key
+            assert run["rounds"] == base["rounds"], key
+            assert run["stats"] == base["stats"], key
+            assert run["received"] == base["received"], key
+        if n == 256:
+            # The bulk instance reaches the typed wire in every stage; the
+            # object form of each of these rounds is checked above.
+            for engine in ENGINES:
+                assert _typed_round_tags(runs[(engine, True)]) == {"M", "D", "L", "B"}
+                assert not _typed_round_tags(runs[(engine, False)])
+
+    def test_small_mst_rounds_stay_object(self):
+        """MST at n = 32 sends only small multicast rounds: none of them may
+        take the typed wire below SMALL_ROUND_CUTOFF messages."""
+        from repro.registry import bench_config, get_algorithm
+
+        spec = get_algorithm("mst")
+        rt = NCCRuntime(32, bench_config(seed=1, engine="batched"))
+        sizes = []
+
+        def observe(_r, submitted):
+            for batch in submitted.values():
+                if batch.payload_array() is not None:
+                    sizes.append(sum(map(len, submitted.values())))
+                    return
+
+        rt.net.round_observer = observe
+        spec.run(rt, spec.workload(32, 2, 1))
+        assert all(size >= SMALL_ROUND_CUTOFF for size in sizes), sorted(sizes)[:5]
+
+
+def _record_wire_instance(engine: str, mode: Enforcement, n: int) -> dict:
+    """A multicast of int packets over the groups that have trees, then a
+    hash-agreement-style broadcast of 40 identical int items; every round
+    after the tree setup recorded through ``round_observer``."""
+    rt = NCCRuntime(
+        n,
+        _engine_cfg(engine, seed=SEED, enforcement=mode, extras={"lightweight_sync": True}),
+    )
+    groups = n // 2
+    trees = rt.multicast_setup({u: [u % groups, (u * 7 + 3) % groups] for u in range(n)})
+    rounds = []
+
+    def observe(_r, submitted):
+        rounds.append([
+            (
+                src,
+                batch.payload_array() is not None,
+                list(zip(batch.dsts(), batch.payloads(), batch.kinds())),
+            )
+            for src, batch in submitted.items()
+        ])
+
+    rt.net.round_observer = observe
+    received = error = None
+    try:
+        live = [g for g in range(groups) if g in trees.root]
+        out = rt.multicast(
+            trees, {g: 1000 + g for g in live}, {g: (3 * g) % n for g in live}
+        )
+        received = [(u, list(got.items())) for u, got in out.received.items()]
+        rt.pipelined_broadcast([0] * 40)
+    except ReproError as e:
+        error = (type(e).__name__, str(e))
+    return {
+        "rounds": [[(src, msgs) for src, _, msgs in r] for r in rounds],
+        "typed": [r for r in rounds if any(typed for _, typed, _ in r)],
+        "received": received,
+        "error": error,
+        "stats": rt.net.stats.comparable(),
+    }
+
+
+def _typed_round_tags(run: dict) -> set[str]:
+    """The payload tags of a run's typed rounds: ``M`` root handoff, ``D``
+    spreading, ``L`` leaf delivery, ``B`` broadcast."""
+    return {
+        payload[0] for r in run["typed"] for _, _, msgs in r for _, payload, _ in msgs
+    }
+
 
 # ----------------------------------------------------------------------
 # Raw-exchange fuzzing: violating and malformed rounds

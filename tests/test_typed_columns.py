@@ -120,6 +120,39 @@ class TestTypedBuilder:
         batches = b.batches()
         assert sorted(batches) == [1, 4]
 
+    @pytest.mark.parametrize("layout", ["no-dtype", "typed-off"])
+    def test_add_arrays_groups_ascending_on_every_layout(self, layout):
+        """Without an active dtype, add_arrays still groups senders in
+        stable ascending order, as the typed layout does: equal senders()
+        and equal per-sender boxed payloads, with a duplicate sender in one
+        call and a sender (3) split across two calls."""
+        calls = [
+            ([3, 1, 3, 0], [0, 0, 1, 1], [5, 6, 7, 8]),
+            ([2, 3, 2], [4, 5, 6], [9, 10, 11]),
+        ]
+
+        def build(dtype):
+            b = BatchBuilder(kind="t", dtype=dtype)
+            for srcs, dsts, vals in calls:
+                b.add_arrays(srcs, dsts, np.asarray(vals, dtype=np.int64))
+            return b
+
+        prev = set_typed_payloads(True)
+        try:
+            typed = build(np.int64)
+        finally:
+            set_typed_payloads(prev)
+        prev = set_typed_payloads(layout == "no-dtype")
+        try:
+            other = build(None if layout == "no-dtype" else np.int64)
+        finally:
+            set_typed_payloads(prev)
+        assert typed._dtype is not None and other._dtype is None
+        assert typed.senders() == other.senders() == [0, 1, 3, 2]
+        view = lambda b: [(s, g.dsts(), g.payloads()) for s, g in b.batches().items()]
+        assert view(typed) == view(other)
+        assert view(other)[2] == (3, [0, 1, 5], [5, 7, 10])
+
     def test_mixing_object_adds_degrades_all_groups(self, typed_on):
         fallbacks = METRICS.counter("ncc.typed_fallbacks")
         b = BatchBuilder(kind="t", dtype=np.int64)
@@ -829,26 +862,34 @@ class TestTypedAggregation:
 
 
 class TestTypedMulticast:
-    def _setup(self, rt):
-        memberships = {u: [u % 5, (u * 7) % 5] for u in range(rt.n)}
+    #: A bulk instance: n = 256 nodes in 128 groups of about four members.
+    #: Its handoff, its larger spreading rounds and its leaf round carry at
+    #: least SMALL_ROUND_CUTOFF messages, so they take the typed wire (a
+    #: small instance's rounds all ship as objects).
+    BULK_N = 256
+    BULK_GROUPS = 128
+
+    def _setup(self, rt, groups=5):
+        memberships = {u: [u % groups, (u * 7) % groups] for u in range(rt.n)}
         return rt.multicast_setup(memberships), memberships
 
+    def _bulk_packets(self, trees):
+        live = [g for g in range(self.BULK_GROUPS) if g in trees.root]
+        return {g: 1000 * g + 7 for g in live}, {g: (g + 3) % self.BULK_N for g in live}
+
     def test_int_packets_typed_object_agree(self):
-        n = 32
+        n = self.BULK_N
         runs = {}
         for engine in ENGINES:
             for typed in (True, False):
                 prev = set_typed_payloads(typed)
                 try:
                     rt = NCCRuntime(n, _config(engine))
-                    trees, memberships = self._setup(rt)
-                    out = rt.multicast(
-                        trees,
-                        {g: 1 << g for g in range(5)},
-                        {g: g + 3 for g in range(5)},
-                    )
+                    trees, memberships = self._setup(rt, self.BULK_GROUPS)
+                    packets, sources = self._bulk_packets(trees)
+                    out = rt.multicast(trees, packets, sources)
                     runs[(engine, typed)] = (
-                        out.received,
+                        list(out.received.items()),
                         rt.net.round_index,
                         rt.net.stats.comparable(),
                     )
@@ -857,25 +898,28 @@ class TestTypedMulticast:
         base = runs[("reference", False)]
         for key, run in runs.items():
             assert run == base, key
-        received, _, _ = base
-        for u, gs in (
-            (u, set(ms)) for u, ms in
-            ((u, [u % 5, (u * 7) % 5]) for u in range(n))
-        ):
+        received = dict(base[0])
+        for u, gs in memberships.items():
             for g in gs:
-                assert received[u][g] == 1 << g
+                if g in packets:
+                    assert received[u][g] == packets[g]
 
     def test_typed_batched_multicast_constructs_nothing(self):
-        n = 32
+        n = self.BULK_N
         prev = set_typed_payloads(True)
         try:
             rt = NCCRuntime(n, _config("batched"))
-            trees, _ = self._setup(rt)
-            m0 = message_construction_count()
-            rt.multicast(
-                trees, {g: g + 10 for g in range(5)}, {g: g for g in range(5)}
+            trees, _ = self._setup(rt, self.BULK_GROUPS)
+            packets, sources = self._bulk_packets(trees)
+            typed_spans = []
+            rt.net.round_observer = lambda _r, sub: typed_spans.extend(
+                b.payload_array() is not None for b in sub.values()
             )
+            m0, b0 = message_construction_count(), payload_box_count()
+            rt.multicast(trees, packets, sources)
             assert message_construction_count() == m0
+            assert payload_box_count() == b0
+            assert any(typed_spans)  # the bulk rounds took the typed wire
         finally:
             set_typed_payloads(prev)
 
