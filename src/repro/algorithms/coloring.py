@@ -130,8 +130,7 @@ class ColoringAlgorithm:
                         pal = sorted(palettes[u])
                         if not pal:
                             raise ProtocolError(f"palette of {u} ran dry")
-                        rng = rt.shared.node_rng(u, (tag, lvl, reps_here))
-                        pick[u] = pal[rng.randrange(len(pal))]
+                        pick[u] = pal[rt.shared.node_randbelow(u, (tag, lvl, reps_here), len(pal))]
                     packets = {u: pick[u] for u in uncolored if u in trees.root}
                     heard: dict[int, dict] = {}
                     if packets:

@@ -84,7 +84,7 @@ class ConnectedComponentsAlgorithm:
                 phases += 1
 
                 coins = {
-                    c: rt.shared.node_rng(c, (tag, "coin", phases)).randrange(2)
+                    c: rt.shared.node_randbelow(c, (tag, "coin", phases), 2)
                     for c in active
                 }
                 packets = {c: coins[c] for c in active if c in comp_trees.root}

@@ -156,8 +156,7 @@ class MatchingAlgorithm:
                 picks: dict[int, int] = {}
                 for v, cands in partners.items():
                     cands = sorted(set(cands))
-                    rng = rt.shared.node_rng(v, (tag, "pick", phases))
-                    picks[v] = cands[rng.randrange(len(cands))]
+                    picks[v] = cands[rt.shared.node_randbelow(v, (tag, "pick", phases), len(cands))]
                 inbox = send_direct(
                     rt.net,
                     [(v, w, ("pick", v)) for v, w in picks.items()],

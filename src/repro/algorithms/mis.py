@@ -72,7 +72,7 @@ class MISAlgorithm:
 
                 # 1. draw + multicast random ranks; MIN over active senders.
                 ranks = {
-                    u: (rt.shared.node_rng(u, (tag, phases)).randrange(n**3), u)
+                    u: (rt.shared.node_randbelow(u, (tag, phases), n**3), u)
                     for u in active
                 }
                 received = neighborhood_multi_aggregate(

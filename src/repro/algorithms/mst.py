@@ -96,7 +96,7 @@ class MSTAlgorithm:
                 # ---- 1. coin flips, multicast to components.
                 coins: dict[int, int] = {}
                 for c in active:
-                    coins[c] = rt.shared.node_rng(c, (tag, "coin", phases)).randrange(2)
+                    coins[c] = rt.shared.node_randbelow(c, (tag, "coin", phases), 2)
                 packets = {c: coins[c] for c in active if c in comp_trees.root}
                 if packets:
                     rt.multicast(

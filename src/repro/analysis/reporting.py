@@ -46,12 +46,3 @@ def _fmt(v: Any) -> str:
             return f"{v:.2f}"
         return f"{v:.3g}"
     return str(v)
-
-
-def print_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[Any]],
-    *,
-    title: str | None = None,
-) -> None:  # pragma: no cover - console convenience
-    print(format_table(headers, rows, title=title))

@@ -45,9 +45,10 @@ def _batched_neighbor_exchange(
     salt = rt.net.round_index
     for u in senders:
         payload = payload_of(u)
-        rng = rt.shared.node_rng(u, (kind, "spread", salt))
-        for v in graph.neighbors(u):
-            schedule[rng.randrange(window)].append(Message(u, v, payload, kind=kind))
+        nbrs = graph.neighbors(u)
+        rounds = rt.shared.node_randbelow_many(u, (kind, "spread", salt), window, len(nbrs))
+        for v, r in zip(nbrs, rounds):
+            schedule[r].append(Message(u, v, payload, kind=kind))
     for r in range(window):
         inbox = rt.net.exchange(schedule[r])
         for v, msgs in inbox.items():
@@ -96,7 +97,7 @@ def naive_mis(rt: NCCRuntime, graph: InputGraph, *, seed_tag: str = "naive-mis")
         while active:
             rnd += 1
             values = {
-                u: rt.shared.node_rng(u, (seed_tag, rnd)).randrange(n**3)
+                u: rt.shared.node_randbelow(u, (seed_tag, rnd), n**3)
                 for u in active
             }
             received = _batched_neighbor_exchange(

@@ -61,12 +61,6 @@ GroupT = Hashable  # must additionally be orderable; ints / tuples of ints
 DATA_DTYPE = _np.dtype([("tag", "U1"), ("lvl", "i8"), ("g", "i8"), ("val", "i8")])
 
 
-def _group_bits(group: Any) -> int:
-    from ..ncc.message import payload_bits
-
-    return payload_bits(group)
-
-
 @dataclass
 class TreeSet:
     """Multicast trees recorded by a combining run (Theorem 2.4).
@@ -208,7 +202,10 @@ class CombiningRouter:
         ``columns``/``groups``/``values`` are parallel int columns (int64
         groups and values).  Packets stay in arrays end-to-end when the
         typed kernel applies; otherwise they are boxed into the object
-        queues at :meth:`run` — the object-fallback contract.
+        queues at :meth:`run` — the object-fallback contract.  Only the
+        order of one node's packets reaches either path (the kernel sorts
+        by packed key, the object loop visits nodes sorted), so a caller
+        may inject a delivered round whole, its receivers in any order.
         """
         if self._ran:
             raise ProtocolError("router already ran")

@@ -22,7 +22,6 @@ while looking random).  Families used by the experiments:
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from ..ncc.graph_input import EdgeT, InputGraph
 from ..rng import seeded_rng
@@ -249,9 +248,4 @@ def disjoint_cliques(n: int, clique_size: int) -> InputGraph:
         edges.extend(
             (i, j) for i in members for j in members if i < j
         )
-    return InputGraph(n, edges)
-
-
-def from_edges(n: int, edges: Iterable[EdgeT]) -> InputGraph:
-    """Thin wrapper for explicit edge lists (tests, examples)."""
     return InputGraph(n, edges)

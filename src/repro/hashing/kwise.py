@@ -18,7 +18,7 @@ Two deployment notes mirror the paper:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 # Imported from the seeding leaf, not repro.rng: rng.py imports this
 # module, so the usual `from ..rng import derived_rng` spelling would
@@ -76,10 +76,6 @@ class KWiseHash:
         for c in self._coeffs:
             acc = (acc * x + c) % MERSENNE_61
         return acc % self.range_size
-
-    def hash_many(self, keys: Iterable[int]) -> list[int]:
-        """Evaluate on many keys (convenience; same results as ``__call__``)."""
-        return [self(k) for k in keys]
 
     def bit(self, key: int) -> int:
         """Evaluate as a single-bit function regardless of ``range_size``.

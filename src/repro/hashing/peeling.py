@@ -165,9 +165,6 @@ class TrialTable:
     def local_count(self, trial: int) -> int:
         return self._cnt.get(trial, 0)
 
-    def remote_count(self, trial: int) -> int:
-        return self._remote_cnt.get(trial, 0)
-
 
 def simulate_identification(
     candidate_edges: Sequence[int],

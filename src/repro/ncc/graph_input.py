@@ -197,23 +197,6 @@ class InputGraph:
         a, b = canonical_edge(u, v)
         return self.arc_id(a, b)
 
-    # ------------------------------------------------------------------
-    # Interop
-    # ------------------------------------------------------------------
-    def to_networkx(self):
-        """Export to a networkx graph (oracle computations in tests)."""
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        if self._weights is not None:
-            g.add_weighted_edges_from(
-                (u, v, self._weights[(u, v)]) for (u, v) in self._edges
-            )
-        else:
-            g.add_edges_from(self._edges)
-        return g
-
     def __iter__(self) -> Iterator[EdgeT]:
         return iter(self._edges)
 

@@ -32,6 +32,7 @@ from ..butterfly.topology import ButterflyGrid
 from ..ncc.message import (
     BatchBuilder,
     InboxBatch,
+    gather_typed_spans,
     payloads_of,
     typed_payloads_enabled,
 )
@@ -155,138 +156,69 @@ def run_aggregation(
         target_col = shared.target_function(bf.columns)
         salt = shared.salted_key
 
-        def key_of(g: GroupT, _cache: dict = {}) -> int:
-            k = _cache.get(g)
-            if k is None:
-                k = _cache[g] = salt(nonce, _group_key(g))
-            return k
+        def key_of(g: GroupT) -> int:
+            return salt(nonce, _group_key(g))
+
+        # The run's target-column table: the router's group tables and the
+        # delivery schedule read one entry per group, hashed once.
+        tcols: dict[GroupT, int] = {}
+
+        def tcol_of(g: GroupT) -> int:
+            c = tcols.get(g)
+            if c is None:
+                c = tcols[g] = target_col(key_of(g))
+            return c
 
         use_typed = _typed_applicable(net, bf, problem)
         router = CombiningRouter(
             net,
             bf,
             rank_of=lambda g: rank(key_of(g)),
-            target_col_of=lambda g: target_col(key_of(g)),
+            target_col_of=tcol_of,
             combine=problem.fn.combine,
             ufunc=problem.fn.ufunc,
             kind=kind,
         )
 
-        # ----- Preprocessing: batched injection to random level-0 nodes,
-        # submitted columnar (one BatchBuilder per injection round).  The
-        # random placement draws are identical in both flows; the typed
-        # flow merely accumulates the draws into columns instead of
-        # building per-packet tuples.
-        batch = net.config.batch_size(net.n)
-        if use_typed:
-            pend_cols: list[tuple[list, list, list, list]] = []
-            for u, groups in problem.memberships.items():
-                u_rng = shared.node_rng(u, (tag, "inject"))
-                ordered = sorted(groups.items(), key=lambda kv: repr(kv[0]))
-                for j, (g, value) in enumerate(ordered):
-                    col = u_rng.randrange(bf.columns)
-                    r = j // batch
-                    while len(pend_cols) <= r:
-                        pend_cols.append(([], [], [], []))
-                    row = pend_cols[r]
-                    row[0].append(u)
-                    # The host of level-0 column ``col`` is NCC node
-                    # ``col``: the destination column doubles as the
-                    # payload's ``col`` field.
-                    row[1].append(col)
-                    row[2].append(g)
-                    row[3].append(value)
-            for srcs, cols, gs, vals in pend_cols:
-                out = BatchBuilder(kind=kind, dtype=INJECT_DTYPE)
-                payload = _np.empty(len(srcs), dtype=INJECT_DTYPE)
-                payload["tag"] = "I"
-                payload["col"] = cols
-                payload["g"] = gs
-                payload["val"] = vals
-                out.add_arrays(srcs, cols, payload)
-                inbox = net.exchange(out)
-                for msgs in inbox.values():
-                    arr = (
-                        msgs.payload_array()
-                        if type(msgs) is InboxBatch
-                        else None
-                    )
-                    if arr is not None:
-                        router.inject_array(arr["col"], arr["g"], arr["val"])
-                    else:
-                        # Reference engine (or a degraded round) delivered
-                        # boxed tuples; lower them back to columns so both
-                        # engines drive the identical typed kernel.
-                        pls = payloads_of(msgs)
-                        router.inject_array(
-                            [p[1] for p in pls],
-                            [p[2] for p in pls],
-                            [p[3] for p in pls],
-                        )
-        else:
-            pending: list[BatchBuilder] = []
-            for u, groups in problem.memberships.items():
-                u_rng = shared.node_rng(u, (tag, "inject"))
-                ordered = sorted(groups.items(), key=lambda kv: repr(kv[0]))
-                for j, (g, value) in enumerate(ordered):
-                    col = u_rng.randrange(bf.columns)
-                    r = j // batch
-                    while len(pending) <= r:
-                        pending.append(BatchBuilder(kind=kind))
-                    # The host of level-0 column ``col`` is NCC node ``col``.
-                    pending[r].add(u, col, ("I", col, g, value))
-            for round_msgs in pending:
-                inbox = net.exchange(round_msgs)
-                for msgs in inbox.values():
-                    for _tag, col, g, value in payloads_of(msgs):
-                        router.inject(col, g, value)
+        # ----- Preprocessing: batched injection to random level-0 nodes.
+        _inject(net, bf, shared, problem, router, tag=tag, kind=kind, typed=use_typed)
         barrier(net, bf)
 
         # ----- Combining.
         res = router.run()
         barrier(net, bf)
 
-        # ----- Postprocessing: deliver to real targets in random rounds.
+        # ----- Postprocessing: deliver to real targets in random rounds,
+        # one row of (sender, target, group, value) columns per window
+        # round.  A window of one round draws nothing.
         ell2 = problem.ell2_bound if problem.ell2_bound is not None else problem.ell2()
         window = max(1, math.ceil(ell2 / max(1, net.log2n)))
-        # A window round gets a builder only once it gets traffic; the
-        # others submit ``()``, the same empty round: most rounds of a wide
-        # window carry nothing, and a builder costs about as much as the
-        # empty round itself.
-        schedule: list[BatchBuilder | tuple] = [()] * window
-        if use_typed:
-            rows: list[tuple[list, list, list, list]] = [
-                ([], [], [], []) for _ in range(window)
-            ]
-            for g, value in res.results.items():
-                t = problem.targets[g]
-                src = target_col(key_of(g))  # host of (d, h(g))
-                r_rng = shared.node_rng(src, (tag, "deliver", _group_key(g)))
-                row = rows[r_rng.randrange(window)]
-                row[0].append(src)
-                row[1].append(t)
-                row[2].append(g)
-                row[3].append(value)
-            for r, (srcs, dsts, gs, vals) in enumerate(rows):
-                if srcs:
-                    out = schedule[r] = BatchBuilder(kind=kind, dtype=RESULT_DTYPE)
-                    payload = _np.empty(len(srcs), dtype=RESULT_DTYPE)
-                    payload["tag"] = "R"
-                    payload["g"] = gs
-                    payload["val"] = vals
-                    out.add_arrays(srcs, dsts, payload)
-        else:
-            for g, value in res.results.items():
-                t = problem.targets[g]
-                src = target_col(key_of(g))  # host of (d, h(g))
-                r_rng = shared.node_rng(src, (tag, "deliver", _group_key(g)))
-                r = r_rng.randrange(window)
-                if not schedule[r]:
-                    schedule[r] = BatchBuilder(kind=kind)
-                schedule[r].add(src, t, ("R", g, value))
+        rows = [([], [], [], []) for _ in range(window)]
+        for g, value in res.results.items():
+            src = tcol_of(g)  # host of (d, h(g))
+            r = shared.node_randbelow(src, (tag, "deliver", _group_key(g)), window)
+            row = rows[r]
+            row[0].append(src)
+            row[1].append(problem.targets[g])
+            row[2].append(g)
+            row[3].append(value)
         outcome = AggregationOutcome(values={}, rounds=0)
-        for r in range(window):
-            inbox = net.exchange(schedule[r])
+        for srcs, dsts, gs, vals in rows:
+            # A round without traffic submits ``()``, the same empty round
+            # at no builder cost: most rounds of a wide window carry nothing.
+            out: BatchBuilder | tuple = ()
+            if srcs and use_typed:
+                out = BatchBuilder(kind=kind, dtype=RESULT_DTYPE)
+                payload = _np.empty(len(srcs), dtype=RESULT_DTYPE)
+                payload["tag"] = "R"
+                payload["g"] = gs
+                payload["val"] = vals
+                out.add_arrays(srcs, dsts, payload)
+            elif srcs:
+                out = BatchBuilder(kind=kind)
+                for src, t, g, value in zip(srcs, dsts, gs, vals):
+                    out.add(src, t, ("R", g, value))
+            inbox = net.exchange(out)
             for t, msgs in inbox.items():
                 arr = msgs.payload_array() if type(msgs) is InboxBatch else None
                 if arr is not None:
@@ -302,6 +234,85 @@ def run_aggregation(
 
     outcome.rounds = net.round_index - start
     return outcome
+
+
+def _inject(
+    net: NCCNetwork,
+    bf: ButterflyGrid,
+    shared: SharedRandomness,
+    problem: AggregationProblem,
+    router: CombiningRouter,
+    *,
+    tag: object,
+    kind: str,
+    typed: bool,
+) -> None:
+    """The preprocessing phase: every member sends each of its packets to a
+    random level-0 node, ``net.config.batch_size(n)`` packets per round, and
+    every delivered packet is injected into ``router``.
+
+    Each injection round is one row of (sender, column, group, value)
+    columns, filled with one extend per node; the host of level-0 column
+    ``col`` is NCC node ``col``, so the destination column doubles as the
+    payload's ``col`` field.  The typed flow ships a row as one typed
+    column, the object flow as ``("I", ...)`` tuples.  Returning frees the
+    rows, builders and delivered rounds (all but the payload columns the
+    router stashed) before the router allocates its own: kept alive through
+    the combining phase, they doubled its memory peak.
+    """
+    batch = net.config.batch_size(net.n)
+    rows: list[tuple[list, list, list, list]] = []
+    for u, groups in problem.memberships.items():
+        gs = sorted(groups, key=repr)
+        cols = shared.node_randbelow_many(u, (tag, "inject"), bf.columns, len(gs))
+        for r, lo in enumerate(range(0, len(gs), batch)):
+            if r == len(rows):
+                rows.append(([], [], [], []))
+            row = rows[r]
+            chunk = gs[lo : lo + batch]
+            row[0].extend([u] * len(chunk))
+            row[1].extend(cols[lo : lo + batch])
+            row[2].extend(chunk)
+            row[3].extend(map(groups.__getitem__, chunk))
+    for srcs, cols, gs, vals in rows:
+        if typed:
+            out = BatchBuilder(kind=kind, dtype=INJECT_DTYPE)
+            payload = _np.empty(len(srcs), dtype=INJECT_DTYPE)
+            payload["tag"] = "I"
+            payload["col"] = cols
+            payload["g"] = gs
+            payload["val"] = vals
+            out.add_arrays(srcs, cols, payload)
+        else:
+            out = BatchBuilder(kind=kind)
+            for u, col, g, value in zip(srcs, cols, gs, vals):
+                out.add(u, col, ("I", col, g, value))
+        inbox = net.exchange(out)
+        gathered = gather_typed_spans(inbox)
+        if gathered is not None:
+            # The whole round in one call.  The router's stash then lists
+            # receivers by ascending host, not by first arrival; neither the
+            # typed kernel nor the object fallback depends on that order.
+            arr = gathered[1]
+            router.inject_array(arr["col"], arr["g"], arr["val"])
+            continue
+        for msgs in inbox.values():
+            arr = msgs.payload_array() if type(msgs) is InboxBatch else None
+            if arr is not None:
+                router.inject_array(arr["col"], arr["g"], arr["val"])
+            elif typed:
+                # Reference engine (or a degraded round) delivered boxed
+                # tuples; lower them back to columns so both engines drive
+                # the identical typed kernel.
+                pls = payloads_of(msgs)
+                router.inject_array(
+                    [p[1] for p in pls],
+                    [p[2] for p in pls],
+                    [p[3] for p in pls],
+                )
+            else:
+                for _tag, col, g, value in payloads_of(msgs):
+                    router.inject(col, g, value)
 
 
 def _group_key(g: GroupT) -> int:

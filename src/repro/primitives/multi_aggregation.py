@@ -24,7 +24,7 @@ from ..butterfly.routing import CombiningRouter, MulticastRouter, TreeSet
 from ..butterfly.topology import ButterflyGrid
 from ..ncc.message import BatchBuilder, payloads_of
 from ..ncc.network import NCCNetwork
-from ..rng import SharedRandomness
+from ..rng import SharedRandomness, randbelow_many
 from .aggregate_broadcast import barrier
 from .aggregation import _group_key
 from .direct import send_chunked
@@ -149,8 +149,9 @@ def run_multi_aggregation(
                     )
                     rgroup = member if result_key is None else (member, result_key(g))
                     rekeyed.append((rgroup, value))
-            for j, (rgroup, value) in enumerate(rekeyed):
-                dest = leaf_rng.randrange(bf.columns)
+            # The scatter is the stream's last use (after any annotation).
+            dests = randbelow_many(leaf_rng, bf.columns, len(rekeyed))
+            for j, ((rgroup, value), dest) in enumerate(zip(rekeyed, dests)):
                 r = j // batch
                 while len(pending) <= r:
                     pending.append(BatchBuilder(kind=kind))

@@ -155,7 +155,8 @@ def run_multicast(
         # One row of (sender, member, group, payload) columns per window
         # round.  Columns are visited in ascending order, so every row lists
         # its senders ascending, as a typed add_arrays groups them; the
-        # round draws are keyed per (leaf, group, member), not per call.
+        # round draws are keyed per (leaf, group, member), not per call,
+        # and a window of one round draws nothing.
         rows: list[tuple[list, list, list, list]] = [
             ([], [], [], []) for _ in range(window)
         ]
@@ -163,10 +164,7 @@ def run_multicast(
             host = col  # level-0 column col is hosted by NCC node col
             for g, payload in res.results[col].items():
                 for member in trees.leaf_members.get(g, {}).get(col, ()):
-                    r_rng = shared.node_rng(
-                        host, (tag, "leaf", _group_key(g), member)
-                    )
-                    row = rows[r_rng.randrange(window)]
+                    row = rows[shared.node_randbelow(host, (tag, "leaf", _group_key(g), member), window)]
                     row[0].append(host)
                     row[1].append(member)
                     row[2].append(g)

@@ -98,11 +98,9 @@ def setup_multicast_trees_delegated(
         batch = net.config.batch_size(net.n)
         pending: list[BatchBuilder] = []
         for u, pairs in injections.items():
-            u_rng = shared.node_rng(u, (tag, "inject"))
-            for j, (g, member) in enumerate(
-                sorted(pairs, key=lambda p: (repr(p[0]), p[1]))
-            ):
-                col = u_rng.randrange(bf.columns)
+            ordered = sorted(pairs, key=lambda p: (repr(p[0]), p[1]))
+            cols = shared.node_randbelow_many(u, (tag, "inject"), bf.columns, len(ordered))
+            for j, ((g, member), col) in enumerate(zip(ordered, cols)):
                 r = j // batch
                 while len(pending) <= r:
                     pending.append(BatchBuilder(kind=kind))

@@ -13,7 +13,14 @@ The paper's primitives rely on two kinds of randomness:
 * **Private randomness** — free local coin flips (random injection columns,
   Heads/Tails, MIS ranks).  ``node_rng(u, tag)`` returns a deterministic
   per-node stream so that simulations are reproducible from the master seed
-  while distinct nodes and protocol steps stay independent.
+  while distinct nodes and protocol steps stay independent.  A call site
+  that draws from a fresh stream and then drops it goes through
+  ``node_randbelow`` (one draw) or ``node_randbelow_many`` (a list of
+  draws): they return exactly what ``node_rng(u, tag).randrange(k)`` would,
+  but seed no stream when ``k == 1`` (the one possible value is 0), and
+  take a batch of draws in one C-level pass instead of one ``randrange``
+  call each.  Seeding a stream from its string costs as much as about 17
+  ``randrange`` calls, so a protocol pays only for the coins a node flips.
 
 All streams are built through the sanctioned constructors in
 :mod:`repro.seeding` (re-exported here as :func:`seeded_rng` /
@@ -25,17 +32,51 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import repeat
 from typing import Callable
 
 from .config import NCCConfig
 from .hashing.kwise import KWiseHash
 from .seeding import derived_rng, seeded_rng
 
-__all__ = ["RANK_RANGE", "SharedRandomness", "derived_rng", "seeded_rng"]
+__all__ = ["RANK_RANGE", "SharedRandomness", "derived_rng", "randbelow_many", "seeded_rng"]
 
 #: Range for packet ranks ρ(i).  Theorem B.2 needs K ≥ 8C; congestion C is
 #: O(L/n + log n) = o(2^30) for every instance this library can simulate.
 RANK_RANGE = 1 << 30
+
+
+def randbelow_many(rng: random.Random, k: int, count: int) -> list[int]:
+    """``[rng.randrange(k) for _ in range(count)]``, drawn as one batch.
+
+    CPython's ``randrange(k)`` draws ``getrandbits(k.bit_length())`` until
+    a value falls below ``k`` (the same code in 3.11-3.13), so ``count``
+    draws are the values below ``k`` among successive ``getrandbits``
+    calls of that width.  One C-level ``map`` takes the expected number of
+    those calls, a filter keeps the accepted ones in order, and a short
+    batch is topped up one call at a time: every earlier value was already
+    examined, so the list equals the sequential one for every ``k``.
+
+    The batch may draw past the last value it returns, so the call
+    *spends* the stream: use it only where nothing draws from ``rng``
+    afterwards.  ``k == 1`` draws nothing; ``k <= 0`` with ``count > 0``
+    raises ``randrange``'s own ``ValueError``.
+    """
+    if k == 1 or count <= 0:
+        return [0] * count  # [] when count <= 0
+    if k < 1:
+        rng.randrange(k)  # raises randrange's own ValueError
+    bits = k.bit_length()
+    getrandbits = rng.getrandbits
+    # Acceptance rate k / 2**bits > 1/2: the expected number of calls.
+    tries = -(-(count << bits) // k)
+    draws = [v for v in map(getrandbits, repeat(bits, tries)) if v < k]
+    while len(draws) < count:
+        v = getrandbits(bits)
+        if v < k:
+            draws.append(v)
+    del draws[count:]
+    return draws
 
 
 class SharedRandomness:
@@ -125,10 +166,14 @@ class SharedRandomness:
     def salted_key(nonce: int, key: int) -> int:
         """Combine an invocation nonce with a group key into a hash input.
 
-        Distinct (nonce, key) pairs map to distinct inputs for keys below
-        2^64, which covers every group identifier this library produces.
+        Distinct (nonce, key) pairs map to distinct inputs for keys in
+        [0, 2^64) and in (-2^62, 2^62), the range the typed aggregation
+        flow admits.  Keys of 2^64 and up fold their high half into the
+        low 64 bits; a negative key keeps its low 64 bits (two's
+        complement), so its sign bits never reach the nonce's.
         """
-        return (nonce << 64) | (key & ((1 << 64) - 1)) ^ (key >> 64)
+        low = key & ((1 << 64) - 1)
+        return (nonce << 64) | (low if key < 0 else low ^ (key >> 64))
 
     # ------------------------------------------------------------------
     # Private per-node randomness (free)
@@ -136,6 +181,24 @@ class SharedRandomness:
     def node_rng(self, node: int, tag: object) -> random.Random:
         """A private, reproducible stream for one node and protocol step."""
         return seeded_rng(f"{self.config.seed}|node|{node}|{tag!r}")
+
+    def node_randbelow(self, node: int, tag: object, k: int) -> int:
+        """``node_rng(node, tag).randrange(k)``; seeds no stream if ``k == 1``."""
+        if k == 1:
+            return 0
+        return self.node_rng(node, tag).randrange(k)
+
+    def node_randbelow_many(self, node: int, tag: object, k: int, count: int) -> list[int]:
+        """``count`` successive ``randrange(k)`` draws of
+        ``node_rng(node, tag)``, batched by :func:`randbelow_many`.
+
+        Seeds no stream when ``k == 1`` or ``count <= 0``.  The stream is
+        spent, so the call serves only a site that draws nothing else from
+        it.
+        """
+        if k == 1 or count <= 0:
+            return [0] * count  # [] when count <= 0
+        return randbelow_many(self.node_rng(node, tag), k, count)
 
     def fresh_tag(self, base: str) -> tuple[str, int]:
         """A unique tag (for per-invocation hash functions)."""

@@ -109,16 +109,6 @@ class TestViews:
         g = InputGraph(4, [(0, 1), (1, 2), (2, 3)])
         assert g.average_degree == pytest.approx(1.5)
 
-    def test_to_networkx_weighted(self):
-        g = InputGraph(3, [(0, 1)], {(0, 1): 4})
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == 3
-        assert nxg[0][1]["weight"] == 4
-
-    def test_to_networkx_unweighted(self):
-        g = InputGraph(3, [(0, 1), (1, 2)])
-        assert g.to_networkx().number_of_edges() == 2
-
     def test_iteration_yields_sorted_edges(self):
         g = InputGraph(4, [(3, 2), (1, 0)])
         assert list(g) == [(0, 1), (2, 3)]

@@ -860,6 +860,85 @@ class TestTypedAggregation:
                 set_typed_payloads(prev)
         assert outs[True] == outs[False]
 
+    @pytest.mark.engine("reference")  # drives both engines itself
+    @pytest.mark.parametrize("kernel", (True, False), ids=("kernel", "declined"))
+    def test_bulk_run_matches_reference_round_by_round(
+        self, kernel, monkeypatch, typed_on
+    ):
+        """n = 1024: the batched engine reads each injection round whole
+        (one ``inject_array`` per round, receivers by ascending host), the
+        reference engine receiver by receiver.  Both submit the same rounds
+        and give the same stats, ``values`` and ``by_target``, insertion
+        order included, whether the typed kernel routes or declines."""
+        from repro.butterfly.routing import CombiningRouter
+
+        n = 1024
+        rng = random.Random(1024)
+        # Up to 13 memberships (two injection rounds at batch 10) and 16
+        # targets for 512 groups (a four-round delivery window).
+        memberships = {
+            u: {
+                g: rng.randrange(-500, 500)
+                for g in rng.sample(range(512), rng.randrange(1, 14))
+            }
+            for u in range(n)
+        }
+        problem = AggregationProblem(memberships, {g: g % 16 for g in range(512)}, SUM)
+        real_run, real_typed = CombiningRouter.run, CombiningRouter._run_typed
+        real_inject = CombiningRouter.inject_array
+        kernel_runs, injections = [], []
+
+        def run(router):
+            if not kernel:
+                router.ufunc = None  # the kernel declines; the object loop routes
+            return real_run(router)
+
+        def run_typed(router):
+            kernel_runs.append(router)
+            return real_typed(router)
+
+        def inject_array(router, *cols):
+            injections.append(len(cols[0]))
+            return real_inject(router, *cols)
+
+        monkeypatch.setattr(CombiningRouter, "run", run)
+        monkeypatch.setattr(CombiningRouter, "_run_typed", run_typed)
+        monkeypatch.setattr(CombiningRouter, "inject_array", inject_array)
+        runs = {}
+        for engine in ENGINES:
+            rt = NCCRuntime(n, _config(engine))
+            traffic = []
+            rt.net.round_observer = lambda r, per_sender: traffic.append([
+                (src, m.dst, m.payload.tolist() if hasattr(m.payload, "tolist") else m.payload)
+                for src, msgs in per_sender.items()
+                for m in msgs
+            ])
+            del injections[:]
+            out = run_aggregation(rt.net, rt.bf, rt.shared, problem)
+            rt.net.round_observer = None
+            runs[engine] = (
+                traffic,
+                rt.net.stats.comparable(),
+                list(out.values.items()),
+                [(t, list(vals.items())) for t, vals in out.by_target.items()],
+                list(injections),
+            )
+        ref, bat = runs["reference"], runs["batched"]
+        assert len(kernel_runs) == (2 if kernel else 0)
+        assert bat[0] == ref[0]
+        assert bat[1] == ref[1]
+        assert bat[2] == ref[2]
+        assert bat[3] == ref[3]
+        expected: dict[int, int] = {}
+        for groups in memberships.values():
+            for g, v in groups.items():
+                expected[g] = expected.get(g, 0) + v
+        assert dict(bat[2]) == expected
+        # One call per injection round on batched, one per receiver on
+        # the reference engine; the same packets either way.
+        assert len(bat[4]) == 2 and sum(bat[4]) == sum(ref[4])
+        assert len(ref[4]) > 2
+
 
 class TestTypedMulticast:
     #: A bulk instance: n = 256 nodes in 128 groups of about four members.
