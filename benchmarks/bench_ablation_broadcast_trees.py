@@ -14,7 +14,7 @@ import pytest
 from repro import NCCRuntime
 from repro.algorithms import build_broadcast_trees
 from repro.analysis.reporting import format_table
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.baselines.naive import naive_broadcast_tree_setup_rounds
 from repro.graphs import generators
 

@@ -13,7 +13,7 @@ import pytest
 from repro import NCCRuntime
 from repro.algorithms import MISAlgorithm, BFSAlgorithm, build_broadcast_trees
 from repro.analysis.reporting import format_table
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.baselines.naive import naive_bfs, naive_mis
 from repro.baselines.sequential import bfs_tree, is_maximal_independent_set
 from repro.graphs import generators

@@ -12,7 +12,7 @@ import pytest
 from repro import NCCRuntime
 from repro.algorithms import MISAlgorithm, MSTAlgorithm
 from repro.analysis.reporting import format_table
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.graphs import generators, weights
 from repro.kmachine import KMachineSimulation
 

@@ -15,7 +15,7 @@ import pytest
 
 from repro import NCCRuntime
 from repro.analysis.reporting import format_table
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.baselines.congested_clique import (
     broadcast_congested_clique,
     broadcast_ncc,

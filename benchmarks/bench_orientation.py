@@ -12,7 +12,7 @@ from repro import NCCRuntime
 from repro.algorithms import OrientationAlgorithm
 from repro.analysis.complexity import rank_models
 from repro.analysis.reporting import format_table
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.graphs import arboricity, generators
 
 from .conftest import run_once

@@ -15,7 +15,7 @@ import pytest
 
 from repro import NCCRuntime
 from repro.analysis.reporting import format_table
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.overlay import (
     bootstrap_aggregation_tree,
     random_contact_lists,

@@ -36,7 +36,7 @@ import time
 
 from repro import Enforcement, NCCConfig, NCCNetwork, NCCRuntime
 from repro.analysis.reporting import format_table
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.ncc.message import (
     BatchBuilder,
     Message,

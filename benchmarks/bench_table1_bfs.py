@@ -11,20 +11,20 @@ Two sweeps probe the two variables of the bound:
 
 import pytest
 
-from repro.registry import get_algorithm
+from repro import RunSpec, Session
 from repro.analysis.complexity import rank_models
 from repro.analysis.reporting import format_table
 
 from .conftest import run_once
 
-# Row runners resolved through the algorithm registry.
-run_bfs_row = get_algorithm("bfs").run_row
-
 SEED = 1
 
 
 def test_bfs_grid_diameter_sweep(benchmark, report):
-    rows = [run_bfs_row(n, family="grid", seed=SEED) for n in (16, 36, 64, 144, 256)]
+    rows = [
+        Session().run(RunSpec("bfs", n, scenario="grid", seed=SEED)).row
+        for n in (16, 36, 64, 144, 256)
+    ]
     assert all(r["correct"] for r in rows)
     assert all(r["violations"] == 0 for r in rows)
 
@@ -45,11 +45,11 @@ def test_bfs_grid_diameter_sweep(benchmark, report):
         + "\n  model fits (best first): "
         + "; ".join(f"{f.model} nrmse={f.rmse:.2f}" for f in fits[:3])
     )
-    run_once(benchmark, lambda: run_bfs_row(64, family="grid", seed=SEED))
+    run_once(benchmark, lambda: Session().run(RunSpec("bfs", 64, scenario="grid", seed=SEED)).row)
 
 
 def test_bfs_arboricity_sweep(benchmark, report):
-    rows = [run_bfs_row(96, a=a, seed=SEED) for a in (1, 2, 4, 8)]
+    rows = [Session().run(RunSpec("bfs", 96, a=a, seed=SEED)).row for a in (1, 2, 4, 8)]
     assert all(r["correct"] for r in rows)
     # Forest unions have tiny diameter; rounds should grow sublinearly in a
     # (the a-term rides inside one log n factor).
@@ -61,4 +61,4 @@ def test_bfs_arboricity_sweep(benchmark, report):
             title="T1-BFS arboricity sweep at n=96",
         )
     )
-    run_once(benchmark, lambda: run_bfs_row(64, a=4, seed=SEED))
+    run_once(benchmark, lambda: Session().run(RunSpec("bfs", 64, a=4, seed=SEED)).row)

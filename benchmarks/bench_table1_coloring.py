@@ -6,20 +6,18 @@ colors used ≤ 2(1+ε)â = O(a), independent of ∆ (the star row pins that).""
 
 import pytest
 
-from repro.registry import bench_config, get_algorithm
+from repro import RunSpec, Session
+from repro.registry import bench_config
 from repro.analysis.complexity import rank_models
 from repro.analysis.reporting import format_table
 
 from .conftest import run_once
 
-# Row runners resolved through the algorithm registry.
-run_coloring_row = get_algorithm("coloring").run_row
-
 SEED = 1
 
 
 def test_coloring_n_sweep(benchmark, report):
-    rows = [run_coloring_row(n, a=2, seed=SEED) for n in (32, 64, 128, 256)]
+    rows = [Session().run(RunSpec("coloring", n, a=2, seed=SEED)).row for n in (32, 64, 128, 256)]
     assert all(r["correct"] for r in rows)
     assert all(r["violations"] == 0 for r in rows)
 
@@ -41,7 +39,7 @@ def test_coloring_n_sweep(benchmark, report):
         + "\n  model fits (best first): "
         + "; ".join(f"{f.model} nrmse={f.rmse:.2f}" for f in fits[:3])
     )
-    run_once(benchmark, lambda: run_coloring_row(64, a=2, seed=SEED))
+    run_once(benchmark, lambda: Session().run(RunSpec("coloring", 64, a=2, seed=SEED)).row)
 
 
 def test_coloring_quality_independent_of_delta(benchmark, report):
@@ -70,7 +68,7 @@ def test_coloring_quality_independent_of_delta(benchmark, report):
 
 
 def test_coloring_arboricity_sweep(benchmark, report):
-    rows = [run_coloring_row(96, a=a, seed=SEED) for a in (1, 2, 4)]
+    rows = [Session().run(RunSpec("coloring", 96, a=a, seed=SEED)).row for a in (1, 2, 4)]
     assert all(r["correct"] for r in rows)
     # Palette grows linearly in â (the 2(1+ε)â formula).
     palettes = [r["palette"] for r in rows]
@@ -82,4 +80,4 @@ def test_coloring_arboricity_sweep(benchmark, report):
             title="T1-COL arboricity sweep at n=96",
         )
     )
-    run_once(benchmark, lambda: run_coloring_row(48, a=4, seed=SEED))
+    run_once(benchmark, lambda: Session().run(RunSpec("coloring", 48, a=4, seed=SEED)).row)

@@ -8,21 +8,17 @@ regime (the table makes that comparison explicit).
 
 import pytest
 
-from repro.registry import get_algorithm
+from repro import RunSpec, Session
 from repro.analysis.complexity import rank_models
 from repro.analysis.reporting import format_table
 
 from .conftest import run_once
 
-# Row runners resolved through the algorithm registry.
-run_matching_row = get_algorithm("matching").run_row
-run_mis_row = get_algorithm("mis").run_row
-
 SEED = 1
 
 
 def test_matching_n_sweep(benchmark, report):
-    rows = [run_matching_row(n, a=2, seed=SEED) for n in (32, 64, 128, 256)]
+    rows = [Session().run(RunSpec("matching", n, a=2, seed=SEED)).row for n in (32, 64, 128, 256)]
     assert all(r["correct"] for r in rows)
     assert all(r["violations"] == 0 for r in rows)
 
@@ -33,7 +29,7 @@ def test_matching_n_sweep(benchmark, report):
     assert by_name["(a + log n) log n"].rmse <= by_name["n"].rmse
 
     # Cross-row comparison with MIS (same bound): within a small factor.
-    mis_rows = [run_mis_row(n, a=2, seed=SEED) for n in (32, 64)]
+    mis_rows = [Session().run(RunSpec("mis", n, a=2, seed=SEED)).row for n in (32, 64)]
     for mm_r, mis_r in zip(rows[:2], mis_rows):
         ratio = mm_r["rounds"] / mis_r["rounds"]
         assert 0.2 < ratio < 5.0
@@ -50,11 +46,11 @@ def test_matching_n_sweep(benchmark, report):
         + "\n  model fits (best first): "
         + "; ".join(f"{f.model} nrmse={f.rmse:.2f}" for f in fits[:3])
     )
-    run_once(benchmark, lambda: run_matching_row(64, a=2, seed=SEED))
+    run_once(benchmark, lambda: Session().run(RunSpec("matching", 64, a=2, seed=SEED)).row)
 
 
 def test_matching_arboricity_sweep(benchmark, report):
-    rows = [run_matching_row(96, a=a, seed=SEED) for a in (1, 2, 4, 8)]
+    rows = [Session().run(RunSpec("matching", 96, a=a, seed=SEED)).row for a in (1, 2, 4, 8)]
     assert all(r["correct"] for r in rows)
     assert rows[-1]["rounds"] < 6 * rows[0]["rounds"]
     report(
@@ -64,4 +60,4 @@ def test_matching_arboricity_sweep(benchmark, report):
             title="T1-MM arboricity sweep at n=96",
         )
     )
-    run_once(benchmark, lambda: run_matching_row(48, a=4, seed=SEED))
+    run_once(benchmark, lambda: Session().run(RunSpec("matching", 48, a=4, seed=SEED)).row)

@@ -7,20 +7,17 @@ must be ≲ linear in a with a log-factor constant).
 
 import pytest
 
-from repro.registry import get_algorithm
+from repro import RunSpec, Session
 from repro.analysis.complexity import rank_models
 from repro.analysis.reporting import format_table
 
 from .conftest import run_once
 
-# Row runners resolved through the algorithm registry.
-run_mis_row = get_algorithm("mis").run_row
-
 SEED = 1
 
 
 def test_mis_n_sweep(benchmark, report):
-    rows = [run_mis_row(n, a=2, seed=SEED) for n in (32, 64, 128, 256)]
+    rows = [Session().run(RunSpec("mis", n, a=2, seed=SEED)).row for n in (32, 64, 128, 256)]
     assert all(r["correct"] for r in rows)
     assert all(r["violations"] == 0 for r in rows)
 
@@ -43,11 +40,11 @@ def test_mis_n_sweep(benchmark, report):
         + "\n  model fits (best first): "
         + "; ".join(f"{f.model} nrmse={f.rmse:.2f}" for f in fits[:3])
     )
-    run_once(benchmark, lambda: run_mis_row(64, a=2, seed=SEED))
+    run_once(benchmark, lambda: Session().run(RunSpec("mis", 64, a=2, seed=SEED)).row)
 
 
 def test_mis_arboricity_sweep(benchmark, report):
-    rows = [run_mis_row(96, a=a, seed=SEED) for a in (1, 2, 4, 8)]
+    rows = [Session().run(RunSpec("mis", 96, a=a, seed=SEED)).row for a in (1, 2, 4, 8)]
     assert all(r["correct"] for r in rows)
     # a-term inside the bound: 8x arboricity must cost well below 8x rounds.
     assert rows[-1]["rounds"] < 6 * rows[0]["rounds"]
@@ -58,4 +55,4 @@ def test_mis_arboricity_sweep(benchmark, report):
             title="T1-MIS arboricity sweep at n=96",
         )
     )
-    run_once(benchmark, lambda: run_mis_row(48, a=4, seed=SEED))
+    run_once(benchmark, lambda: Session().run(RunSpec("mis", 48, a=4, seed=SEED)).row)

@@ -12,14 +12,12 @@ models.  The reproduction claim holds when
 
 import pytest
 
-from repro.registry import bench_config, get_algorithm
+from repro import RunSpec, Session
+from repro.registry import bench_config
 from repro.analysis.complexity import PAPER_MODELS, growth_exponent, rank_models
 from repro.analysis.reporting import format_table
 
 from .conftest import run_once
-
-# Row runners resolved through the algorithm registry.
-run_mst_row = get_algorithm("mst").run_row
 
 NS = [16, 32, 64, 96]
 SEED = 1
@@ -27,7 +25,7 @@ SEED = 1
 
 @pytest.fixture(scope="module")
 def sweep_rows():
-    return [run_mst_row(n, a=2, seed=SEED) for n in NS]
+    return [Session().run(RunSpec("mst", n, a=2, seed=SEED)).row for n in NS]
 
 
 def test_mst_sweep(benchmark, sweep_rows, report):
@@ -64,7 +62,7 @@ def test_mst_sweep(benchmark, sweep_rows, report):
     )
 
     # Wall-time benchmark: one representative mid-size run.
-    run_once(benchmark, lambda: run_mst_row(48, a=2, seed=SEED))
+    run_once(benchmark, lambda: Session().run(RunSpec("mst", 48, a=2, seed=SEED)).row)
 
 
 def test_mst_weight_regimes(benchmark, report):

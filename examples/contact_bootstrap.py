@@ -23,7 +23,7 @@ import math
 import sys
 
 from repro import NCCRuntime
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.overlay import (
     bootstrap_aggregation_tree,
     random_contact_lists,

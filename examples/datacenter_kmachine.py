@@ -18,7 +18,7 @@ import sys
 from repro import NCCRuntime
 from repro.algorithms import MSTAlgorithm
 from repro.analysis.reporting import format_table
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.baselines.sequential import kruskal_msf
 from repro.graphs import generators, weights
 from repro.kmachine import KMachineSimulation

@@ -20,7 +20,7 @@ import sys
 
 from repro import NCCRuntime
 from repro.algorithms import BFSAlgorithm, build_broadcast_trees
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.baselines.sequential import bfs_tree
 from repro.graphs import generators, properties
 

@@ -29,7 +29,7 @@ from repro.algorithms import (
     MatchingAlgorithm,
     build_broadcast_trees,
 )
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.baselines import sequential as seq
 from repro.baselines.naive import naive_mis
 from repro.graphs import arboricity, generators

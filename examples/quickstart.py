@@ -12,7 +12,7 @@ import sys
 
 from repro import NCCRuntime
 from repro.algorithms import MSTAlgorithm
-from repro.analysis.tables import bench_config
+from repro.registry import bench_config
 from repro.baselines.sequential import kruskal_msf
 from repro.graphs import generators, weights
 

@@ -99,23 +99,6 @@ class BFSAlgorithm:
 # ----------------------------------------------------------------------
 # Registry entry (Table 1 row T1-BFS)
 # ----------------------------------------------------------------------
-def _workload(n: int, a: int, seed: int, family: str = "forest") -> InputGraph:
-    # The legacy ``family`` option is a thin alias over the scenario
-    # registry: "forest" -> `forest-union`, "grid" -> `grid`
-    # (`python -m repro run --scenario` is the first-class spelling).
-    from ..errors import ConfigurationError
-    from ..scenarios import get_scenario
-
-    if family not in ("forest", "grid"):
-        raise ConfigurationError(
-            f"unknown BFS family {family!r} (forest | grid); the option is "
-            "deprecated — pick a workload with scenario instead"
-        )
-    return get_scenario("grid" if family == "grid" else "forest-union").build(
-        n, a, seed
-    )
-
-
 def _check(g: InputGraph, result: BFSResult, params: dict) -> bool:
     from ..baselines.sequential import bfs_tree
 
@@ -126,10 +109,7 @@ def _check(g: InputGraph, result: BFSResult, params: dict) -> bool:
 def _describe(g: InputGraph, result: BFSResult, rt: NCCRuntime, params: dict) -> dict:
     from ..registry import describe_workload
 
-    family = params.get("family", "forest")
-    row = describe_workload(
-        g, with_diameter=True, a_known=(3 if family == "grid" else params["a"])
-    )
+    row = describe_workload(g, with_diameter=True, a_known=params["a"])
     row.update(rounds=result.rounds, phases=result.phases)
     return row
 
@@ -140,12 +120,10 @@ def _describe(g: InputGraph, result: BFSResult, rt: NCCRuntime, params: dict) ->
     summary="BFS tree over broadcast trees (frontier multicasts)",
     bound="O((a + D + log n) log n)",
     table1_key="BFS",
-    build_workload=_workload,
     default_scenario="forest-union",
     requires=("connected",),
     check=_check,
     describe=_describe,
-    workload_options=("family",),
 )
 def _run(rt: NCCRuntime, g: InputGraph, *, source: int = 0) -> BFSResult:
     return BFSAlgorithm(rt, g).run(source)

@@ -1,5 +1,5 @@
-"""Experiment analysis: complexity-shape fitting, traces, table regeneration."""
+"""Experiment analysis: complexity-shape fitting and table rendering."""
 
-from . import complexity, reporting, tables, trace
+from . import complexity, reporting
 
-__all__ = ["complexity", "reporting", "tables", "trace"]
+__all__ = ["complexity", "reporting"]

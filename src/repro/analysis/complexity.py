@@ -91,14 +91,6 @@ def rank_models(
     return sorted(fits, key=lambda f: f.rmse)
 
 
-def best_model(
-    params: Sequence[Mapping[str, float]],
-    rounds: Sequence[float],
-    models: Mapping[str, ModelFn] | None = None,
-) -> FitResult:
-    return rank_models(params, rounds, models)[0]
-
-
 def growth_exponent(ns: Sequence[float], ys: Sequence[float]) -> float:
     """Least-squares slope of log y against log n — a quick polynomial-
     degree probe (≈0 for polylog growth over moderate ranges)."""
@@ -106,12 +98,3 @@ def growth_exponent(ns: Sequence[float], ys: Sequence[float]) -> float:
     ly = np.log(np.maximum(1e-9, np.array(list(ys), dtype=float)))
     lx -= lx.mean()
     return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
-
-
-def doubling_ratios(ys: Sequence[float]) -> list[float]:
-    """y[i+1]/y[i] for a doubling sweep — polylog algorithms stay near 1,
-    linear ones near 2."""
-    out = []
-    for a, b in zip(ys, ys[1:]):
-        out.append(b / a if a else float("inf"))
-    return out

@@ -3,7 +3,7 @@
 A :class:`RunSpec` is a complete, serializable description of one scenario
 — algorithm, size, workload parameters, seed, engine, enforcement — so a
 sweep is literally a list of specs and nothing else.  A :class:`RunReport`
-is the JSON-serializable outcome: the legacy Table 1 row (outputs +
+is the JSON-serializable outcome: the Table 1 row (outputs +
 workload descriptors), the measured rounds/messages/bits, the full
 :class:`~repro.ncc.stats.NetworkStats` snapshot including the violation
 ledger, the wall time, and the engine that actually ran.
@@ -62,8 +62,8 @@ class RunSpec:
         Registry name or alias (``"mst"``, ``"MM"``, …); resolved through
         :func:`repro.registry.get_algorithm`.
     n:
-        Requested problem size (the workload builder may round, e.g. the
-        BFS grid family uses the nearest square).
+        Requested problem size (the scenario builder may round, e.g. the
+        grid scenario uses the nearest square).
     a:
         Arboricity parameter of the standard workload.
     seed:
@@ -75,12 +75,13 @@ class RunSpec:
         ``"strict" | "count" | "drop"``, or ``None`` for the session
         default (the benchmark profile's COUNT).
     extras:
-        Extra workload/runner options (e.g. ``{"family": "grid"}``),
-        stored as a sorted tuple of pairs so specs stay hashable.
+        Options for the algorithm's run callable (e.g. BFS's
+        ``{"source": 3}``), stored as a sorted tuple of pairs so specs
+        stay hashable.
     scenario:
         Workload scenario name from :mod:`repro.scenarios` (topology
         family × optional weight regime), or ``None`` for the
-        algorithm's default workload.  ``None`` keeps the canonical
+        algorithm's ``default_scenario``.  ``None`` keeps the canonical
         JSONL byte-identical to the pre-scenario schema: the key is
         only serialized when a scenario is set.
     shards:
@@ -199,7 +200,7 @@ class RunReport:
     #: the spec that produced this report, canonicalized (algorithm name
     #: resolved, engine/enforcement made explicit) so it reruns verbatim.
     spec: RunSpec
-    #: the legacy Table 1 row: workload descriptors + outputs + ``correct``.
+    #: the Table 1 row: workload descriptors + outputs + ``correct``.
     row: dict[str, Any]
     #: round engine that actually executed the run.
     engine: str

@@ -3,9 +3,11 @@ serially or fanned out over worker processes.
 
 A session owns the cross-run caches — the per-``n``
 :class:`~repro.butterfly.topology.ButterflyGrid` (immutable topology, one
-instance per size) and the workload graphs (keyed by algorithm, size,
-arboricity, seed, and workload options) — so a 3-algorithms × 4-sizes ×
-5-seeds sweep builds each instance once instead of once per run.
+instance per size) and the workload graphs (keyed by algorithm, scenario,
+size, arboricity and seed) — so a 3-algorithms × 4-sizes × 5-seeds sweep
+builds each instance once instead of once per run.  Every workload comes
+from the scenario registry: the spec's scenario, else the algorithm's
+``default_scenario``.
 
 ``run_many(specs, jobs=N)`` fans the specs out over the persistent worker
 service in :mod:`repro.api.pool`: workers spawn once per session, stay
@@ -46,12 +48,12 @@ from .store import ResultStore
 
 
 def _known_option_keys(alg) -> tuple[set[str], bool]:
-    """Option names an algorithm accepts: its declared workload options
-    plus the run callable's keyword parameters (everything after the fixed
-    ``(rt, g)`` positionals).  Returns ``(keys, accepts_any)``;
-    ``accepts_any`` is set when the run callable takes ``**kwargs`` (or
-    cannot be inspected), in which case no key can be rejected."""
-    keys = set(alg.workload_options)
+    """Option names an algorithm accepts: the run callable's keyword
+    parameters (everything after the fixed ``(rt, g)`` positionals).
+    Returns ``(keys, accepts_any)``; ``accepts_any`` is set when the run
+    callable takes ``**kwargs`` (or cannot be inspected), in which case no
+    key can be rejected."""
+    keys: set[str] = set()
     if alg.run is None:
         return keys, False
     try:
@@ -78,7 +80,8 @@ class Session:
         Template :class:`NCCConfig` applied to every run (seeded per spec).
         Defaults to the benchmark profile
         (:func:`repro.registry.bench_config`: COUNT enforcement,
-        lightweight sync) — the same profile the legacy row runners used.
+        lightweight sync) — the same profile
+        :meth:`~repro.registry.AlgorithmSpec.execute` defaults to.
     cache:
         Keep per-``n`` butterfly grids and workload graphs alive across
         :meth:`run` calls (on by default; disable to bound memory on huge
@@ -145,24 +148,16 @@ class Session:
         canonical algorithm name, canonical scenario name (validated against
         the algorithm's requirements), explicit engine and enforcement."""
         alg = get_algorithm(spec.algorithm)
+        alg.require_runnable()
         scenario = spec.scenario
         if scenario is not None:
             from ..scenarios import check_compatible, get_scenario
 
             scn = get_scenario(scenario)
             check_compatible(alg, scn)
-            if "family" in dict(spec.extras):
-                raise ConfigurationError(
-                    f"RunSpec for {alg.name!r} sets both scenario="
-                    f"{scn.name!r} and the legacy extras['family'] option; "
-                    "the family option is a deprecated alias of scenario — "
-                    "drop it"
-                )
             scenario = scn.name
-        # A typo'd option used to fall through silently: _workload forwards
-        # only keys in workload_options, so e.g. extras={"familly": "grid"}
-        # ran the *default* workload without complaint.  Reject anything
-        # neither the workload builder nor the run callable accepts.
+        # Reject any option the run callable does not take: a typo'd key
+        # would otherwise run with the default silently.
         known, accepts_any = _known_option_keys(alg)
         if not accepts_any:
             unknown = [k for k in dict(spec.extras) if k not in known]
@@ -224,26 +219,15 @@ class Session:
         shared-memory publication key of the persistent pool (parent and
         workers must agree on it, so it lives here, once)."""
         alg = get_algorithm(spec.algorithm)
-        if spec.scenario is not None:
-            # Scenario workloads are algorithm-independent, but the key
-            # keeps the algorithm so per-algorithm eviction stays possible.
-            return (alg.name, spec.scenario, spec.n, spec.a, spec.seed)
-        options = {k: v for k, v in spec.extras if k in alg.workload_options}
-        return (alg.name, spec.n, spec.a, spec.seed, tuple(sorted(options.items())))
+        # Scenario workloads are algorithm-independent, but the key keeps
+        # the algorithm so per-algorithm eviction stays possible.
+        return (alg.name, _scenario(alg, spec).name, spec.n, spec.a, spec.seed)
 
     def _workload(self, alg, spec: RunSpec):
         key = self.workload_key(spec)
         g = self._workload_cache.get(key)
         if g is None:
-            if spec.scenario is not None:
-                from ..scenarios import get_scenario
-
-                g = get_scenario(spec.scenario).build(spec.n, spec.a, spec.seed)
-            else:
-                options = {
-                    k: v for k, v in spec.extras if k in alg.workload_options
-                }
-                g = alg.workload(spec.n, spec.a, spec.seed, **options)
+            g = _scenario(alg, spec).build(spec.n, spec.a, spec.seed)
             if self._cache_enabled:
                 self._workload_cache[key] = g
         return g
@@ -256,22 +240,14 @@ class Session:
         spec = self.canonical(spec)
         alg = get_algorithm(spec.algorithm)
         g = self._workload(alg, spec)
-        a_label = spec.a
-        if spec.scenario is not None:
-            from ..scenarios import get_scenario
-
-            scn = get_scenario(spec.scenario)
-            # Rows label `a` with the scenario's declared bound (e.g. 3
-            # for the grid family) rather than the sweep knob, which only
-            # parameterizes a-controlled families.  Without a declared
-            # bound the knob is meaningless too — the trivial `n` bound
-            # makes the describers fall back to the greedy estimate
-            # instead of understating `a` as the knob value.
-            a_label = (
-                scn.effective_a(spec.n, spec.a)
-                if scn.arboricity is not None
-                else spec.n
-            )
+        scn = _scenario(alg, spec)
+        # Rows label `a` with the scenario's declared bound (e.g. 3 for the
+        # grid family, the knob itself for forest-union) rather than the
+        # sweep knob, which only parameterizes a-controlled families.
+        # Without a declared bound the knob is meaningless too — the
+        # trivial `n` bound makes the describers fall back to the greedy
+        # estimate instead of understating `a` as the knob value.
+        a_label = scn.effective_a(spec.n, spec.a) if scn.arboricity is not None else spec.n
         t0 = time.perf_counter()
         ex = alg.execute(
             spec.n,
@@ -536,6 +512,15 @@ class Session:
         finally:
             if telemetry is not None:
                 uninstall_tracer(previous)
+
+
+def _scenario(alg, spec: RunSpec):
+    """The scenario a canonicalized spec runs on: its own, else its
+    algorithm's default (a scenario-free spec keeps ``scenario=None`` in
+    its report, so scenario-free JSONL keeps its schema)."""
+    from ..scenarios import get_scenario
+
+    return get_scenario(spec.scenario or alg.default_scenario)
 
 
 def _dedup_axis(values: Sequence[Any]) -> list[Any]:

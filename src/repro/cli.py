@@ -251,29 +251,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     except UnknownAlgorithmError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    extras = {}
-    if args.family is not None:
-        # Deprecated alias of --scenario; only BFS ever grew a family
-        # option, so anything else is a hard error instead of the silent
-        # drop it used to be.
-        if args.scenario is not None:
-            print("run: --family is a deprecated alias of --scenario; "
-                  "pass only --scenario", file=sys.stderr)
-            return 2
-        if "family" not in alg.workload_options:
-            print(f"run: error: algorithm {alg.name!r} has no --family option "
-                  "(deprecated, BFS-only); pick a workload with --scenario "
-                  f"(one of: {', '.join(sorted(scenario_names()))})",
-                  file=sys.stderr)
-            return 2
-        print("run: warning: --family is deprecated; use --scenario instead",
-              file=sys.stderr)
-        extras["family"] = args.family
     session = Session()
     try:
         spec = RunSpec(
             alg.name, args.n, a=args.a, seed=args.seed, engine=args.engine,
-            extras=extras, scenario=args.scenario, shards=args.shards,
+            scenario=args.scenario, shards=args.shards,
         )
         if args.trace:
             report = _traced_run(session, spec, alg.name, args.trace)
@@ -305,7 +287,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     bounds = {s.table1_key: s.bound for s in table1_specs()}
-    rows_req = args.rows if args.rows else sorted(bounds)
+    rows_req = args.rows if args.rows else list(bounds)
     session = Session()
     exit_code = 0
     for name in rows_req:
@@ -322,7 +304,9 @@ def cmd_table1(args: argparse.Namespace) -> int:
             print(f"table1: {exc}", file=sys.stderr)
             return 2
         results = [session.run(spec).row for spec in specs]
-        headers = sorted({k for r in results for k in r})
+        # Columns in the describers' order (first occurrence across rows),
+        # as `run` prints them.
+        headers = list(dict.fromkeys(k for r in results for k in r))
         print(
             format_table(
                 headers,
@@ -711,9 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scenario", default=None,
                        help="workload scenario (see `repro scenarios`), "
                             "e.g. grid, pa-heavy-tail, grid-unique-weights")
-    p_run.add_argument("--family", default=None,
-                       help="deprecated alias of --scenario "
-                            "(BFS-only: forest | grid)")
     p_run.add_argument("--engine", choices=engines, default=None,
                        help="round engine (default: config default)")
     p_run.add_argument("--shards", type=_shards_arg, default=None,

@@ -1,18 +1,12 @@
 """NCC003 — registry discipline: one source of truth for algorithms.
 
 Guards the ROADMAP "Experiment surface" invariant: all algorithm
-consumers resolve through :mod:`repro.registry`, and the deprecated
-``analysis.tables.TABLE1_RUNNERS`` shim is frozen — referenced only by
-the shim module itself and the tests that pin its byte-compatibility.
-Two checks:
-
-* every module under ``repro/algorithms/`` (and the scenario family
-  catalog ``repro/scenarios/families.py``) must self-register via the
-  ``@register_algorithm`` / ``register_scenario`` decorators — an
-  algorithm module that forgets is silently invisible to the CLI, the
-  sweep driver, the parity harness, and the oracle-check suite;
-* any new reference to ``TABLE1_RUNNERS`` outside the shim and its
-  pinned tests is flagged (resolve through ``repro.registry`` instead).
+consumers resolve through :mod:`repro.registry`.  Every module under
+``repro/algorithms/`` (and the scenario family catalog
+``repro/scenarios/families.py``) must self-register via the
+``@register_algorithm`` / ``register_scenario`` decorators — an algorithm
+module that forgets is silently invisible to the CLI, the sweep driver,
+the parity harness, and the oracle-check suite.
 """
 
 from __future__ import annotations
@@ -21,15 +15,6 @@ import ast
 from typing import Iterator
 
 from . import FileContext, Finding, Rule, register_rule
-
-#: files allowed to reference the frozen TABLE1_RUNNERS shim: the shim
-#: itself plus the tests pinning its byte-compatibility surface.
-SHIM_ALLOWLIST = (
-    "repro/analysis/tables.py",
-    "tests/test_tables.py",
-    "tests/test_registry.py",
-    "tests/test_cli.py",
-)
 
 #: (path predicate suffix-dir, required registration callable)
 SELF_REGISTERING = (
@@ -43,17 +28,11 @@ class NCC003RegistryDiscipline(Rule):
     id = "NCC003"
     name = "registry-discipline"
     invariant = (
-        "experiment surface: consumers resolve algorithms through "
-        "registry.py; TABLE1_RUNNERS stays a frozen deprecation shim"
+        "experiment surface: algorithm and scenario modules self-register, "
+        "so consumers resolve them through the registries"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        yield from self._check_self_registration(ctx)
-        if not ctx.path_is(*SHIM_ALLOWLIST):
-            yield from self._check_shim_references(ctx)
-
-    # ------------------------------------------------------------------
-    def _check_self_registration(self, ctx: FileContext) -> Iterator[Finding]:
         p = ctx.effective_path
         if p.endswith("__init__.py"):
             return
@@ -80,20 +59,3 @@ class NCC003RegistryDiscipline(Rule):
                     line=1,
                 )
             return
-
-    def _check_shim_references(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    if alias.name == "TABLE1_RUNNERS":
-                        yield self.finding(
-                            ctx, node,
-                            "import of the frozen TABLE1_RUNNERS shim; "
-                            "resolve through repro.registry.get_algorithm",
-                        )
-            elif isinstance(node, ast.Attribute) and node.attr == "TABLE1_RUNNERS":
-                yield self.finding(
-                    ctx, node,
-                    "reference to the frozen TABLE1_RUNNERS shim; resolve "
-                    "through repro.registry.get_algorithm",
-                )

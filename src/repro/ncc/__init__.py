@@ -14,7 +14,7 @@ EXPERIMENTS.md.
 
 from .engine import ReferenceEngine, RoundEngine, build_engine, engine_names, register_engine
 from .graph_input import InputGraph
-from .message import Message, payload_bits, payload_bits_memoized
+from .message import Message, payload_bits
 from .network import NCCNetwork
 from .stats import NetworkStats, PhaseStats, Violation
 
@@ -22,7 +22,6 @@ __all__ = [
     "InputGraph",
     "Message",
     "payload_bits",
-    "payload_bits_memoized",
     "NCCNetwork",
     "NetworkStats",
     "PhaseStats",

@@ -59,9 +59,18 @@ def payload_bits(payload: Any) -> int:
     if t is int:
         return (payload.bit_length() or 1) + (1 if payload < 0 else 0)
     if t is tuple or t is list:
+        # Protocols send tuples of ints and tags: size those parts in this
+        # frame and recurse only for the rest (bool, None, float, IntEnum,
+        # numpy scalars and ``size_bits`` objects keep their own rules).
         total = 0
         for p in payload:
-            total += payload_bits(p)
+            tp = type(p)
+            if tp is int:
+                total += (p.bit_length() or 1) + (1 if p < 0 else 0)
+            elif tp is str:
+                total += 4 if len(p) <= 8 else 8 * len(p)
+            else:
+                total += payload_bits(p)
         return total
     if t is str:
         return 4 if len(payload) <= 8 else 8 * len(payload)
@@ -89,10 +98,7 @@ def _np_scalar_bits(payload: Any) -> int:
 
     numpy scalars are not ``int``/``bool`` subclasses and have no
     ``size_bits()``, so without this branch a payload read back off a typed
-    column and re-submitted would raise ``TypeError``.  They are *not*
-    memo-safe (``np.int64(1) == 1 == 1.0``) and stay out of the value-keyed
-    cache — :func:`payload_bits_memoized` excludes them structurally
-    (``type() not in _MEMO_SCALARS``).
+    column and re-submitted would raise ``TypeError``.
     """
     if isinstance(payload, _np.bool_):
         return 1
@@ -109,82 +115,6 @@ def _np_scalar_bits(payload: Any) -> int:
             total += payload_bits(p)
         return total
     raise TypeError(f"cannot size payload of type {type(payload).__name__}")
-
-
-# ----------------------------------------------------------------------
-# Memoized sizing for common payload shapes
-# ----------------------------------------------------------------------
-# Recursive container walks dominate payload sizing cost; protocols send the
-# same few tuple shapes millions of times, so a value-keyed cache pays off.
-# The cache relies on "equal payloads have equal sizes", so only payloads
-# built from int/bool/str/None (and tuples thereof) may *look up or store*
-# entries: floats break the invariant (1 == 1.0 == True, but an int 1 is
-# 1 bit and a float is 32), as do objects with a custom ``size_bits()``,
-# and int subclasses like IntEnum equal plain ints.  Both the store AND the
-# lookup are gated on the predicate — a cached ``(1,)`` must not be served
-# for ``(1.0,)``, which hashes and compares equal.  int/bool may share keys
-# safely: only True == 1 and False == 0 collide, and both size to 1 bit.
-_MEMO_SCALARS = frozenset((int, bool, str, type(None)))
-
-_BITS_MEMO: dict[tuple, int] = {}
-_BITS_MEMO_LIMIT = 1 << 16
-
-
-def _memo_safe(payload: Any) -> bool:
-    t = type(payload)
-    if t in _MEMO_SCALARS:
-        return True
-    if t is tuple:
-        # Plain loop, not all(genexpr): this runs once per cache probe on
-        # the hottest path in the simulator.
-        for p in payload:
-            if not _memo_safe(p):
-                return False
-        return True
-    return False
-
-
-def clear_payload_bits_memo() -> None:
-    """Drop all cached payload sizes (test isolation hook)."""
-    _BITS_MEMO.clear()
-
-
-def payload_bits_memoized(payload: Any) -> int:
-    """:func:`payload_bits` with a value-keyed cache for tuple payloads.
-
-    Agrees with :func:`payload_bits` on every input (asserted by
-    ``tests/test_payload_bits_properties.py``); payloads outside the safe
-    cacheable subset fall through to the plain recursive walk.
-    """
-    if type(payload) is not tuple:
-        return payload_bits(payload)
-    # Flat safety scan inlined (this is the hottest call in the simulator):
-    # scalars are checked in place, only nested tuples recurse.
-    scalars = _MEMO_SCALARS
-    for p in payload:
-        t = type(p)
-        if t not in scalars and (t is not tuple or not _memo_safe(p)):
-            return payload_bits(payload)
-    hit = _BITS_MEMO.get(payload)
-    if hit is not None:
-        return hit
-    # Memo miss on a safe tuple: size it in place (same rules as
-    # :func:`payload_bits`, one frame instead of one per element).
-    bits = 0
-    for p in payload:
-        t = p.__class__
-        if t is int:
-            bits += (p.bit_length() or 1) + (1 if p < 0 else 0)
-        elif t is str:
-            bits += 4 if len(p) <= 8 else 8 * len(p)
-        elif t is tuple:
-            bits += payload_bits_memoized(p)
-        else:  # bool / None (the only remaining memo-safe scalars)
-            bits += 1
-    if len(_BITS_MEMO) >= _BITS_MEMO_LIMIT:
-        _BITS_MEMO.clear()
-    _BITS_MEMO[payload] = bits
-    return bits
 
 
 #: Process-wide count of ``Message.__init__`` calls — the construction
@@ -357,7 +287,7 @@ class Message:
         self.dst = dst
         self.payload = payload
         self.kind = kind
-        self.bits = bits if bits >= 0 else payload_bits_memoized(payload)
+        self.bits = bits if bits >= 0 else payload_bits(payload)
 
     def sized(self) -> int:
         return self.bits
@@ -428,7 +358,7 @@ class InboxBatch(_SequenceABC):
         self._dsts = _norm_id_column(dsts, k)
         self._payloads = list(payloads)
         if bits is None:
-            self._bits = [payload_bits_memoized(p) for p in self._payloads]
+            self._bits = [payload_bits(p) for p in self._payloads]
         else:
             self._bits = list(bits)
             if len(self._bits) != k:
@@ -800,20 +730,6 @@ def payloads_of(inbox: Sequence[Message] | InboxBatch) -> list[Any]:
     return [m.payload for m in inbox]
 
 
-def srcs_of(inbox: Sequence[Message] | InboxBatch) -> list[int]:
-    """Sender column of one inbox, engine-agnostic (see :func:`payloads_of`)."""
-    if isinstance(inbox, InboxBatch):
-        return inbox.srcs()
-    return [m.src for m in inbox]
-
-
-def items_of(inbox: Sequence[Message] | InboxBatch) -> list[tuple[int, Any]]:
-    """``(src, payload)`` pairs of one inbox, engine-agnostic."""
-    if isinstance(inbox, InboxBatch):
-        return inbox.items()
-    return [(m.src, m.payload) for m in inbox]
-
-
 def merge_round_inboxes(
     merged: dict[int, list[Message] | InboxBatch],
     inbox: dict[int, list[Message] | InboxBatch],
@@ -918,7 +834,7 @@ class BatchBuilder:
                 )
             src = int(src)
             dst = int(dst)
-        bits = payload_bits_memoized(payload)
+        bits = payload_bits(payload)
         self._bits_sum += bits
         if bits > self._bits_max:
             self._bits_max = bits
@@ -969,7 +885,7 @@ class BatchBuilder:
                         f"{type(src).__name__} -> {type(d).__name__}"
                     )
                 dst_l[i] = int(d)
-        bits_l = [payload_bits_memoized(p) for p in pay_l]
+        bits_l = [payload_bits(p) for p in pay_l]
         if not dst_l:
             return
         self._bits_sum += sum(bits_l)

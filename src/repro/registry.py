@@ -1,10 +1,6 @@
 """Algorithm registry: one source of truth for runnable experiments.
 
-Before this module existed the repo knew its algorithms in four separate
-places — the ``TABLE1_RUNNERS`` string-dict in :mod:`repro.analysis.tables`,
-the CLI's hardcoded aliases, the differential parity harness, and the
-``bench_table1_*`` benchmarks.  Now every algorithm module registers itself
-once::
+Every algorithm module registers itself once::
 
     from ..registry import register_algorithm
 
@@ -13,29 +9,29 @@ once::
         aliases=("MST",),
         bound="O(log^4 n)",
         table1_key="MST",
-        build_workload=_workload,
+        default_scenario="forest-union-random-weights",
         check=_check,
         describe=_describe,
     )
     def _run(rt, g):
         return MSTAlgorithm(rt, g).run()
 
-and every consumer — ``analysis.tables`` (kept as a deprecation shim), the
-CLI dispatch, ``tests/test_engine_parity.py``, the benchmarks, and the
-:class:`repro.api.Session` sweep driver — resolves algorithms through
-:func:`get_algorithm` / :func:`iter_algorithms`.
+and every consumer — the CLI dispatch, ``tests/test_engine_parity.py``,
+the benchmarks, and the :class:`repro.api.Session` sweep driver —
+resolves algorithms through :func:`get_algorithm` /
+:func:`iter_algorithms`.
 
-An :class:`AlgorithmSpec` decomposes the old monolithic row runners into
+An :class:`AlgorithmSpec` decomposes a Table 1 row into
 
-* ``build_workload(n, a, seed, **options)`` — the standard input instance;
+* ``default_scenario`` — the :mod:`repro.scenarios` entry that builds the
+  standard input instance;
 * ``run(rt, g, **options)`` — the distributed execution;
 * ``check(g, output, params)`` — the sequential oracle;
 * ``describe(g, output, rt, params)`` — the row descriptors (everything
   before the ``correct`` column).
 
-:meth:`AlgorithmSpec.run_row` recomposes them into exactly the legacy
-Table 1 row dict (same keys, same insertion order), which is pinned by
-tests — old entry points must stay byte-identical.
+:meth:`AlgorithmSpec.execute` recomposes them into the Table 1 row dict
+(same keys, same insertion order), which is pinned by tests.
 """
 
 from __future__ import annotations
@@ -73,19 +69,6 @@ def bench_config(seed: int = 0, **overrides: Any) -> NCCConfig:
     return NCCConfig(**base)
 
 
-def standard_workload(n: int, a: int, seed: int) -> InputGraph:
-    """The bounded-arboricity workload of the T1 sweeps: a union of ``a``
-    random spanning forests (arboricity ≤ a, connected).
-
-    Equivalent to the ``forest-union`` scenario
-    (:mod:`repro.scenarios.families`); kept as the legacy spelling for the
-    :mod:`repro.analysis.tables` compatibility surface.
-    """
-    from .graphs import generators
-
-    return generators.forest_union(n, a, seed=seed)
-
-
 def describe_workload(
     g: InputGraph, *, with_diameter: bool = False, a_known: int | None = None
 ) -> dict[str, Any]:
@@ -112,7 +95,6 @@ def describe_workload(
 # ----------------------------------------------------------------------
 # The spec
 # ----------------------------------------------------------------------
-WorkloadBuilder = Callable[..., InputGraph]
 Runner = Callable[..., Any]
 OracleCheck = Callable[[InputGraph, Any, dict], bool]
 RowDescriber = Callable[[InputGraph, Any, "NCCRuntime", dict], dict]
@@ -122,7 +104,7 @@ RowDescriber = Callable[[InputGraph, Any, "NCCRuntime", dict], dict]
 class Execution:
     """One completed algorithm execution with everything observable."""
 
-    #: the legacy Table 1 row dict (descriptors + outputs + correct).
+    #: the Table 1 row dict (descriptors + outputs + correct).
     row: dict[str, Any]
     #: the algorithm's native result object.
     output: Any
@@ -144,25 +126,20 @@ class AlgorithmSpec:
     bound: str | None = None
     #: Table 1 row key (``"MST"``…); ``None`` for non-Table-1 entries.
     table1_key: str | None = None
-    #: ``(n, a, seed, **options) -> InputGraph``.
-    build_workload: WorkloadBuilder | None = None
     #: sequential oracle: ``(g, output, params) -> bool``.
     check: OracleCheck | None = None
     #: row descriptors: ``(g, output, rt, params) -> dict`` — every column
     #: *before* ``correct`` (``messages``/``violations`` are appended by
-    #: :meth:`execute`), in the exact legacy insertion order.
+    #: :meth:`execute`), in a fixed insertion order.
     describe: RowDescriber | None = None
     #: engine-parity observable override: ``(rt, g) -> comparable``.
     #: Defaults to ``run`` (results are value-comparable dataclasses).
     parity: Callable[..., Any] | None = None
-    #: option names forwarded to ``build_workload`` (e.g. ``("family",)``).
-    workload_options: tuple[str, ...] = ()
     #: ``"algorithm"`` or ``"subroutine"`` (registered for discovery/docs
     #: but not independently runnable).
     kind: str = "algorithm"
-    #: scenario-registry name of the default workload; used when
-    #: ``build_workload`` is not declared (``standard_workload``-style
-    #: algorithms point at ``"forest-union"``).
+    #: scenario-registry name of the default workload, built for every
+    #: run whose spec names no scenario (e.g. ``"forest-union"``).
     default_scenario: str | None = None
     #: workload guarantees this algorithm needs from a scenario, drawn
     #: from :data:`repro.scenarios.KNOWN_REQUIREMENTS` (e.g.
@@ -171,16 +148,11 @@ class AlgorithmSpec:
 
     # ------------------------------------------------------------------
     @property
-    def has_workload(self) -> bool:
-        """True when the spec can build its standard input instance."""
-        return self.build_workload is not None or self.default_scenario is not None
-
-    @property
     def runnable(self) -> bool:
         """True when the spec can produce Table-1-style rows."""
         return (
             self.run is not None
-            and self.has_workload
+            and self.default_scenario is not None
             and self.check is not None
             and self.describe is not None
         )
@@ -188,21 +160,26 @@ class AlgorithmSpec:
     @property
     def supports_parity(self) -> bool:
         """True when the differential engine-parity harness can replay it."""
-        return self.has_workload and (
+        return self.default_scenario is not None and (
             self.parity is not None or self.run is not None
         )
 
-    # ------------------------------------------------------------------
-    def workload(self, n: int, a: int = 2, seed: int = 0, **options: Any) -> InputGraph:
-        """Build the standard input instance for this algorithm (an
-        explicit ``build_workload``, else the declared default scenario)."""
-        if self.build_workload is not None:
-            return self.build_workload(n, a, seed, **options)
-        if self.default_scenario is not None:
-            from .scenarios import get_scenario
+    def require_runnable(self) -> None:
+        """Raise :class:`ConfigurationError` unless :attr:`runnable`."""
+        if not self.runnable:
+            raise ConfigurationError(
+                f"algorithm {self.name!r} ({self.kind}) is not independently "
+                "runnable; it has no complete workload/run/check/describe entry"
+            )
 
-            return get_scenario(self.default_scenario).build(n, a, seed)
-        raise ConfigurationError(f"algorithm {self.name!r} has no workload builder")
+    # ------------------------------------------------------------------
+    def workload(self, n: int, a: int = 2, seed: int = 0) -> InputGraph:
+        """Build the standard input instance: the default scenario."""
+        if self.default_scenario is None:
+            raise ConfigurationError(f"algorithm {self.name!r} has no default scenario")
+        from .scenarios import get_scenario
+
+        return get_scenario(self.default_scenario).build(n, a, seed)
 
     def execute(
         self,
@@ -218,39 +195,22 @@ class AlgorithmSpec:
         """Run the full workload→run→oracle→describe pipeline once.
 
         ``graph`` / ``bf`` allow a driver (:class:`repro.api.Session`) to
-        inject cached instances; when omitted they are built here exactly
-        like the legacy row runners did.
+        inject cached instances; when omitted the default scenario and the
+        runtime's own butterfly are built here.  ``options`` go to the run
+        callable (e.g. BFS's ``source``).
         """
         from .runtime import NCCRuntime
 
-        if not self.runnable:
-            raise ConfigurationError(
-                f"algorithm {self.name!r} ({self.kind}) is not independently "
-                "runnable; it has no complete workload/run/check/describe entry"
-            )
-        workload_kw = {k: options[k] for k in self.workload_options if k in options}
-        run_kw = {k: v for k, v in options.items() if k not in self.workload_options}
-        g = graph if graph is not None else self.workload(n, a, seed, **workload_kw)
+        self.require_runnable()
+        g = graph if graph is not None else self.workload(n, a, seed)
         rt = NCCRuntime(g.n, config or bench_config(seed), bf=bf)
-        output = self.run(rt, g, **run_kw)
+        output = self.run(rt, g, **options)
         params = {"n": n, "a": a, "seed": seed, **options}
         row = self.describe(g, output, rt, params)
         row["correct"] = self.check(g, output, params)
         row["messages"] = rt.net.stats.messages
         row["violations"] = rt.net.stats.violation_count
         return Execution(row=row, output=output, runtime=rt, graph=g)
-
-    def run_row(
-        self,
-        n: int,
-        *,
-        a: int = 2,
-        seed: int = 0,
-        config: NCCConfig | None = None,
-        **options: Any,
-    ) -> dict[str, Any]:
-        """The legacy Table 1 row runner (kept byte-identical)."""
-        return self.execute(n, a=a, seed=seed, config=config, **options).row
 
     def parity_run(self, rt: "NCCRuntime", *, n: int, a: int = 2, seed: int = 0) -> Any:
         """Run the algorithm on its parity-harness instance and return the
@@ -296,11 +256,9 @@ def register_algorithm(
     summary: str = "",
     bound: str | None = None,
     table1_key: str | None = None,
-    build_workload: WorkloadBuilder | None = None,
     check: OracleCheck | None = None,
     describe: RowDescriber | None = None,
     parity: Callable[..., Any] | None = None,
-    workload_options: tuple[str, ...] = (),
     kind: str = "algorithm",
     default_scenario: str | None = None,
     requires: tuple[str, ...] = (),
@@ -309,7 +267,9 @@ def register_algorithm(
 
     The decorated callable (``(rt, g, **options) -> result``) is returned
     unchanged; the registry keeps an :class:`AlgorithmSpec` built from it
-    plus the declared pieces.  Registering the same canonical name twice
+    plus the declared pieces.  Its keyword parameters are the options a
+    ``RunSpec.extras`` may set (anything else is rejected at
+    canonicalization).  Registering the same canonical name twice
     replaces the entry (latest wins), so modules are reload-safe.
 
     Registration is the integration point: a registered (runnable)
@@ -327,11 +287,6 @@ def register_algorithm(
         Human-facing description, the paper's round bound (printed next
         to rows), and the Table 1 row key when the algorithm appears
         there.
-    build_workload / workload_options:
-        Input-instance builder ``(n, a, seed, **options) -> InputGraph``
-        and the option names it accepts (forwarded from
-        ``RunSpec.extras``; anything else is rejected at
-        canonicalization).
     check / describe:
         Sequential-oracle correctness check and row describer — these
         are what make the algorithm's results *verifiable* in sweeps.
@@ -342,8 +297,8 @@ def register_algorithm(
         ``"algorithm"`` (runnable) or ``"subroutine"`` (resolvable but
         not independently runnable, e.g. ``findmin``).
     default_scenario / requires:
-        Default workload scenario, and the guarantee names a scenario
-        must provide (``"weights"``, ``"connected"``) — checked by the
+        The scenario every spec without one runs on, and the guarantee
+        names a scenario must provide (``"weights"``, ``"connected"``) — checked by the
         scenario compatibility layer before any run.
     """
 
@@ -355,11 +310,9 @@ def register_algorithm(
             summary=summary,
             bound=bound,
             table1_key=table1_key,
-            build_workload=build_workload,
             check=check,
             describe=describe,
             parity=parity,
-            workload_options=tuple(workload_options),
             kind=kind,
             default_scenario=default_scenario,
             requires=tuple(requires),

@@ -1,8 +1,7 @@
 # reprolint: path=src/repro/algorithms/fixture_alg.py
-"""NCC003 fixture: an algorithm module that never self-registers, and a
-consumer importing the deprecated TABLE1_RUNNERS shim."""
-from repro.analysis.tables import TABLE1_RUNNERS  # deprecated shim import
+"""NCC003 fixture: an algorithm module that never self-registers."""
+from repro.registry import get_algorithm
 
 
 def run(runtime):
-    return TABLE1_RUNNERS["MST"](runtime)
+    return get_algorithm("mst").run(runtime)

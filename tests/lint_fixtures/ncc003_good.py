@@ -1,6 +1,6 @@
 # reprolint: path=src/repro/algorithms/fixture_alg.py
 """NCC003 fixture: a self-registering algorithm module going through the
-registry, never the shim."""
+registry."""
 from repro.registry import get_algorithm, register_algorithm
 
 

@@ -6,8 +6,6 @@ import pytest
 
 from repro.analysis.complexity import (
     PAPER_MODELS,
-    best_model,
-    doubling_ratios,
     fit_single_coefficient,
     growth_exponent,
     rank_models,
@@ -34,9 +32,10 @@ class TestFitting:
     )
     def test_best_model_identifies_planted(self, planted):
         params, ys = self.synth(planted, [32, 64, 128, 256, 512, 1024])
-        fit = best_model(params, ys)
+        fits = rank_models(params, ys)
+        fit = fits[0]
         # the planted model must fit essentially perfectly
-        planted_fit = [f for f in rank_models(params, ys) if f.model == planted][0]
+        planted_fit = [f for f in fits if f.model == planted][0]
         assert planted_fit.rmse < 1e-9
         assert fit.rmse <= planted_fit.rmse + 1e-12
 
@@ -68,10 +67,6 @@ class TestGrowthProbes:
         ns = [64, 256, 1024, 4096]
         ys = [math.log2(n) ** 3 for n in ns]
         assert growth_exponent(ns, ys) < 0.7
-
-    def test_doubling_ratios(self):
-        assert doubling_ratios([2, 4, 8]) == [2.0, 2.0]
-        assert doubling_ratios([5]) == []
 
 
 class TestReporting:

@@ -5,9 +5,10 @@ import os
 
 import pytest
 
-from repro.analysis import tables
 from repro.analysis.reporting import format_table
+from repro.api import RunSpec, Session
 from repro.cli import build_parser, main
+from repro.registry import get_algorithm, table1_specs
 
 
 class TestInfo:
@@ -31,8 +32,9 @@ class TestRun:
         assert main(["run", "matching", "--n", "20", "--seed", "1"]) == 0
         assert "MM" in capsys.readouterr().out
 
-    def test_bfs_grid_family(self, capsys):
-        assert main(["run", "bfs", "--n", "25", "--family", "grid"]) == 0
+    def test_bfs_grid_scenario(self, capsys):
+        assert main(["run", "bfs", "--n", "25", "--scenario", "grid"]) == 0
+        assert "BFS on grid n=25" in capsys.readouterr().out
 
     def test_unknown_algorithm(self, capsys):
         assert main(["run", "nope"]) == 2
@@ -52,14 +54,15 @@ class TestRun:
 
     def test_output_is_byte_identical_to_legacy_runner(self, capsys):
         # `run` is a thin wrapper over Session; its stdout must be exactly
-        # the table the legacy TABLE1_RUNNERS row produces.
+        # the table of the row `AlgorithmSpec.execute` produces.
         assert main(["run", "mst", "--n", "16", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        row = tables.run_mst_row(16, a=2, seed=1)
+        mst = get_algorithm("mst")
+        row = mst.execute(16, a=2, seed=1).row
         expected = format_table(
             list(row.keys()),
             [list(row.values())],
-            title=f"MST on n=16 (bound {tables.TABLE1_BOUNDS['MST']})",
+            title=f"MST on n=16 (bound {mst.bound})",
         )
         assert out == expected + "\n"
 
@@ -73,6 +76,20 @@ class TestTable1:
 
     def test_unknown_row_is_error_code(self, capsys):
         assert main(["table1", "--rows", "XYZ", "--ns", "16"]) == 2
+
+    def test_default_rows_in_paper_order_with_row_columns(self, capsys):
+        # Regression: the rows used to print sorted by key (T1-BFS first)
+        # and each table's columns sorted alphabetically.
+        assert main(["table1", "--ns", "16", "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        titles = [i for i, line in enumerate(lines) if line.startswith("T1-")]
+        specs = table1_specs()
+        assert [lines[i].split()[0] for i in titles] == [
+            f"T1-{s.table1_key}" for s in specs
+        ]
+        for i, spec in zip(titles, specs):
+            row = Session().run(RunSpec(spec.table1_key, 16, seed=1)).row
+            assert [h.strip() for h in lines[i + 1].split("|")] == list(row)
 
 
 class TestArgumentErrors:
@@ -251,29 +268,13 @@ class TestScenarioOptions:
         err = capsys.readouterr().err
         assert "does not satisfy" in err and "grid-unique-weights" in err
 
-    def test_family_on_algorithm_without_option_exits_2(self, capsys):
-        # `--family` used to be silently dropped for every algorithm but
-        # BFS; now it is a hard error pointing at --scenario.
-        assert main(["run", "mst", "--n", "16", "--family", "grid"]) == 2
-        err = capsys.readouterr().err
-        assert "error" in err and "--scenario" in err
-
-    def test_family_still_works_for_bfs_with_deprecation_note(self, capsys):
-        assert main(["run", "bfs", "--n", "25", "--family", "grid"]) == 0
-        assert "deprecated" in capsys.readouterr().err
-
-    def test_bfs_unknown_family_value_exits_2(self, capsys):
-        # A typo like `--family grd` must not silently run forest-union.
-        assert main(["run", "bfs", "--n", "20", "--family", "grd"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown BFS family" in err and "forest | grid" in err
-
-    def test_family_plus_scenario_exits_2(self, capsys):
-        assert main([
-            "run", "bfs", "--n", "25", "--family", "grid",
-            "--scenario", "grid",
-        ]) == 2
-        assert "deprecated alias" in capsys.readouterr().err
+    def test_family_option_is_gone(self, capsys):
+        # `--family` was a BFS-only alias of --scenario; it is now an
+        # unknown argument like any other.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "bfs", "--n", "25", "--family", "grid"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --family" in capsys.readouterr().err
 
     def test_sweep_scenarios_axis(self, tmp_path, capsys):
         out = tmp_path / "scen.jsonl"

@@ -125,7 +125,7 @@ class TestConversion:
 
     def test_wrapper(self):
         from repro.algorithms import MISAlgorithm
-        from repro.analysis.tables import bench_config
+        from repro.registry import bench_config
 
         g = generators.forest_union(16, 2, seed=5)
         result, cost = simulate_on_k_machines(

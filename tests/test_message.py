@@ -7,11 +7,9 @@ from repro.ncc.message import (
     BatchBuilder,
     InboxBatch,
     Message,
-    items_of,
     message_construction_count,
     payload_bits,
     payloads_of,
-    srcs_of,
 )
 
 
@@ -286,8 +284,6 @@ class TestInboxBatch:
         b = self.make()
         msgs = list(b)
         assert payloads_of(b) == payloads_of(msgs) == [("a", 1), 9, None]
-        assert srcs_of(b) == srcs_of(msgs) == [2, 2, 2]
-        assert items_of(b) == items_of(msgs)
 
     def test_message_bits_match_payload_sizes(self):
         b = self.make()

@@ -4,11 +4,10 @@ Properties certified over randomized payload shapes:
 
 * non-negativity — every sizeable payload costs >= 0 bits (and scalars > 0);
 * container additivity — a tuple/list/frozenset costs exactly the sum of
-  its parts (structure is protocol, not wire format);
-* memoized == unmemoized — :func:`payload_bits_memoized` agrees with
-  :func:`payload_bits` on every input, on repeat (cache-hit) calls, and
-  across cache clears, including the ``IntEnum`` and ``size_bits()``
-  fallback branches that the cache must *not* capture.
+  its parts (structure is protocol, not wire format), so the in-frame
+  sizing of a tuple's int and str parts agrees with sizing each part
+  alone, and every other part keeps its own rule (``IntEnum``,
+  ``size_bits()``, numpy scalars, floats).
 """
 
 from __future__ import annotations
@@ -18,12 +17,7 @@ import random
 
 import pytest
 
-from repro.ncc import message
-from repro.ncc.message import (
-    clear_payload_bits_memo,
-    payload_bits,
-    payload_bits_memoized,
-)
+from repro.ncc.message import payload_bits
 
 
 class Color(enum.IntEnum):
@@ -103,19 +97,6 @@ class TestRandomizedProperties:
             # frozensets deduplicate, so compare against their own parts
             assert payload_bits(fs) == sum(payload_bits(p) for p in fs)
 
-    def test_memoized_equals_unmemoized(self, seed):
-        rng = random.Random(seed)
-        clear_payload_bits_memo()
-        payloads = [random_payload(rng) for _ in range(400)]
-        for p in payloads:
-            assert payload_bits_memoized(p) == payload_bits(p)
-        # Second pass hits the cache for the tuple-shaped payloads.
-        for p in payloads:
-            assert payload_bits_memoized(p) == payload_bits(p)
-        clear_payload_bits_memo()
-        for p in payloads:
-            assert payload_bits_memoized(p) == payload_bits(p)
-
 
 class TestScalarRules:
     def test_scalar_positive(self):
@@ -138,26 +119,22 @@ class TestFallbackBranches:
         assert payload_bits(Color.RED) == 1
         assert payload_bits(Color.GREEN) == 3
         assert payload_bits(Color.BLUE) == 8
-        for c in Color:
-            assert payload_bits_memoized(c) == payload_bits(c)
 
     def test_size_bits_protocol(self):
         assert payload_bits(Sketch(48)) == 48
-        assert payload_bits_memoized(Sketch(48)) == 48
 
     def test_unsizeable_rejected(self):
         with pytest.raises(TypeError):
             payload_bits(object())
         with pytest.raises(TypeError):
-            payload_bits_memoized(object())
+            payload_bits((1, object()))
 
 
 class TestNumpyScalars:
     """Regression: numpy scalars used to raise ``TypeError`` in both sizers.
 
     They must size exactly like their Python counterparts (a payload read
-    back off a typed column and re-submitted is a numpy scalar), while
-    staying out of the value-keyed memo (``np.int64(1) == 1 == 1.0``).
+    back off a typed column and re-submitted is a numpy scalar).
     """
 
     np = pytest.importorskip("numpy")
@@ -178,7 +155,6 @@ class TestNumpyScalars:
             for v in samples:
                 s = dt.type(v)
                 assert payload_bits(s) == payload_bits(int(s)), (name, v)
-                assert payload_bits_memoized(s) == payload_bits(int(s))
 
     def test_bool_float_str_scalars(self):
         np = self.np
@@ -194,25 +170,11 @@ class TestNumpyScalars:
         dt = np.dtype([("tag", "U1"), ("g", "i8"), ("val", "i8")])
         arr = np.array([("I", 7, -300)], dtype=dt)
         assert payload_bits(arr[0]) == payload_bits(("I", 7, -300))
-        assert payload_bits_memoized(arr[0]) == payload_bits(("I", 7, -300))
 
     def test_scalars_inside_containers(self):
         np = self.np
         p = (np.int64(255), [np.bool_(True), np.float64(1.0)])
         assert payload_bits(p) == payload_bits((255, [True, 1.0]))
-
-    def test_numpy_scalars_stay_out_of_the_memo(self):
-        """np.int64(1) == 1 == 1.0 == True: caching one would serve its size
-        for the others."""
-        np = self.np
-        clear_payload_bits_memo()
-        assert payload_bits_memoized(np.float64(1.0)) == 32
-        assert payload_bits_memoized(np.int64(1)) == 1
-        assert payload_bits_memoized(1) == 1
-        assert payload_bits_memoized(1.0) == 32
-        assert all(
-            not isinstance(k, self.np.generic) for k in message._BITS_MEMO
-        )
 
     def test_typed_column_roundtrip_accounts_identically(self):
         """Boxing a typed column and re-sizing each element reproduces the
@@ -246,30 +208,25 @@ class TestNumpyScalars:
         assert [payload_bits(s) for s in arr] == typed_payload_bits(arr).tolist()
 
 
-class TestMemoSafety:
-    def test_equal_value_different_type_not_conflated(self):
-        """1 == 1.0 == True, but an int is 1 bit and a float is 32: the
-        cache must never serve one type's size for another's."""
-        clear_payload_bits_memo()
-        assert payload_bits_memoized((1,)) == 1
-        assert payload_bits_memoized((1.0,)) == 32  # would be 1 if conflated
-        assert payload_bits_memoized((True,)) == 1
+class TestTupleParts:
+    """A tuple sizes its int and str parts in its own frame; every other
+    part keeps its own rule."""
 
-    def test_size_bits_objects_not_cached(self):
-        """Two equal Sketches with different sizes must size independently
-        even inside tuples (equality does not pin size for such objects)."""
-        clear_payload_bits_memo()
-        assert payload_bits_memoized((Sketch(8),)) == 8
-        assert payload_bits_memoized((Sketch(32),)) == 32
+    def test_equal_value_different_type_sized_by_type(self):
+        # 1 == 1.0 == True, but an int is 1 bit and a float is 32.
+        assert payload_bits((1,)) == 1
+        assert payload_bits((1.0,)) == 32
+        assert payload_bits((True,)) == 1
 
-    def test_unhashable_tuple_falls_through(self):
-        clear_payload_bits_memo()
-        p = (1, [2, 3])
-        assert payload_bits_memoized(p) == payload_bits(p)
+    def test_numpy_int_inside_a_tuple(self):
+        np = pytest.importorskip("numpy")
+        assert payload_bits((np.int64(255), 1)) == payload_bits((255, 1)) == 9
+        assert payload_bits((np.int64(-1),)) == 2
 
-    def test_cache_bounded(self):
-        clear_payload_bits_memo()
-        for i in range(message._BITS_MEMO_LIMIT + 50):
-            payload_bits_memoized((i, i + 1))
-        assert len(message._BITS_MEMO) <= message._BITS_MEMO_LIMIT
-        clear_payload_bits_memo()
+    def test_size_bits_objects_inside_a_tuple(self):
+        # Equal Sketches with different sizes size independently.
+        assert payload_bits((Sketch(8),)) == 8
+        assert payload_bits((Sketch(32), 3)) == 34
+
+    def test_intenum_inside_a_tuple(self):
+        assert payload_bits((Color.BLUE, "tag")) == 8 + 4

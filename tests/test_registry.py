@@ -3,7 +3,6 @@
 import pytest
 
 from repro import registry
-from repro.analysis import tables
 from repro.errors import ConfigurationError
 from repro.registry import (
     AlgorithmSpec,
@@ -49,23 +48,10 @@ class TestTable1View:
             "MST", "BFS", "MIS", "MM", "COL",
         ]
 
-    def test_tables_shim_is_a_registry_view(self):
-        # The deprecation shim exposes the registry's bound row runners.
-        assert list(tables.TABLE1_RUNNERS) == ["MST", "BFS", "MIS", "MM", "COL"]
-        for key, runner in tables.TABLE1_RUNNERS.items():
-            assert runner.__self__ is get_algorithm(key)
-        assert tables.TABLE1_BOUNDS == {
-            s.table1_key: s.bound for s in table1_specs()
-        }
-
-    def test_legacy_runner_names_still_exported(self):
-        assert tables.run_mst_row is tables.TABLE1_RUNNERS["MST"]
-        assert tables.run_bfs_row is tables.TABLE1_RUNNERS["BFS"]
-
 
 class TestExecution:
-    def test_row_matches_legacy_shape_and_order(self):
-        row = get_algorithm("mst").run_row(16, a=2, seed=1)
+    def test_row_shape_and_order(self):
+        row = get_algorithm("mst").execute(16, a=2, seed=1).row
         assert list(row)[:6] == ["n", "m", "a", "a_lower", "a_greedy", "max_degree"]
         assert list(row)[-3:] == ["correct", "messages", "violations"]
         assert row["correct"]
@@ -89,22 +75,34 @@ class TestExecution:
         assert report.rounds > 0
         assert report.row["rounds"] == report.rounds
 
-    def test_workload_options_forwarded(self):
-        row = get_algorithm("bfs").run_row(25, seed=1, family="grid")
-        assert row["n"] == 25 and row["D"] == 8
+    def test_bfs_grid_scenario_reports_diameter(self):
+        from repro import RunSpec, Session
+
+        row = Session().run(RunSpec("bfs", 25, seed=1, scenario="grid")).row
+        assert row["n"] == 25 and row["D"] == 8  # 5x5 grid
+        assert row["a"] <= 3 and row["correct"]
 
     def test_non_runnable_subroutine_refuses(self):
         spec = get_algorithm("findmin")
         assert spec.kind == "subroutine"
         assert not spec.runnable
         with pytest.raises(ConfigurationError, match="not independently runnable"):
-            spec.run_row(16)
+            spec.execute(16)
+        from repro import RunSpec, Session
+
+        with pytest.raises(ConfigurationError, match="not independently runnable"):
+            Session().run(RunSpec("findmin", 16))
 
     def test_parity_run_requires_support(self):
         spec = get_algorithm("findmin")
         assert not spec.supports_parity
         with pytest.raises(ConfigurationError):
             spec.parity_run(None, n=8)
+
+    def test_bench_config_profile(self):
+        cfg = registry.bench_config(7)
+        assert cfg.seed == 7
+        assert cfg.extras["lightweight_sync"] is True
 
     def test_every_runnable_spec_declares_oracle_and_bound(self):
         for spec in iter_algorithms():
@@ -116,8 +114,8 @@ class TestExecution:
 
 class TestLazyLoading:
     def test_analysis_import_does_not_load_algorithms(self):
-        # The tables shim materializes its registry views lazily; importing
-        # repro.analysis (e.g. for reporting/complexity) must stay cheap.
+        # Importing repro.analysis (reporting/complexity) must stay cheap:
+        # it loads no algorithm module.
         import subprocess
         import sys
 

@@ -285,10 +285,24 @@ class TestSessionWiring:
         report = Session().run(RunSpec("mis", 48, seed=1, scenario="gnp-sparse"))
         assert report.row["a"] == report.row["a_greedy"] >= report.row["a_lower"]
 
-    def test_family_extra_conflicts_with_scenario(self):
-        spec = RunSpec("bfs", 16, extras={"family": "grid"}, scenario="grid")
-        with pytest.raises(ConfigurationError, match="deprecated alias"):
-            Session().run(spec)
+    def test_old_family_spec_is_refused(self, tmp_path):
+        # BFS's `family` workload option is gone (the grid rows come from
+        # scenario="grid").  A stored spec that sets it still loads, and
+        # the session refuses it as an unknown option before any row of
+        # its sweep is written.
+        line = json.dumps(RunSpec("bfs", 25, extras={"family": "grid"}).to_dict())
+        old = RunSpec.from_dict(json.loads(line))
+        with pytest.raises(ConfigurationError, match="known options: source"):
+            Session().run(old)
+        store = tmp_path / "store"
+        manifest = tmp_path / "manifest.jsonl"
+        with pytest.raises(ConfigurationError, match="known options: source"):
+            Session().run_many(
+                [RunSpec("mis", 16), old],
+                store=str(store),
+                manifest=str(manifest),
+            )
+        assert not store.exists() and not manifest.exists()
 
     def test_scenario_spec_reruns_verbatim(self):
         session = Session()

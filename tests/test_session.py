@@ -36,11 +36,13 @@ class TestCaching:
     def test_workload_and_butterfly_cached_per_key(self):
         session = Session()
         r1 = session.run(RunSpec("mis", 16, seed=1))
-        assert (("mis", 16, 2, 1, ()) in session._workload_cache)
-        g = session._workload_cache[("mis", 16, 2, 1, ())]
+        # A scenario-free spec is keyed by its algorithm's default scenario.
+        key = ("mis", "forest-union", 16, 2, 1)
+        assert list(session._workload_cache) == [key]
+        g = session._workload_cache[key]
         bf = session._bf_cache[16]
         session.run(RunSpec("mis", 16, seed=1))
-        assert session._workload_cache[("mis", 16, 2, 1, ())] is g
+        assert session._workload_cache[key] is g
         assert session._bf_cache[16] is bf
         r2 = session.run(RunSpec("mis", 16, seed=1))
         assert r2.to_json_line() == r1.to_json_line()
@@ -58,18 +60,17 @@ class TestCaching:
 
 
 class TestOptionValidation:
-    """Regression: a typo'd option used to fall through silently —
-    ``extras={"familly": "grid"}`` ran the *default* workload without
-    complaint because ``_workload`` only forwards keys in
-    ``workload_options``."""
+    """Regression: a typo'd option used to fall through silently and run
+    the default.  Every option goes to the run callable, so anything it
+    does not take is refused."""
 
     def test_unknown_option_rejected(self):
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError) as ei:
-            Session().run(RunSpec("bfs", 16, seed=1, extras={"familly": "grid"}))
-        assert "familly" in str(ei.value)
-        assert "family" in str(ei.value)  # known options are listed
+            Session().run(RunSpec("bfs", 16, seed=1, extras={"sourse": 2}))
+        assert "sourse" in str(ei.value)
+        assert "known options: source" in str(ei.value)
 
     def test_unknown_option_on_optionless_algorithm(self):
         from repro.errors import ConfigurationError
@@ -77,15 +78,8 @@ class TestOptionValidation:
         with pytest.raises(ConfigurationError, match=r"\(none\)"):
             Session().run(RunSpec("mis", 16, seed=1, extras={"source": 3}))
 
-    def test_workload_option_accepted(self):
-        report = Session().run(
-            RunSpec("bfs", 16, seed=1, extras={"family": "grid"})
-        )
-        assert report.correct
-
     def test_run_option_accepted(self):
-        # ``source`` is a keyword of the bfs run callable, not a workload
-        # option; validation must accept both kinds.
+        # ``source`` is a keyword of the bfs run callable.
         report = Session().run(RunSpec("bfs", 16, seed=1, extras={"source": 2}))
         assert report.correct
 
@@ -94,7 +88,7 @@ class TestOptionValidation:
 
         with pytest.raises(ConfigurationError):
             Session().run_many(
-                [RunSpec("bfs", 16, seed=1, extras={"familly": "grid"})]
+                [RunSpec("bfs", 16, seed=1, extras={"sourse": 2})]
             )
 
 
