@@ -7,7 +7,9 @@ Properties certified over randomized payload shapes:
   its parts (structure is protocol, not wire format), so the in-frame
   sizing of a tuple's int and str parts agrees with sizing each part
   alone, and every other part keeps its own rule (``IntEnum``,
-  ``size_bits()``, numpy scalars, floats).
+  ``size_bits()``, numpy scalars, floats);
+* documented rules — ``payload_bits`` equals a part-by-part restatement
+  of its docstring's rules on random nested payloads.
 """
 
 from __future__ import annotations
@@ -61,6 +63,22 @@ def random_scalar(rng: random.Random):
     return Sketch(rng.randrange(1, 64))
 
 
+def reference_bits(payload) -> int:
+    """The documented sizing rules applied part by part, with no in-frame
+    shortcut: the independent statement ``payload_bits`` must agree with."""
+    if isinstance(payload, (tuple, list, frozenset)):
+        return sum(reference_bits(p) for p in payload)
+    if payload is None or isinstance(payload, bool):
+        return 1
+    if isinstance(payload, int):  # int and IntEnum
+        return max(payload.bit_length(), 1) + (1 if payload < 0 else 0)
+    if isinstance(payload, float):
+        return 32
+    if isinstance(payload, str):
+        return 4 if len(payload) <= 8 else 8 * len(payload)
+    return payload.size_bits()
+
+
 def random_payload(rng: random.Random, depth: int = 0):
     if depth < 3 and rng.random() < 0.4:
         parts = [random_payload(rng, depth + 1) for _ in range(rng.randrange(0, 5))]
@@ -96,6 +114,16 @@ class TestRandomizedProperties:
                 continue
             # frozensets deduplicate, so compare against their own parts
             assert payload_bits(fs) == sum(payload_bits(p) for p in fs)
+
+    def test_matches_documented_rules(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            p = random_payload(rng)
+            assert payload_bits(p) == reference_bits(p), p
+            # A tuple of scalars takes the in-frame path for its int and
+            # str parts and the recursive one for the rest.
+            parts = tuple(random_scalar(rng) for _ in range(rng.randrange(0, 6)))
+            assert payload_bits(parts) == reference_bits(parts), parts
 
 
 class TestScalarRules:
@@ -176,6 +204,15 @@ class TestNumpyScalars:
         p = (np.int64(255), [np.bool_(True), np.float64(1.0)])
         assert payload_bits(p) == payload_bits((255, [True, 1.0]))
 
+    def test_value_equal_scalars_sized_by_type(self):
+        # np.int64(1) == 1 == 1.0 == np.float64(1.0), yet the ints are 1 bit
+        # and the floats 32, alone or as tuple parts.
+        np = self.np
+        assert payload_bits(np.float64(1.0)) == payload_bits(1.0) == 32
+        assert payload_bits(np.int64(1)) == payload_bits(1) == 1
+        assert payload_bits((np.float64(1.0), np.int64(1))) == 33
+        assert payload_bits((1.0, 1)) == 33
+
     def test_typed_column_roundtrip_accounts_identically(self):
         """Boxing a typed column and re-sizing each element reproduces the
         vectorized bits exactly, for scalar and structured dtypes."""
@@ -230,3 +267,8 @@ class TestTupleParts:
 
     def test_intenum_inside_a_tuple(self):
         assert payload_bits((Color.BLUE, "tag")) == 8 + 4
+
+    def test_list_inside_a_tuple(self):
+        # An unhashable part recurses like any other container.
+        assert payload_bits((1, [2, 3])) == 1 + 2 + 2
+        assert payload_bits(("tag", [255, ("x" * 9,)])) == 4 + 8 + 72

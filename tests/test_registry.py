@@ -49,6 +49,28 @@ class TestTable1View:
         ]
 
 
+class TestTable1Rows:
+    """Every Table 1 row comes from ``Session.run``: it validates against
+    its oracle and carries the columns the table prints."""
+
+    @pytest.mark.parametrize("key", [s.table1_key for s in table1_specs()])
+    def test_row_is_correct_and_complete(self, key):
+        from repro import RunSpec, Session
+
+        row = Session().run(RunSpec(key, 24, a=2, seed=1)).row
+        assert row["correct"], f"{key} produced an invalid output"
+        assert row["rounds"] > 0
+        assert row["violations"] == 0
+        assert {"n", "m", "a", "messages"} <= set(row)
+        assert row["n"] == 24
+
+    def test_mst_row_reports_weight_range(self):
+        from repro import RunSpec, Session
+
+        row = Session().run(RunSpec("mst", 16, a=2, seed=1)).row
+        assert row["W"] >= 1
+
+
 class TestExecution:
     def test_row_shape_and_order(self):
         row = get_algorithm("mst").execute(16, a=2, seed=1).row

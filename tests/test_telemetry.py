@@ -238,6 +238,57 @@ class TestExport:
         assert metas[0]["pid"] == 0
 
 
+@pytest.fixture(scope="module")
+def traced_mis_stats():
+    """A traced MIS run's trace document and its network statistics."""
+    from repro.registry import get_algorithm
+
+    with tracing(label="phase-fixture") as tr:
+        ex = get_algorithm("mis").execute(24, a=2, seed=1)
+    return build_chrome_doc(payload_rows(tr)), ex.runtime.net.stats
+
+
+def _summary_phase_rows(text):
+    """The phase table of ``summarize``: path -> (rounds, messages, bits)."""
+    lines = text.splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("phase "))
+    rows = {}
+    for ln in lines[start + 1:]:
+        if not ln.strip():
+            break
+        path, rounds, msgs, bits, _secs = ln.rsplit(None, 4)
+        rows[path] = (int(rounds), int(msgs), int(bits))
+    return rows
+
+
+class TestPhaseTable:
+    """The phase table ``repro trace`` prints reconciles with the run's
+    ``NetworkStats``: each round is charged to one phase path, and a
+    phase's totals are the sum over the paths it appears in."""
+
+    def test_paths_sorted_and_totals_match_stats(self, traced_mis_stats):
+        doc, stats = traced_mis_stats
+        rows = _summary_phase_rows(summarize(doc))
+        assert list(rows) == sorted(rows)
+        assert sum(r[0] for r in rows.values()) == stats.rounds
+        assert sum(r[1] for r in rows.values()) == stats.messages
+        assert sum(r[2] for r in rows.values()) == stats.bits
+
+    def test_every_phase_reconciles_with_stats(self, traced_mis_stats):
+        doc, stats = traced_mis_stats
+        rows = _summary_phase_rows(summarize(doc))
+        assert any(path.count("/") >= 2 for path in rows)  # nested phases
+        for label, ps in stats.phases.items():
+            inside = [r for path, r in rows.items() if label in path.split("/")]
+            totals = tuple(sum(r[i] for r in inside) for i in range(3))
+            assert totals == (ps.rounds, ps.messages, ps.bits), label
+
+    def test_empty_trace(self):
+        assert summarize({"traceEvents": []}) == (
+            "trace: 0 spans, 0 events, 1 process track(s)"
+        )
+
+
 # ----------------------------------------------------------------------
 # Bounds evaluation
 # ----------------------------------------------------------------------
