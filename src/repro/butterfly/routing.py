@@ -44,6 +44,7 @@ import numpy as _np
 
 from ..errors import ProtocolError
 from ..ncc.message import (
+    SMALL_ROUND_CUTOFF,
     BatchBuilder,
     InboxBatch,
     gather_typed_spans,
@@ -114,13 +115,36 @@ class TreeSet:
         return max(per_member.values(), default=0)
 
 
-@dataclass
 class RoutingResult:
-    """Outcome of one routing run."""
+    """Outcome of one routing run.
 
-    rounds: int
-    results: dict[GroupT, Any]
-    trees: TreeSet | None = None
+    ``results`` maps each group to its combined value.  The typed kernel
+    hands back ``columns`` instead: int64 ``(groups, values, target
+    columns)``, groups ascending, each with the level-d column its result
+    sits at; its ``results`` are boxed from them on first read.
+    """
+
+    __slots__ = ("rounds", "trees", "columns", "_results")
+
+    def __init__(
+        self,
+        rounds: int,
+        results: dict[GroupT, Any] | None = None,
+        trees: TreeSet | None = None,
+        *,
+        columns: tuple[Any, Any, Any] | None = None,
+    ):
+        self.rounds = rounds
+        self.trees = trees
+        self.columns = columns
+        self._results = results
+
+    @property
+    def results(self) -> dict[GroupT, Any]:
+        if self._results is None:
+            groups, values, _ = self.columns
+            self._results = dict(zip(groups.tolist(), values.tolist(), strict=True))
+        return self._results
 
 
 def _lightweight(net: NCCNetwork) -> bool:
@@ -148,6 +172,13 @@ class CombiningRouter:
         per round both collapses collisions (``reduceat``) and picks each
         edge's winner, and wire traffic is a structured-dtype column — a
         clean round touches no Python per packet.
+    tables_of:
+        Optional column form of ``rank_of`` and ``target_col_of`` for the
+        typed kernel: given the run's distinct group ids (an ascending
+        int64 column), their ranks and target columns as two int64
+        columns.  The kernel calls it for :data:`SMALL_ROUND_CUTOFF`
+        groups and more; below that, and without it, it calls the
+        per-group callables once per group.
     record_trees:
         Record traversed edges into a :class:`TreeSet` (Multicast Tree Setup).
     kind:
@@ -163,6 +194,7 @@ class CombiningRouter:
         target_col_of: Callable[[GroupT], int],
         combine: Callable[[Any, Any], Any],
         ufunc: Any = None,
+        tables_of: Callable[[Any], tuple[Any, Any]] | None = None,
         record_trees: bool = False,
         kind: str = "combining",
     ):
@@ -170,6 +202,7 @@ class CombiningRouter:
         self.bf = bf
         self.rank_of = rank_of
         self.target_col_of = target_col_of
+        self.tables_of = tables_of
         self.combine = combine
         self.ufunc = ufunc
         self.kind = kind
@@ -491,8 +524,10 @@ class CombiningRouter:
         ``DATA_DTYPE`` messages (sized like the ``("D", ...)`` tuples), in
         the same submission order (ascending sender, then level).
 
-        Once per run the K groups are ranked by ``(rank, group)`` into a
-        dense priority ``p``, which packets carry instead of the group id.
+        Once per run the K groups get their rank and target tables, from
+        ``tables_of`` in one call or from one call per group, and are
+        ranked by ``(rank, group)`` into a dense priority ``p``, which
+        packets carry instead of the group id.
         Each round is then one ``argsort`` of the int64 code
         ``((key << 1) | cross) * K + p``: equal codes are the same-group
         packets at one node, collapsed by ``reduceat``, and the first
@@ -504,9 +539,13 @@ class CombiningRouter:
         packet count.  The default (unstable) argsort is safe: codes tie
         only between packets of one group at one node, and the exact,
         commutative int64 ufuncs reduce them alike in any order.  Only
-        network arrivals map their wire group id back to ``p``, with one
-        ``searchsorted``.  Per round, Python cost is O(NCC hosts), all of
-        it in the engine's per-receiver delivery.
+        network arrivals map their wire group id back to ``p``: through a
+        dense id-to-priority table when the ids span at most as many values
+        as packets were injected (the table is then no larger than the
+        packet columns), else by binary search over the sorted ids.  A
+        clean batched round runs no Python per packet or per host; the
+        reference engine's rounds are lowered host by host.  The results
+        come back as columns (see :class:`RoutingResult`), not boxed.
         """
         self._ran = True
         np = _np
@@ -521,31 +560,46 @@ class CombiningRouter:
         key, g, v = (np.concatenate(cols) for cols in self._typed_cols)
         self._typed_cols = None
 
-        # Group tables: rank/target are pure per group — one Python call
-        # per distinct group for the whole run, never per packet.
+        # Group tables: rank/target are pure per group, so they are computed
+        # once per distinct group for the whole run, never per packet.
         uniq, gi = np.unique(g, return_inverse=True)
-        glist = uniq.tolist()
-        k_groups = len(glist)
-        tcol_by = np.fromiter(
-            (self.target_col_of(x) for x in glist), np.int64, k_groups
-        )
-        rank_by = np.fromiter((self.rank_of(x) for x in glist), np.int64, k_groups)
+        k_groups = len(uniq)
+        if self.tables_of is not None and k_groups >= SMALL_ROUND_CUTOFF:
+            rank_by, tcol_by = self.tables_of(uniq)
+        else:
+            # numpy's fixed cost does not pay for a few groups.
+            glist = uniq.tolist()
+            rank_by = np.fromiter(map(self.rank_of, glist), np.int64, k_groups)
+            tcol_by = np.fromiter(map(self.target_col_of, glist), np.int64, k_groups)
         by_p = np.lexsort((uniq, rank_by))
         p_of = by_p.argsort()  # the inverse permutation: group index -> p
         g_by_p = uniq.take(by_p)
         tcol_by_p = tcol_by.take(by_p)
         p = p_of.take(gi)
 
+        # Arrivals map their wire group id back to p through a dense table
+        # when the ids span no more values than packets were injected.
+        lo = uniq[0]
+        span = int(uniq[-1]) - int(lo) + 1
+        p_by_id = None
+        if span <= len(key):
+            p_by_id = np.empty(span, dtype=np.int64)
+            p_by_id[uniq - lo] = p_of
+
         while True:
             # --- one packed sort: by node, then edge, then priority ---
-            level = key >> d
-            # The hop crosses iff the target column differs at bit `level`
-            # (uniform, and unused, for packets already at level d).
-            cross = ((tcol_by_p.take(p) ^ key) >> level) & 1
+            # The hop crosses iff the target column differs at the bit of
+            # the packet's level (uniform, and unused, for packets already
+            # at level d).
+            cross = ((tcol_by_p.take(p) ^ key) >> (key >> d)) & 1
             code = ((key << 1) | cross) * k_groups + p
             order = code.argsort()
             code = code.take(order)
             v = v.take(order)
+            # Per-packet temporaries are dropped as soon as they are used:
+            # held through the round's exchange, they set the run's memory
+            # peak.
+            del cross, order
             # --- collapse same-group packets at one node ---
             seg = np.empty(len(code), dtype=bool)
             seg[0] = True
@@ -555,6 +609,7 @@ class CombiningRouter:
                 v = ufunc.reduceat(v, starts)
                 code = code.take(starts)
             edge, p = np.divmod(code, k_groups)
+            del code
             key = edge >> 1
             live = int(key.searchsorted(bottom))  # packets not yet at level d
             if not live:
@@ -565,6 +620,7 @@ class CombiningRouter:
             win[0] = True
             np.not_equal(edge[1:], edge[:-1], out=win[1:])
             crossing = (edge & 1).astype(bool)
+            del edge
 
             # --- emit cross winners as one typed submission ---
             out = BatchBuilder(kind=self.kind, dtype=DATA_DTYPE)
@@ -616,18 +672,24 @@ class CombiningRouter:
             if gathered is not None:
                 ahost, arr = gathered
                 key = np.concatenate((key, (arr["lvl"] << d) | ahost))
-                p = np.concatenate((p, p_of.take(uniq.searchsorted(arr["g"]))))
+                ids = arr["g"]
+                if p_by_id is not None:
+                    arrived = p_by_id.take(ids - lo)
+                else:
+                    arrived = p_of.take(uniq.searchsorted(ids))
+                p = np.concatenate((p, arrived))
                 v = np.concatenate((v, arr["val"]))
 
         # Token wave duration (lightweight sync): one hop per level.
         net.idle_rounds(d + 1)
 
-        # Every packet has arrived and folded into one per group; box the
-        # results (one Python object per group) in ascending group order.
-        g = g_by_p.take(p)
-        order = g.argsort()
-        results = dict(zip(g.take(order).tolist(), v.take(order).tolist(), strict=True))
-        return RoutingResult(net.round_index - start_round, results, None)
+        # Every packet has arrived and folded into one per group, so ``p``
+        # lists each priority once: scatter the values to ascending groups.
+        values = np.empty(k_groups, dtype=np.int64)
+        values[by_p.take(p)] = v
+        return RoutingResult(
+            net.round_index - start_round, columns=(uniq, values, tcol_by)
+        )
 
 
 class MulticastRouter:

@@ -59,9 +59,10 @@ def payload_bits(payload: Any) -> int:
     if t is int:
         return (payload.bit_length() or 1) + (1 if payload < 0 else 0)
     if t is tuple or t is list:
-        # Protocols send tuples of ints and tags: size those parts in this
-        # frame and recurse only for the rest (bool, None, float, IntEnum,
-        # numpy scalars and ``size_bits`` objects keep their own rules).
+        # Protocols send tuples of ints and tags, some holding one more
+        # tuple of them: size those parts in this frame, one level deep,
+        # and recurse only for the rest (bool, None, float, IntEnum, numpy
+        # scalars and ``size_bits`` objects keep their own rules).
         total = 0
         for p in payload:
             tp = type(p)
@@ -69,6 +70,15 @@ def payload_bits(payload: Any) -> int:
                 total += (p.bit_length() or 1) + (1 if p < 0 else 0)
             elif tp is str:
                 total += 4 if len(p) <= 8 else 8 * len(p)
+            elif tp is tuple:
+                for q in p:
+                    tq = type(q)
+                    if tq is int:
+                        total += (q.bit_length() or 1) + (1 if q < 0 else 0)
+                    elif tq is str:
+                        total += 4 if len(q) <= 8 else 8 * len(q)
+                    else:
+                        total += payload_bits(q)
             else:
                 total += payload_bits(p)
         return total
@@ -701,6 +711,26 @@ def gather_typed_spans(inboxes):
     if type(inboxes) is not RoundInbox or type(inboxes.payloads) is list:
         return None
     return _np.repeat(inboxes.hosts, _np.diff(inboxes.offsets)), inboxes.payloads
+
+
+def gather_typed_arrivals(inboxes):
+    """:func:`gather_typed_spans` in the order a receiver-by-receiver read
+    visits the messages: receivers in first-arrival order (the key order
+    of ``inboxes.items()``), each one's messages in submission order.
+
+    Unlike :func:`gather_typed_spans` this copies the payload column
+    (permuted); it is ``None`` for the same inputs.
+    """
+    if type(inboxes) is not RoundInbox or type(inboxes.payloads) is list:
+        return None
+    arrival = inboxes.arrival
+    starts = inboxes.offsets[:-1].take(arrival)
+    counts = inboxes.offsets[1:].take(arrival) - starts
+    # Message i of the j-th receiver to arrive sits at starts[j] + i; its
+    # place in the read is i past the counts of the receivers before it.
+    shift = starts - (_np.cumsum(counts) - counts)
+    index = _np.repeat(shift, counts) + _np.arange(len(inboxes.payloads))
+    return _np.repeat(inboxes.hosts.take(arrival), counts), inboxes.payloads.take(index)
 
 
 def _norm_id_column(ids: int | Sequence[int], k: int) -> int | list[int]:

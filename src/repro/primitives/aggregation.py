@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Mapping
+from typing import Any, Callable, Hashable, Mapping
 
 import numpy as _np
 
-from ..butterfly.routing import CombiningRouter
+from ..butterfly.routing import CombiningRouter, RoutingResult
 from ..butterfly.topology import ButterflyGrid
 from ..ncc.message import (
     BatchBuilder,
     InboxBatch,
+    gather_typed_arrivals,
     gather_typed_spans,
     payloads_of,
     typed_payloads_enabled,
@@ -49,40 +50,11 @@ GroupT = Hashable
 #: identical bits.
 INJECT_DTYPE = _np.dtype([("tag", "U1"), ("col", "i8"), ("g", "i8"), ("val", "i8")])
 RESULT_DTYPE = _np.dtype([("tag", "U1"), ("g", "i8"), ("val", "i8")])
+#: Groups and values of the typed flow lie strictly inside (−2^62, 2^62).
+_TYPED_LIMIT = 1 << 62
 
-
-def _typed_applicable(
-    net: NCCNetwork, bf: ButterflyGrid, problem: AggregationProblem
-) -> bool:
-    """Whether this instance can run the fully typed flow.
-
-    Requires the process-wide typed default, a ufunc-backed
-    aggregate, lightweight sync (token traffic would mix object messages
-    into the typed builders), a non-degenerate butterfly, and an instance
-    whose groups/values are plain ints safely inside int64 (for SUM the
-    whole run's worst-case partial sum must fit, so the check bounds the
-    total absolute mass).  Anything else keeps the object path — the
-    documented fallback contract.
-    """
-    if (
-        not typed_payloads_enabled()
-        or problem.fn.ufunc is None
-        or bf.d <= 0
-        or not net.config.extras.get("lightweight_sync", False)
-    ):
-        return False
-    lo, hi = -(1 << 62), 1 << 62
-    abs_sum = 0
-    for groups in problem.memberships.values():
-        for g, value in groups.items():
-            if type(g) is not int or type(value) is not int:
-                return False
-            if not (lo < g < hi) or not (lo < value < hi):
-                return False
-            abs_sum += value if value >= 0 else -value
-    if problem.fn.ufunc is _np.add and abs_sum >= hi:
-        return False
-    return True
+#: The injection rows: one (senders, columns, groups, values) row per round.
+Rows = list[tuple[Any, Any, Any, Any]]
 
 
 @dataclass
@@ -143,11 +115,29 @@ def run_aggregation(
     tag: object = None,
     kind: str = "aggregation",
 ) -> AggregationOutcome:
-    """Execute the Aggregation Algorithm; see module docstring."""
-    problem.validate()
-    start = net.round_index
+    """Execute the Aggregation Algorithm; see module docstring.
+
+    Before any round or phase entry, one pass over the memberships
+    (:func:`_front_end`) checks that every group has a target (else
+    ``ValueError``), draws each packet's level-0 column and fills the
+    injection rows.  The typed flow is admitted from those rows
+    (:func:`_typed_rows`), and they are freed before the router runs.
+    In the typed flow the router takes its rank and target tables from
+    one column hash (:meth:`~repro.hashing.kwise.KWiseHash.column` over
+    :meth:`~repro.rng.SharedRandomness.salted_residues`) and hands back
+    result columns, from which the delivery window is built and read as
+    whole columns (:func:`_deliver`).  On every engine and in both flows,
+    ``values`` and ``by_target`` list the groups in the order a
+    receiver-by-receiver read of each delivery round meets them.
+    """
     if tag is None:
         tag = shared.fresh_tag("aggregation")
+    rows = _front_end(net, bf, shared, problem, tag)
+    typed_rows = _typed_rows(net, bf, problem, rows)
+    use_typed = typed_rows is not None
+    if use_typed:
+        rows = typed_rows
+    start = net.round_index
     with net.phase(kind):
         # One globally agreed rank/target function, salted per invocation
         # (the paper's hash functions are set up once, beforehand).
@@ -159,8 +149,9 @@ def run_aggregation(
         def key_of(g: GroupT) -> int:
             return salt(nonce, _group_key(g))
 
-        # The run's target-column table: the router's group tables and the
-        # delivery schedule read one entry per group, hashed once.
+        # The run's target-column table: the per-group callers (the object
+        # loop, a typed run of few groups, the object flow's delivery) read
+        # one entry per group, hashed once.
         tcols: dict[GroupT, int] = {}
 
         def tcol_of(g: GroupT) -> int:
@@ -169,7 +160,11 @@ def run_aggregation(
                 c = tcols[g] = target_col(key_of(g))
             return c
 
-        use_typed = _typed_applicable(net, bf, problem)
+        def tables_of(groups: Any) -> tuple[Any, Any]:
+            # Int groups are their own keys (_group_key).
+            x = shared.salted_residues(nonce, groups)
+            return rank.column(x), target_col.column(x)
+
         router = CombiningRouter(
             net,
             bf,
@@ -177,116 +172,180 @@ def run_aggregation(
             target_col_of=tcol_of,
             combine=problem.fn.combine,
             ufunc=problem.fn.ufunc,
+            tables_of=tables_of,
             kind=kind,
         )
 
         # ----- Preprocessing: batched injection to random level-0 nodes.
-        _inject(net, bf, shared, problem, router, tag=tag, kind=kind, typed=use_typed)
+        # It consumes the rows: held through the combining phase, they
+        # would raise the run's memory peak.
+        _inject(net, router, rows, kind=kind, typed=use_typed)
         barrier(net, bf)
 
         # ----- Combining.
         res = router.run()
         barrier(net, bf)
 
-        # ----- Postprocessing: deliver to real targets in random rounds,
-        # one row of (sender, target, group, value) columns per window
-        # round.  A window of one round draws nothing.
+        # ----- Postprocessing: deliver to real targets in random rounds.
         ell2 = problem.ell2_bound if problem.ell2_bound is not None else problem.ell2()
         window = max(1, math.ceil(ell2 / max(1, net.log2n)))
-        rows = [([], [], [], []) for _ in range(window)]
-        for g, value in res.results.items():
-            src = tcol_of(g)  # host of (d, h(g))
-            r = shared.node_randbelow(src, (tag, "deliver", _group_key(g)), window)
-            row = rows[r]
-            row[0].append(src)
-            row[1].append(problem.targets[g])
-            row[2].append(g)
-            row[3].append(value)
         outcome = AggregationOutcome(values={}, rounds=0)
-        for srcs, dsts, gs, vals in rows:
-            # A round without traffic submits ``()``, the same empty round
-            # at no builder cost: most rounds of a wide window carry nothing.
-            out: BatchBuilder | tuple = ()
-            if srcs and use_typed:
-                out = BatchBuilder(kind=kind, dtype=RESULT_DTYPE)
-                payload = _np.empty(len(srcs), dtype=RESULT_DTYPE)
-                payload["tag"] = "R"
-                payload["g"] = gs
-                payload["val"] = vals
-                out.add_arrays(srcs, dsts, payload)
-            elif srcs:
-                out = BatchBuilder(kind=kind)
-                for src, t, g, value in zip(srcs, dsts, gs, vals):
-                    out.add(src, t, ("R", g, value))
-            inbox = net.exchange(out)
-            for t, msgs in inbox.items():
-                arr = msgs.payload_array() if type(msgs) is InboxBatch else None
-                if arr is not None:
-                    by_t = outcome.by_target.setdefault(t, {})
-                    for g, value in zip(arr["g"].tolist(), arr["val"].tolist()):
-                        outcome.values[g] = value
-                        by_t[g] = value
-                else:
-                    for _tag, g, value in payloads_of(msgs):
-                        outcome.values[g] = value
-                        outcome.by_target.setdefault(t, {})[g] = value
+        _deliver(
+            net,
+            shared,
+            problem,
+            res,
+            outcome,
+            window=window,
+            tag=tag,
+            kind=kind,
+            typed=use_typed,
+            tcol_of=tcol_of,
+        )
         barrier(net, bf)
 
     outcome.rounds = net.round_index - start
     return outcome
 
 
-def _inject(
+def _front_end(
     net: NCCNetwork,
     bf: ButterflyGrid,
     shared: SharedRandomness,
     problem: AggregationProblem,
-    router: CombiningRouter,
-    *,
     tag: object,
-    kind: str,
-    typed: bool,
-) -> None:
-    """The preprocessing phase: every member sends each of its packets to a
-    random level-0 node, ``net.config.batch_size(n)`` packets per round, and
-    every delivered packet is injected into ``router``.
+) -> Rows:
+    """The one pass over the memberships, before any round: the injection
+    rows of the preprocessing phase.
 
-    Each injection round is one row of (sender, column, group, value)
-    columns, filled with one extend per node; the host of level-0 column
-    ``col`` is NCC node ``col``, so the destination column doubles as the
-    payload's ``col`` field.  The typed flow ships a row as one typed
-    column, the object flow as ``("I", ...)`` tuples.  Returning frees the
-    rows, builders and delivered rounds (all but the payload columns the
-    router stashed) before the router allocates its own: kept alive through
-    the combining phase, they doubled its memory peak.
+    For every member in turn it checks that each of its groups has a
+    target (raising ``ValueError`` for the first one without, as
+    :meth:`AggregationProblem.validate` would), draws a random level-0
+    column for each of its packets, in ``repr`` order of its groups, and
+    sends them ``net.config.batch_size(n)`` per round.  Round ``r`` is
+    row ``r`` of (sender, column, group, value) lists, filled with one
+    extend per member; the host of level-0 column ``col`` is NCC node
+    ``col``, so the destination column doubles as the payload's ``col``.
     """
     batch = net.config.batch_size(net.n)
-    rows: list[tuple[list, list, list, list]] = []
+    columns = bf.columns
+    targets = problem.targets
+    has_target = targets.keys()
+    draw = shared.node_randbelow_many
+    first: tuple[list, list, list, list] = ([], [], [], [])
+    rows: Rows = [first]
+    srcs, cols, gs, vals = first
     for u, groups in problem.memberships.items():
-        gs = sorted(groups, key=repr)
-        cols = shared.node_randbelow_many(u, (tag, "inject"), bf.columns, len(gs))
-        for r, lo in enumerate(range(0, len(gs), batch)):
+        if not groups.keys() <= has_target:
+            for g in groups:
+                if g not in targets:
+                    raise ValueError(f"group {g!r} (member {u}) has no target")
+        order = sorted(groups, key=repr)
+        k = len(order)
+        drawn = draw(u, (tag, "inject"), columns, k)
+        if k <= batch:  # one round: the common case
+            srcs += [u] * k
+            cols += drawn
+            gs += order
+            vals += map(groups.__getitem__, order)
+            continue
+        for r, lo in enumerate(range(0, k, batch)):
             if r == len(rows):
                 rows.append(([], [], [], []))
             row = rows[r]
-            chunk = gs[lo : lo + batch]
+            chunk = order[lo : lo + batch]
             row[0].extend([u] * len(chunk))
-            row[1].extend(cols[lo : lo + batch])
+            row[1].extend(drawn[lo : lo + batch])
             row[2].extend(chunk)
             row[3].extend(map(groups.__getitem__, chunk))
+    return rows if srcs else []
+
+
+def _typed_rows(
+    net: NCCNetwork, bf: ButterflyGrid, problem: AggregationProblem, rows: Rows
+) -> Rows | None:
+    """The injection rows as numpy columns, if this instance can run the
+    fully typed flow; else ``None``.
+
+    Requires the process-wide typed default, a ufunc-backed
+    aggregate, lightweight sync (token traffic would mix object messages
+    into the typed builders), a non-degenerate butterfly, and an instance
+    whose groups/values are plain ints strictly inside (−2^62, 2^62) (for
+    SUM the whole run's worst-case partial sum must fit, so the total
+    absolute mass must stay below 2^62).  Anything else keeps the object
+    path — the documented fallback contract.  The rows hold every packet,
+    so the check reads them, column by column, instead of the instance;
+    the mass is summed exactly, in two int64 halves.  The list rows are
+    dropped once converted: the injection phase then holds no Python
+    object per packet.
+    """
+    if (
+        not typed_payloads_enabled()
+        or problem.fn.ufunc is None
+        or bf.d <= 0
+        or not net.config.extras.get("lightweight_sync", False)
+    ):
+        return None
+    typed = []
+    mass = 0
     for srcs, cols, gs, vals in rows:
+        # type() is int excludes bool, float, IntEnum and numpy scalars.
+        if list(map(type, gs)).count(int) != len(gs):
+            return None
+        if list(map(type, vals)).count(int) != len(vals):
+            return None
+        try:
+            garr = _np.array(gs, dtype=_np.int64)
+            varr = _np.array(vals, dtype=_np.int64)
+        except OverflowError:
+            return None
+        for arr in (garr, varr):
+            if int(arr.min()) <= -_TYPED_LIMIT or int(arr.max()) >= _TYPED_LIMIT:
+                return None
+        if problem.fn.ufunc is _np.add:
+            a = _np.abs(varr)  # below 2^62: each half sums exactly in int64
+            mass += (int((a >> 31).sum()) << 31) + int((a & 0x7FFF_FFFF).sum())
+        typed.append((_np.asarray(srcs), _np.array(cols, dtype=_np.int64), garr, varr))
+    if mass >= _TYPED_LIMIT:
+        return None
+    return typed
+
+
+def _inject(
+    net: NCCNetwork,
+    router: CombiningRouter,
+    rows: Rows,
+    *,
+    kind: str,
+    typed: bool,
+) -> None:
+    """The preprocessing phase: one round per injection row (see
+    :func:`_front_end`), every delivered packet injected into ``router``.
+
+    The typed flow ships a row (already numpy columns, see
+    :func:`_typed_rows`) as one typed column, the object flow as
+    ``("I", ...)`` tuples.  ``rows`` is consumed: the builder keeps its own
+    sender-sorted copy of a round, so the row and its payload column are
+    dropped before the exchange delivers a third copy.  Each round's
+    builder and delivered inbox are dropped before the next round (all
+    but the payload columns the router stashed).
+    """
+    while rows:
+        srcs, cols, gs, vals = rows.pop(0)
         if typed:
             out = BatchBuilder(kind=kind, dtype=INJECT_DTYPE)
-            payload = _np.empty(len(srcs), dtype=INJECT_DTYPE)
+            payload = _np.empty(len(cols), dtype=INJECT_DTYPE)
             payload["tag"] = "I"
             payload["col"] = cols
             payload["g"] = gs
             payload["val"] = vals
             out.add_arrays(srcs, cols, payload)
+            del payload
         else:
             out = BatchBuilder(kind=kind)
             for u, col, g, value in zip(srcs, cols, gs, vals):
                 out.add(u, col, ("I", col, g, value))
+        del srcs, cols, gs, vals
         inbox = net.exchange(out)
         gathered = gather_typed_spans(inbox)
         if gathered is not None:
@@ -313,6 +372,98 @@ def _inject(
             else:
                 for _tag, col, g, value in payloads_of(msgs):
                     router.inject(col, g, value)
+
+
+def _deliver(
+    net: NCCNetwork,
+    shared: SharedRandomness,
+    problem: AggregationProblem,
+    res: RoutingResult,
+    outcome: AggregationOutcome,
+    *,
+    window: int,
+    tag: object,
+    kind: str,
+    typed: bool,
+    tcol_of: Callable[[GroupT], int],
+) -> None:
+    """The postprocessing phase: the host of each result's level-d node
+    ``(d, h(g))`` sends it to the group's target in a round drawn from
+    the ``window`` (a window of one round draws nothing).
+
+    The typed kernel's result columns give the group, value and sender
+    columns whole; the object loop's results give them group by group.
+    A typed round is built from column slices and, on the batched
+    engine, read whole (:func:`gather_typed_arrivals`); any other round
+    is read receiver by receiver.  Both reads record the groups in the
+    same order.
+    """
+    if res.columns is not None:
+        gcol, vcol, scol = res.columns
+        glist = gcol.tolist()
+    else:
+        glist = list(res.results)
+        gcol, vcol = glist, list(res.results.values())
+        scol = [tcol_of(g) for g in glist]
+    dcol = list(map(problem.targets.__getitem__, glist))
+    if window == 1:
+        picks = [range(len(glist))]
+    else:
+        picks = [[] for _ in range(window)]
+        hosts = scol.tolist() if isinstance(scol, _np.ndarray) else scol
+        for i, (src, g) in enumerate(zip(hosts, glist)):
+            r = shared.node_randbelow(src, (tag, "deliver", _group_key(g)), window)
+            picks[r].append(i)
+    columns = (gcol, vcol, scol, dcol)
+    if typed:
+        columns = tuple(map(_np.asarray, columns))
+    for pick in picks:
+        # A round without traffic submits ``()``, the same empty round
+        # at no builder cost: most rounds of a wide window carry nothing.
+        out: BatchBuilder | tuple = ()
+        if len(pick) and typed:
+            gs, vals, srcs, dsts = (
+                columns if len(pick) == len(glist) else (c.take(pick) for c in columns)
+            )
+            out = BatchBuilder(kind=kind, dtype=RESULT_DTYPE)
+            payload = _np.empty(len(pick), dtype=RESULT_DTYPE)
+            payload["tag"] = "R"
+            payload["g"] = gs
+            payload["val"] = vals
+            out.add_arrays(srcs, dsts, payload)
+        elif len(pick):
+            out = BatchBuilder(kind=kind)
+            for i in pick:
+                out.add(scol[i], dcol[i], ("R", glist[i], vcol[i]))
+        _record(net.exchange(out), outcome)
+
+
+def _record(inbox: Any, outcome: AggregationOutcome) -> None:
+    """Record one delivered round in ``outcome``, receivers in
+    first-arrival order, each one's messages in submission order."""
+    values, by_target = outcome.values, outcome.by_target
+    arrivals = gather_typed_arrivals(inbox)
+    if arrivals is not None:
+        hosts, arr = arrivals
+        gs, vals = arr["g"].tolist(), arr["val"].tolist()
+        values.update(zip(gs, vals))
+        for t, g, value in zip(hosts.tolist(), gs, vals):
+            by_t = by_target.get(t)
+            if by_t is None:
+                by_target[t] = {g: value}
+            else:
+                by_t[g] = value
+        return
+    for t, msgs in inbox.items():
+        arr = msgs.payload_array() if type(msgs) is InboxBatch else None
+        if arr is not None:
+            pairs = zip(arr["g"].tolist(), arr["val"].tolist())
+        else:
+            pairs = ((g, value) for _tag, g, value in payloads_of(msgs))
+        by_t = by_target.setdefault(t, {})
+        for g, value in pairs:
+            values[g] = value
+            by_t[g] = value
 
 
 def _group_key(g: GroupT) -> int:

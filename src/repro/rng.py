@@ -33,10 +33,12 @@ from __future__ import annotations
 import math
 import random
 from itertools import repeat
-from typing import Callable
+from typing import Any, Callable
+
+import numpy as _np
 
 from .config import NCCConfig
-from .hashing.kwise import KWiseHash
+from .hashing.kwise import KWiseHash, residue_column
 from .seeding import derived_rng, seeded_rng
 
 __all__ = ["RANK_RANGE", "SharedRandomness", "derived_rng", "randbelow_many", "seeded_rng"]
@@ -166,14 +168,38 @@ class SharedRandomness:
     def salted_key(nonce: int, key: int) -> int:
         """Combine an invocation nonce with a group key into a hash input.
 
-        Distinct (nonce, key) pairs map to distinct inputs for keys in
+        Distinct (nonce, key) pairs map to distinct integers for keys in
         [0, 2^64) and in (-2^62, 2^62), the range the typed aggregation
         flow admits.  Keys of 2^64 and up fold their high half into the
         low 64 bits; a negative key keeps its low 64 bits (two's
         complement), so its sign bits never reach the nonce's.
+
+        Distinct integers are not distinct hash inputs: a
+        :class:`KWiseHash` reads its input only modulo 2^61 − 1, where
+        ``nonce·2^64`` is ``8·nonce``.  Within one invocation, key ``k``
+        therefore aliases ``k + (2^61 − 1)``, and a negative key ``−j``
+        aliases the keys congruent to ``8 − j``: groups −1 and 7 (or −8
+        and 0) get the same rank and the same target column.
         """
         low = key & ((1 << 64) - 1)
         return (nonce << 64) | (low if key < 0 else low ^ (key >> 64))
+
+    @staticmethod
+    def salted_residues(nonce: int, keys: Any) -> Any:
+        """Column form of ``salted_key(nonce, k) % MERSENNE_61`` over an
+        int64 key column, as uint64.
+
+        That residue is all a :class:`KWiseHash` reads of its input, so
+        ``fn.column(salted_residues(nonce, keys))`` equals
+        ``[fn(salted_key(nonce, k)) for k in keys]`` bit for bit, the
+        aliasing of :meth:`salted_key` included.
+        """
+        keys = _np.asanyarray(keys)
+        if keys.dtype != _np.int64:
+            raise TypeError(f"salted_residues needs int64 keys, got {keys.dtype}")
+        # For every int64 key, salted_key(nonce, key) = nonce·2^64 +
+        # (key mod 2^64), and 2^64 = 8·2^61 ≡ 8 (mod 2^61 − 1).
+        return residue_column(keys.view(_np.uint64), nonce << 3)
 
     # ------------------------------------------------------------------
     # Private per-node randomness (free)

@@ -1,10 +1,12 @@
 """k-wise independent hash family: determinism, range, distribution."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashing.kwise import MERSENNE_61, KWiseHash, hash_family
+from repro.rng import SharedRandomness
 
 
 class TestDeterminism:
@@ -118,3 +120,80 @@ class TestValuePins:
         h = KWiseHash(k, range_size, seed=seed)
         assert [h(x) for x in self.KEYS] == values
         assert [h.bit(x) for x in self.KEYS] == bits
+
+
+class _U64Only(np.ndarray):
+    """An array that fails every ufunc with an operand or a result that is
+    not uint64 (an int64 array, a Python int, any other scalar), so the
+    column form cannot lean on numpy's type promotion: uint64 with int64
+    promotes to float64, which is not exact."""
+
+    ufuncs: list[str] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        for x in inputs + (out or ()):
+            assert isinstance(x, (np.ndarray, np.uint64)) and x.dtype == np.uint64, (
+                ufunc.__name__, type(x).__name__, getattr(x, "dtype", None)
+            )
+        _U64Only.ufuncs.append(ufunc.__name__)
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, np.ndarray) else x for x in inputs)
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in out)
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        assert result.dtype == np.uint64, (ufunc.__name__, result.dtype)
+        return out[0] if out is not None else result.view(_U64Only)
+
+
+#: Keys every example hashes: the ends of the typed flow's key range and
+#: the keys next to the field's modulus.
+EDGE_KEYS = [0, 1, -1, 2**62 - 1, -(2**62 - 1), 2**61 - 1, 2**61, 7, -7, 8, -8]
+
+
+class TestColumnForm:
+    """``KWiseHash.column`` over ``SharedRandomness.salted_residues`` is
+    the scalar ``fn(salted_key(nonce, key))``, bit for bit."""
+
+    @given(
+        k=st.integers(min_value=1, max_value=20),
+        range_size=st.sampled_from([1, 2, 3, 8192, 2**30, 2**40]),
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        nonce=st.integers(min_value=0, max_value=2**66),
+        keys=st.lists(st.integers(min_value=-(2**62) + 1, max_value=2**62 - 1), max_size=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_salted_hash(self, k, range_size, seed, nonce, keys):
+        keys = EDGE_KEYS + keys
+        fn = KWiseHash(k, range_size, seed)
+        _U64Only.ufuncs = []
+        column = np.array(keys, dtype=np.int64).view(_U64Only)
+        got = fn.column(SharedRandomness.salted_residues(nonce, column))
+        assert got.dtype == np.int64
+        assert got.tolist() == [fn(SharedRandomness.salted_key(nonce, key)) for key in keys]
+        # Every step ran through the uint64-only check: at least one
+        # multiply per Horner step.
+        assert _U64Only.ufuncs.count("multiply") >= 3 * (k - 1)
+
+    @given(
+        k=st.integers(min_value=1, max_value=20),
+        nonce=st.integers(min_value=0, max_value=2**66),
+        keys=st.lists(st.integers(min_value=-(2**62) + 1, max_value=2**62 - 1), max_size=40),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_salted_residues_are_the_residues(self, k, nonce, keys):
+        keys = EDGE_KEYS + keys
+        got = SharedRandomness.salted_residues(nonce, np.array(keys, dtype=np.int64))
+        assert got.dtype == np.uint64
+        expected = [SharedRandomness.salted_key(nonce, key) % MERSENNE_61 for key in keys]
+        assert got.tolist() == expected
+
+    def test_unsalted_keys_across_uint64(self):
+        fn = KWiseHash(7, 1741, seed=11)
+        keys = [0, 1, MERSENNE_61 - 1, MERSENNE_61, MERSENNE_61 + 1, 2**63, 2**64 - 1]
+        got = fn.column(np.array(keys, dtype=np.uint64))
+        assert got.tolist() == [fn(key) for key in keys]
+
+    def test_rejects_signed_keys(self):
+        with pytest.raises(TypeError, match="uint64"):
+            KWiseHash(3, 10, seed=1).column(np.arange(3))
+        with pytest.raises(TypeError, match="int64"):
+            SharedRandomness.salted_residues(1, np.arange(3, dtype=np.uint64))

@@ -75,6 +75,25 @@ class TestSaltedKeys:
                 old = (nonce << 64) | (key & mask) ^ (key >> 64)
                 assert SharedRandomness.salted_key(nonce, key) == old, (nonce, key)
 
+    def test_hash_inputs_alias_modulo_the_field(self):
+        """A KWiseHash reads a salted key mod 2^61 − 1: within one nonce,
+        key k aliases k + (2^61 − 1), and key −j aliases the keys congruent
+        to 8 − j.  The column form reproduces the aliasing."""
+        import numpy as np
+
+        from repro.hashing.kwise import MERSENNE_61
+
+        s = SharedRandomness(NCCConfig(seed=3), 1024)
+        rank, target = s.rank_function(), s.target_function(64)
+        salted = SharedRandomness.salted_key
+        for nonce in (1, 5, 999):
+            for a, b in ((-1, 7), (-8, 0), (-(2**40), 8 - 2**40 + MERSENNE_61), (5, 5 + MERSENNE_61)):
+                for fn in (rank, target):
+                    assert fn(salted(nonce, a)) == fn(salted(nonce, b)), (nonce, a, b)
+            x = SharedRandomness.salted_residues(nonce, np.array([-1, 7], dtype=np.int64))
+            assert x[0] == x[1]
+            assert rank.column(x).tolist() == [rank(salted(nonce, 7))] * 2
+
     def test_nonce_counter_advances(self):
         s = SharedRandomness(NCCConfig(), 16)
         assert s.next_nonce() != s.next_nonce()

@@ -595,9 +595,11 @@ class TestTypedCombiningRouter:
         self, engine, mode, monkeypatch, typed_on
     ):
         """A seeded grid over size, rank ties, target spread, group-id
-        range and ufunc: typed and object injection give the same results,
-        rounds, stats (violation ledger order included), the same traffic
-        round by round and, under STRICT, the same error."""
+        range, group-id density and ufunc: typed and object injection give
+        the same results, rounds, stats (violation ledger order included),
+        the same traffic round by round and, under STRICT, the same error.
+        Dense ids map arrivals through the kernel's id table, ids spread
+        past the packet count through its binary search; both run."""
         from repro.butterfly.routing import CombiningRouter
 
         typed_runs = []
@@ -616,19 +618,25 @@ class TestTypedCombiningRouter:
             (False, True),  # target columns spread, or one shared column
             (0, -(2**30), 2**62, -(2**62)),  # group-id base
             (SUM, MIN, MAX, XOR),
+            (1, 2**20),  # group-id stride: dense ids, or spread far apart
         ):
             values = list(values)
             rng.shuffle(values)
             axes.append(values)
+        densities = set()
         for i in range(4):
-            n, ranks, spread, gbase, fn = (a[i % len(a)] for a in axes)
+            n, ranks, spread, gbase, fn, stride = (a[i % len(a)] for a in axes)
             # Few groups, many packets each: same-group packets meet and
             # collapse mid-route; group ids fan out on both sides of gbase.
-            groups = [gbase + rng.randrange(-40, 40) for _ in range(max(2, n // 16))]
+            groups = [
+                gbase + stride * rng.randrange(-40, 40) for _ in range(max(2, n // 16))
+            ]
             packets = [
                 (rng.randrange(n), rng.choice(groups), rng.randrange(-1000, 1000))
                 for _ in range(2 * n)
             ]
+            ids = [g for _, g, _ in packets]
+            densities.add(max(ids) - min(ids) < len(packets))
             outcomes = {}
             for typed in (True, False):
                 for observe in (False, True):
@@ -672,13 +680,14 @@ class TestTypedCombiningRouter:
                     outcomes[typed, observe] = (
                         out, rt.net.stats.comparable(), traffic
                     )
-            case = (n, ranks, spread, gbase, fn.name)
+            case = (n, ranks, spread, gbase, fn.name, stride)
             for observe in (False, True):
                 typed_out, obj_out = outcomes[True, observe], outcomes[False, observe]
                 assert typed_out[0] == obj_out[0], case
                 assert typed_out[1] == obj_out[1], case
                 assert typed_out[2] == obj_out[2], case
         assert len(typed_runs) == 8
+        assert densities == {True, False}
 
     def test_inject_array_validation(self, typed_on):
         rt = NCCRuntime(16, _config("batched"))
@@ -843,6 +852,87 @@ class TestTypedAggregation:
         run = _run_agg(n, problem, "batched", True)
         assert run["values"] == {0: n * big}  # exact, no int64 wrap
 
+    @staticmethod
+    def _flows(problem, monkeypatch, n=16):
+        """One run per flow setting: typed payloads on (the flow the run
+        admits) and off (the object flow).  Returns both outcomes and
+        whether the typed kernel ran with typed payloads on."""
+        from repro.butterfly.routing import CombiningRouter
+
+        kernel_runs = []
+        real = CombiningRouter._run_typed
+
+        def spy(router):
+            kernel_runs.append(router)
+            return real(router)
+
+        monkeypatch.setattr(CombiningRouter, "_run_typed", spy)
+        outs = {}
+        for typed in (True, False):
+            prev = set_typed_payloads(typed)
+            try:
+                rt = NCCRuntime(n, _config("batched"))
+                out = run_aggregation(rt.net, rt.bf, rt.shared, problem)
+            finally:
+                set_typed_payloads(prev)
+            outs[typed] = (
+                list(out.values.items()),
+                [(t, list(vals.items())) for t, vals in out.by_target.items()],
+                out.rounds,
+                rt.net.stats.comparable(),
+            )
+        return outs[True], outs[False], bool(kernel_runs)
+
+    @pytest.mark.parametrize("mass, typed", [(2**62 - 1, True), (2**62, False)])
+    def test_sum_mass_boundary(self, mass, typed, monkeypatch):
+        """A SUM is typed only while its total absolute mass (negative
+        values counted by size) stays below 2^62."""
+        n = 16
+        memberships = {u: {0: 2**57, 1: u} for u in range(n)}
+        memberships[3][0] = -(2**57)
+        # 16·2^57 + the 0..15 of group 1 + the rest: `mass` in all.
+        memberships[n - 1][0] = mass - 15 * 2**57 - sum(range(n))
+        problem = AggregationProblem(memberships, {0: 2, 1: 9}, SUM)
+        on, off, kernel_ran = self._flows(problem, monkeypatch, n)
+        assert kernel_ran is typed
+        assert on == off
+        assert dict(on[0]) == {
+            0: sum(m[0] for m in memberships.values()), 1: sum(range(n))
+        }
+
+    @pytest.mark.parametrize(
+        "last", [True, 1.5, 2**62, -(2**62), "group"],
+        ids=["bool", "float", "2^62", "-2^62", "group-2^62"],
+    )
+    def test_one_untyped_packet_in_the_last_node(self, last, monkeypatch):
+        """A bool, float or out-of-range value (or group id) in the last
+        node alone keeps the whole run on the object flow, with the
+        outcome of the object flow."""
+        n = 16
+        memberships = {u: {u % 4: u + 1} for u in range(n)}
+        targets = {g: g + 5 for g in range(4)}
+        if last == "group":
+            memberships[n - 1] = {2**62: 3}
+            targets[2**62] = 1
+        else:
+            memberships[n - 1] = {3: last}
+        problem = AggregationProblem(memberships, targets, SUM)
+        on, off, kernel_ran = self._flows(problem, monkeypatch, n)
+        assert not kernel_ran
+        assert on == off
+
+    def test_missing_target_raises_before_any_round(self):
+        n = 16
+        memberships = {u: {u % 4: 1} for u in range(n)}
+        memberships[n - 1] = {3: 1, 99: 1}
+        problem = AggregationProblem(memberships, {g: g for g in range(4)}, SUM)
+        rt = NCCRuntime(n, _config("batched"))
+        with pytest.raises(ValueError, match=r"group 99 \(member 15\) has no target"):
+            run_aggregation(rt.net, rt.bf, rt.shared, problem)
+        assert rt.net.round_index == 0
+        assert rt.net.stats.phases == {}
+        assert rt.shared.agreement_bits == 0
+
     def test_token_mode_keeps_object_path(self):
         """Without lightweight_sync the token wave shares rounds with data;
         typed flow must decline and results stay correct."""
@@ -938,6 +1028,53 @@ class TestTypedAggregation:
         # the reference engine; the same packets either way.
         assert len(bat[4]) == 2 and sum(bat[4]) == sum(ref[4])
         assert len(ref[4]) > 2
+
+    @pytest.mark.engine("reference")  # drives both engines itself
+    @pytest.mark.parametrize("ell2_bound", (None, 40), ids=("window1", "window5"))
+    @pytest.mark.parametrize("typed", (True, False), ids=("typed", "object"))
+    def test_delivery_order_matches_reference(self, typed, ell2_bound):
+        """Result delivery: the batched engine's rounds read as whole
+        columns, the reference engine's receiver by receiver.  Both give
+        the same ``values`` and ``by_target``, insertion order included,
+        and the same rounds, messages and bits, in a one-round window and
+        in a five-round one.  coloring and matching iterate
+        ``outcome.values``, so this order reaches canonical output."""
+        n = 512  # log2 n = 9: six groups per target fit a one-round window
+        rng = random.Random(512)
+        hosts = [t for t in rng.sample(range(n), 64) for _ in range(6)]
+        rng.shuffle(hosts)
+        memberships = {
+            u: {g: rng.randrange(-500, 500) for g in rng.sample(range(384), 3)}
+            for u in range(n)
+        }
+        problem = AggregationProblem(
+            memberships, dict(enumerate(hosts)), SUM, ell2_bound=ell2_bound
+        )
+        runs = {}
+        for engine in ENGINES:
+            prev = set_typed_payloads(typed)
+            try:
+                rt = NCCRuntime(n, _config(engine))
+                out = run_aggregation(rt.net, rt.bf, rt.shared, problem)
+            finally:
+                set_typed_payloads(prev)
+            runs[engine] = (
+                list(out.values.items()),
+                [(t, list(vals.items())) for t, vals in out.by_target.items()],
+                out.rounds,
+                rt.net.stats.messages,
+                rt.net.stats.bits,
+            )
+        assert runs["batched"] == runs["reference"]
+        expected: dict[int, int] = {}
+        for groups in memberships.values():
+            for g, v in groups.items():
+                expected[g] = expected.get(g, 0) + v
+        values = runs["batched"][0]
+        assert dict(values) == expected
+        # Neither order is the trivial one.
+        assert [g for g, _ in values] != sorted(expected)
+        assert [t for t, _ in runs["batched"][1]] != sorted(set(hosts))
 
 
 class TestTypedMulticast:
