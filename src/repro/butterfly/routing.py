@@ -44,7 +44,6 @@ import numpy as _np
 
 from ..errors import ProtocolError
 from ..ncc.message import (
-    SMALL_ROUND_CUTOFF,
     BatchBuilder,
     InboxBatch,
     gather_typed_spans,
@@ -176,9 +175,8 @@ class CombiningRouter:
         Optional column form of ``rank_of`` and ``target_col_of`` for the
         typed kernel: given the run's distinct group ids (an ascending
         int64 column), their ranks and target columns as two int64
-        columns.  The kernel calls it for :data:`SMALL_ROUND_CUTOFF`
-        groups and more; below that, and without it, it calls the
-        per-group callables once per group.
+        columns.  The kernel calls it once per run; without it, it calls
+        the per-group callables once per group.
     record_trees:
         Record traversed edges into a :class:`TreeSet` (Multicast Tree Setup).
     kind:
@@ -564,10 +562,9 @@ class CombiningRouter:
         # once per distinct group for the whole run, never per packet.
         uniq, gi = np.unique(g, return_inverse=True)
         k_groups = len(uniq)
-        if self.tables_of is not None and k_groups >= SMALL_ROUND_CUTOFF:
+        if self.tables_of is not None:
             rank_by, tcol_by = self.tables_of(uniq)
         else:
-            # numpy's fixed cost does not pay for a few groups.
             glist = uniq.tolist()
             rank_by = np.fromiter(map(self.rank_of, glist), np.int64, k_groups)
             tcol_by = np.fromiter(map(self.target_col_of, glist), np.int64, k_groups)
@@ -683,12 +680,15 @@ class CombiningRouter:
         # Token wave duration (lightweight sync): one hop per level.
         net.idle_rounds(d + 1)
 
-        # Every packet has arrived and folded into one per group, so ``p``
-        # lists each priority once: scatter the values to ascending groups.
-        values = np.empty(k_groups, dtype=np.int64)
-        values[by_p.take(p)] = v
+        # Every surviving packet has arrived and folded into one per group,
+        # so ``p`` lists each priority at most once.  Under DROP a group
+        # whose packets were all dropped is missing, as in the object loop.
+        gidx = by_p.take(p)
+        o = gidx.argsort()
+        gidx = gidx.take(o)
         return RoutingResult(
-            net.round_index - start_round, columns=(uniq, values, tcol_by)
+            net.round_index - start_round,
+            columns=(uniq.take(gidx), v.take(o), tcol_by.take(gidx)),
         )
 
 

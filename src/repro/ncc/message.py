@@ -59,10 +59,9 @@ def payload_bits(payload: Any) -> int:
     if t is int:
         return (payload.bit_length() or 1) + (1 if payload < 0 else 0)
     if t is tuple or t is list:
-        # Protocols send tuples of ints and tags, some holding one more
-        # tuple of them: size those parts in this frame, one level deep,
-        # and recurse only for the rest (bool, None, float, IntEnum, numpy
-        # scalars and ``size_bits`` objects keep their own rules).
+        # Protocols send tuples of ints and tags: size those parts in this
+        # frame and recurse only for the rest (bool, None, float, IntEnum,
+        # numpy scalars and ``size_bits`` objects keep their own rules).
         total = 0
         for p in payload:
             tp = type(p)
@@ -70,15 +69,6 @@ def payload_bits(payload: Any) -> int:
                 total += (p.bit_length() or 1) + (1 if p < 0 else 0)
             elif tp is str:
                 total += 4 if len(p) <= 8 else 8 * len(p)
-            elif tp is tuple:
-                for q in p:
-                    tq = type(q)
-                    if tq is int:
-                        total += (q.bit_length() or 1) + (1 if q < 0 else 0)
-                    elif tq is str:
-                        total += 4 if len(q) <= 8 else 8 * len(q)
-                    else:
-                        total += payload_bits(q)
             else:
                 total += payload_bits(p)
         return total

@@ -90,9 +90,16 @@ class AggregationProblem:
 
     def validate(self) -> None:
         for u, groups in self.memberships.items():
-            for g in groups:
-                if g not in self.targets:
-                    raise ValueError(f"group {g!r} (member {u}) has no target")
+            self.check_member(u, groups)
+
+    def check_member(self, u: int, groups: Mapping[GroupT, Any]) -> None:
+        """Raise ``ValueError`` for the first of member ``u``'s groups that
+        has no target."""
+        if groups.keys() <= self.targets.keys():
+            return
+        for g in groups:
+            if g not in self.targets:
+                raise ValueError(f"group {g!r} (member {u}) has no target")
 
 
 @dataclass
@@ -149,9 +156,8 @@ def run_aggregation(
         def key_of(g: GroupT) -> int:
             return salt(nonce, _group_key(g))
 
-        # The run's target-column table: the per-group callers (the object
-        # loop, a typed run of few groups, the object flow's delivery) read
-        # one entry per group, hashed once.
+        # The run's target-column table: the object loop and the object
+        # flow's delivery read one entry per group, hashed once.
         tcols: dict[GroupT, int] = {}
 
         def tcol_of(g: GroupT) -> int:
@@ -219,8 +225,7 @@ def _front_end(
     rows of the preprocessing phase.
 
     For every member in turn it checks that each of its groups has a
-    target (raising ``ValueError`` for the first one without, as
-    :meth:`AggregationProblem.validate` would), draws a random level-0
+    target (:meth:`AggregationProblem.check_member`), draws a random level-0
     column for each of its packets, in ``repr`` order of its groups, and
     sends them ``net.config.batch_size(n)`` per round.  Round ``r`` is
     row ``r`` of (sender, column, group, value) lists, filled with one
@@ -229,17 +234,13 @@ def _front_end(
     """
     batch = net.config.batch_size(net.n)
     columns = bf.columns
-    targets = problem.targets
-    has_target = targets.keys()
+    check = problem.check_member
     draw = shared.node_randbelow_many
     first: tuple[list, list, list, list] = ([], [], [], [])
     rows: Rows = [first]
     srcs, cols, gs, vals = first
     for u, groups in problem.memberships.items():
-        if not groups.keys() <= has_target:
-            for g in groups:
-                if g not in targets:
-                    raise ValueError(f"group {g!r} (member {u}) has no target")
+        check(u, groups)
         order = sorted(groups, key=repr)
         k = len(order)
         drawn = draw(u, (tag, "inject"), columns, k)

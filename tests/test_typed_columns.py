@@ -689,6 +689,52 @@ class TestTypedCombiningRouter:
         assert len(typed_runs) == 8
         assert densities == {True, False}
 
+    @pytest.mark.engine("reference")  # drives all three engines itself
+    @pytest.mark.parametrize("stride", (1, 2**20), ids=("dense", "sparse"))
+    @pytest.mark.parametrize("engine", ("reference", "batched", "sharded"))
+    def test_typed_kernel_matches_object_loop_under_starved_drop(
+        self, engine, stride, monkeypatch, typed_on
+    ):
+        """DROP at an eighth of the default capacity: cross packets over a
+        node's capacity are dropped, and a group whose every packet was
+        dropped has no result.  Typed and object injection drop the
+        same packets and give the same results, rounds and stats."""
+        from repro.butterfly.routing import CombiningRouter
+
+        typed_runs = []
+        real = CombiningRouter._run_typed
+
+        def spy(router):
+            typed_runs.append(router)
+            return real(router)
+
+        monkeypatch.setattr(CombiningRouter, "_run_typed", spy)
+        n = 64
+        rng = random.Random(f"starved-{engine}-{stride}")
+        groups = [stride * g for g in range(3 * n)]  # one packet each
+        packets = [(rng.randrange(n), g, rng.randrange(-1000, 1000)) for g in groups]
+        outcomes = {}
+        for typed in (True, False):
+            extras = {"lightweight_sync": True}
+            if engine == "sharded":
+                extras["shard_cutoff"] = 1
+            rt = NCCRuntime(n, NCCConfig(
+                seed=5, enforcement=Enforcement.DROP, engine=engine, shards=2,
+                capacity_multiplier=0.5, extras=extras,
+            ))
+            router = self._router(rt.net, rt.bf, SUM)
+            if typed:
+                router.inject_array(*zip(*packets))
+            else:
+                for col, g, v in packets:
+                    router.inject(col, g, v)
+            res = router.run()
+            outcomes[typed] = (res.results, res.rounds, rt.net.stats.comparable())
+            assert rt.net.stats.dropped > 0
+        assert len(typed_runs) == 1
+        assert outcomes[True] == outcomes[False]
+        assert len(outcomes[True][0]) < len(groups)  # some groups were lost whole
+
     def test_inject_array_validation(self, typed_on):
         rt = NCCRuntime(16, _config("batched"))
         router = self._router(rt.net, rt.bf, SUM)
@@ -803,6 +849,64 @@ class TestTypedAggregation:
         for key, run in runs.items():
             for fld in ("values", "by_target", "rounds", "stats"):
                 assert run[fld] == base[fld], (key, fld)
+
+    @pytest.mark.engine("reference")  # drives both engines itself
+    def test_typed_object_parity_under_starved_drop(self, monkeypatch):
+        """DROP at an eighth of the default capacity drops injection and
+        combining packets; the typed flow (kernel included) and the object
+        flow lose the same ones on both engines.  Each flow records the
+        same outcome on both engines, order included; across flows the
+        values, rounds and stats agree."""
+        from repro.butterfly.routing import CombiningRouter
+
+        lost_in_kernel = []
+        real = CombiningRouter._run_typed
+
+        def spy(router):
+            injected = len(np.unique(np.concatenate(router._typed_cols[1])))
+            res = real(router)
+            lost_in_kernel.append(injected - len(res.columns[0]))
+            return res
+
+        monkeypatch.setattr(CombiningRouter, "_run_typed", spy)
+        n = 64
+        rng = random.Random(0)
+        memberships = {
+            u: {g: rng.randrange(-50, 500) for g in rng.sample(range(3 * n), 3)}
+            for u in range(n)
+        }
+        targets = {g: rng.randrange(n) for g in range(3 * n)}
+        # A 20-round delivery window keeps the delivery under capacity: the
+        # flows list one sender's results in different orders, so an
+        # overloaded delivery round would drop different ones.
+        problem = AggregationProblem(memberships, targets, SUM, ell2_bound=120)
+        runs = {}
+        for engine in ENGINES:
+            for typed in (True, False):
+                prev = set_typed_payloads(typed)
+                try:
+                    rt = NCCRuntime(n, NCCConfig(
+                        seed=3, enforcement=Enforcement.DROP, engine=engine,
+                        capacity_multiplier=0.5,
+                        extras={"lightweight_sync": True},
+                    ))
+                    out = run_aggregation(rt.net, rt.bf, rt.shared, problem)
+                finally:
+                    set_typed_payloads(prev)
+                assert rt.net.stats.dropped > 0
+                runs[engine, typed] = (
+                    list(out.values.items()),
+                    [(t, list(vals.items())) for t, vals in out.by_target.items()],
+                    out.rounds,
+                    rt.net.stats.comparable(),
+                )
+        for typed in (True, False):
+            assert runs["batched", typed] == runs["reference", typed], typed
+        on, off = runs["reference", True], runs["reference", False]
+        assert dict(on[0]) == dict(off[0])
+        assert on[2:] == off[2:]
+        # On each engine the kernel ran and lost some group's every packet.
+        assert len(lost_in_kernel) == len(ENGINES) and min(lost_in_kernel) > 0
 
     @pytest.mark.parametrize("fn", [MIN, MAX, XOR], ids=lambda f: f.name)
     def test_other_ufunc_aggregates(self, fn):
