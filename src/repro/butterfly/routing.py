@@ -636,10 +636,13 @@ class CombiningRouter:
 
             # --- straight winners move down their column, cross winners
             # left over the network, everything else waits in place ---
-            key[:live][win & ~crossing] += columns
+            live_keys = key[:live]
+            np.add(live_keys, columns, out=live_keys, where=win & ~crossing)
             keep = np.ones(len(key), dtype=bool)
             keep[cw] = False
-            key, p, v = key[keep], p[keep], v[keep]
+            kept = np.flatnonzero(keep)
+            key, p, v = key.take(kept), p.take(kept), v.take(kept)
+            del live_keys, keep, kept
 
             # --- apply network arrivals ---
             gathered = gather_typed_spans(inboxes)

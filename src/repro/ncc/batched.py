@@ -11,7 +11,9 @@ per-message work with bucketed operations:
 * send capacity — a max over the per-sender group sizes;
 * message-size budget and bit accounting — the bits sum/max the builder
   tracked while accumulating;
-* receive bucketing — one stable argsort over the ``dst`` column, the
+* receive bucketing — one stable ordering of the ``dst`` column
+  (:func:`~repro.ncc.message.stable_id_order`: none when it is already
+  ascending, a linear radix sort of the node ids on bulk rounds), the
   round delivered as one :class:`~repro.ncc.message.RoundInbox`: the
   permuted columns in CSR form behind a read-only mapping whose keys run
   in first-arrival order and whose per-receiver
@@ -51,7 +53,14 @@ from .engine import RoundEngine, RoundResult, register_engine
 # (:meth:`BatchedEngine._deliver_deferred_py`; same observables, still zero
 # ``Message`` construction), and producers that can choose ship typed
 # columns only from it up, so every small round takes that pass.
-from .message import SMALL_ROUND_CUTOFF, BatchBuilder, InboxBatch, Message, RoundInbox
+from .message import (
+    SMALL_ROUND_CUTOFF,
+    BatchBuilder,
+    InboxBatch,
+    Message,
+    RoundInbox,
+    stable_id_order,
+)
 
 
 class BatchedEngine(RoundEngine):
@@ -178,39 +187,51 @@ class BatchedEngine(RoundEngine):
         return k0
 
     def _deliver_deferred_np(self, senders, kcols, counts, m_count, dst, pay_l):
-        """Argsort-bucketed delivery of the round's columns: one
-        :class:`RoundInbox` over the permuted (src, payload, kind) columns
-        — no object column, no ``Message``, no per-receiver object.  The
-        src column stays an int64 array (boxed lazily on access) and the
-        bits column is dropped entirely — sizes are re-derived on demand,
-        which delivered inboxes almost never need."""
+        """Bucketed delivery of the round's columns: one :class:`RoundInbox`
+        over the (src, payload, kind) columns permuted into receiver order
+        by :func:`~repro.ncc.message.stable_id_order` — no object column,
+        no ``Message``, no per-receiver object.  A destination column that
+        is already ascending needs no permutation; the typed payload column
+        is then copied, so a delivered round never aliases a submitted one
+        (the object columns here are this call's own lists).  The src
+        column stays an int64 array (boxed lazily on access) and the bits
+        column is dropped entirely — sizes are re-derived on demand, which
+        delivered inboxes almost never need."""
         net = self.net
         stats = net.stats
         per_dst = _np.bincount(dst)
         dsts_present = _np.flatnonzero(per_dst)
         group_counts = per_dst[dsts_present]
-        order = _np.argsort(dst, kind="stable")
+        order = stable_id_order(dst)
         offsets = _np.zeros(len(group_counts) + 1, dtype=_np.int64)
         _np.cumsum(group_counts, out=offsets[1:])
         max_recv = int(group_counts.max())
-        arrival = _np.argsort(order.take(offsets[:-1]), kind="stable")
+        src_perm = _np.repeat(_np.asarray(senders, _np.int64), counts)
+        if order is None:
+            arrival = _np.arange(len(group_counts))
+        else:
+            # Each receiver's first message has a distinct position, so the
+            # default (unstable) sort gives the stable order.
+            arrival = _np.argsort(order.take(offsets[:-1]))
+            src_perm = src_perm.take(order)
 
         if type(pay_l) is list:
             pay_perm = (
-                _np.fromiter(pay_l, dtype=object, count=m_count).take(order).tolist()
+                pay_l if order is None
+                else _np.fromiter(pay_l, dtype=object, count=m_count).take(order).tolist()
             )
         else:
             # Typed round: the permuted payload column stays an ndarray and
             # the delivered spans are typed — nothing is boxed here.
-            pay_perm = pay_l.take(order)
-        src_perm = _np.repeat(_np.asarray(senders, _np.int64), counts).take(order)
+            pay_perm = pay_l.copy() if order is None else pay_l.take(order)
         kind_perm = self._round_kind_scalar(kcols)
         if kind_perm is None:
             kinds_l: list[str] = []
             for i, k in enumerate(kcols):
                 kinds_l += k if type(k) is list else [k] * counts[i]
             kind_perm = (
-                _np.fromiter(kinds_l, dtype=object, count=m_count).take(order).tolist()
+                kinds_l if order is None
+                else _np.fromiter(kinds_l, dtype=object, count=m_count).take(order).tolist()
             )
 
         delivered = RoundInbox(

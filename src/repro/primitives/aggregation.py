@@ -325,9 +325,10 @@ def _inject(
 
     The typed flow ships a row (already numpy columns, see
     :func:`_typed_rows`) as one typed column, the object flow as
-    ``("I", ...)`` tuples.  ``rows`` is consumed: the builder keeps its own
-    sender-sorted copy of a round, so the row and its payload column are
-    dropped before the exchange delivers a third copy.  Each round's
+    ``("I", ...)`` tuples.  ``rows`` is consumed: the builder takes over a
+    round's columns (sorted by sender, or the row's own arrays and payload
+    column when its senders already ascend), so this frame drops its
+    references to them before the exchange delivers a copy.  Each round's
     builder and delivered inbox are dropped before the next round (all
     but the payload columns the router stashed).
     """

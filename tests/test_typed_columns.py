@@ -16,10 +16,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.butterfly.routing import DATA_DTYPE
 from repro.config import Enforcement, NCCConfig
 from repro.errors import ProtocolError
 from repro.ncc.message import (
+    RADIX_SORT_CUTOFF,
     BatchBuilder,
     InboxBatch,
     RoundInbox,
@@ -28,6 +32,7 @@ from repro.ncc.message import (
     payload_bits,
     payload_box_count,
     set_typed_payloads,
+    stable_id_order,
     typed_payload_bits,
     typed_payloads_enabled,
 )
@@ -97,6 +102,102 @@ class TestVectorizedSizing:
         assert typed_payload_bits(arr).tolist() == [
             payload_bits(r) for r in rows
         ]
+
+    def test_float_rounding_band_matches_scalar_rule(self):
+        """From 2**53 up a magnitude can round to the next power of two as
+        a float64.  ``2**k + d`` for k = 53..63 and |d| <= 1,024, both
+        signs, and -2**63 size like the scalar rule: in a contiguous int64
+        column, and in the strided int fields of the router's and the
+        aggregation's wire structs."""
+        values = [-(2**63)]
+        for k in range(53, 64):
+            for d in range(-1024, 1025):
+                for v in (2**k + d, -(2**k + d)):
+                    if -(2**63) <= v < 2**63:
+                        values.append(v)
+        col = np.asarray(values, dtype=np.int64)
+        assert typed_payload_bits(col).tolist() == [payload_bits(v) for v in values]
+        for dtype in (DATA_DTYPE, INJECT_DTYPE):
+            rows = np.zeros(len(values), dtype=dtype)
+            rows["tag"] = "X"
+            fields = [name for name in dtype.names if dtype[name].kind == "i"]
+            for shift, name in enumerate(fields):
+                rows[name] = np.roll(col, shift)
+                field = rows[name]
+                assert not field.flags.c_contiguous
+                assert typed_payload_bits(field).tolist() == [
+                    payload_bits(v) for v in field.tolist()
+                ]
+            assert typed_payload_bits(rows).tolist() == [
+                payload_bits(r) for r in rows.tolist()
+            ]
+
+
+# ----------------------------------------------------------------------
+# Ordering node-id columns
+# ----------------------------------------------------------------------
+#: Boundary spans (max - min) of the ordering paths: one radix pass below
+#: 2**16, two below 2**32, numpy's stable sort from 2**32 up.
+_SPANS = (0, 1, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1)
+_LENGTHS = (0, 1, 2, RADIX_SORT_CUTOFF - 1, RADIX_SORT_CUTOFF, 65_536)
+_SHAPES = ("random", "ascending", "descending", "equal", "duplicates")
+
+
+def _id_column(length, span, lo, shape, seed):
+    """An int64 column of ``length`` ids in ``[lo, lo + span]``; with two
+    or more ids (and unless all are equal) both ends of the span occur."""
+    rng = np.random.default_rng(seed)
+    off = rng.integers(0, span, size=length, dtype=np.uint64, endpoint=True)
+    if shape == "equal":
+        off[:] = off[:1]
+    else:
+        if shape == "duplicates" and length:
+            off = rng.choice(off[:3], size=length)
+        if length >= 2:
+            off[rng.choice(length, 2, replace=False)] = (0, span)
+    # uint64 arithmetic wraps, so this is lo + off in two's complement.
+    ids = (off + np.uint64(lo % 2**64)).view(np.int64)
+    if shape == "ascending":
+        ids.sort()
+    elif shape == "descending":
+        ids = np.sort(ids)[::-1]
+    return ids
+
+
+@st.composite
+def _id_columns(draw):
+    span = draw(st.one_of(st.sampled_from(_SPANS), st.integers(0, 2**64 - 1)))
+    top = 2**63 - 1 - span  # the highest lo that keeps every id in int64
+    corners = [c for c in (-(2**63), -span - 1, 0, top) if -(2**63) <= c <= top]
+    lo = draw(st.one_of(st.sampled_from(corners), st.integers(-(2**63), top)))
+    return _id_column(
+        draw(st.sampled_from(_LENGTHS)),
+        span,
+        lo,
+        draw(st.sampled_from(_SHAPES)),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+class TestStableIdOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(_id_columns())
+    @example(_id_column(65_536, 8191, 0, "ascending", 0))
+    @example(_id_column(65_536, 8191, 0, "random", 0))
+    @example(_id_column(RADIX_SORT_CUTOFF, 2**16, -(2**40), "random", 1))
+    @example(_id_column(RADIX_SORT_CUTOFF, 2**32 - 1, -(2**31), "duplicates", 2))
+    @example(_id_column(RADIX_SORT_CUTOFF, 2**64 - 1, -(2**63), "descending", 3))
+    @example(_id_column(RADIX_SORT_CUTOFF - 1, 2**64 - 1, -(2**63), "random", 4))
+    def test_equals_numpy_stable_argsort(self, ids):
+        """The permutation is numpy's stable argsort element for element,
+        and ``None`` (the identity) exactly when the column ascends."""
+        want = np.argsort(ids, kind="stable")
+        got = stable_id_order(ids)
+        ascending = np.array_equal(want, np.arange(len(ids)))
+        assert (got is None) == ascending
+        if got is not None:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 # ----------------------------------------------------------------------
@@ -452,6 +553,59 @@ class TestMixedTypedSubmissions:
         net.round_observer = lambda r, per_sender: observed.append(len(per_sender))
         net.exchange(_bulk_builder(2_000))
         assert calls == [4_000] and observed == [2_000]
+
+
+class TestColumnOwnership:
+    @pytest.mark.parametrize("layout", ("ascending", "shuffled"))
+    def test_delivered_round_never_aliases_submitted_columns(self, layout, typed_on):
+        """A typed builder keeps ascending submitted columns as given, yet
+        no engine's delivered round aliases them: overwriting the caller's
+        arrays after the exchange changes neither the inbox nor its
+        gathered columns.  2,048 messages take the radix ordering when
+        shuffled; every engine delivers the same round."""
+        n = 1024
+        src = np.repeat(np.arange(n // 2, dtype=np.int64), 4)
+        dst = src + n // 2
+        values = src * 1000 + np.tile(np.arange(4), n // 2)
+        if layout == "shuffled":
+            perm = np.random.default_rng(0).permutation(len(src))
+            src, dst, values = src[perm], dst[perm], values[perm]
+        assert len(src) >= RADIX_SORT_CUTOFF
+        assert (stable_id_order(src) is None) == (layout == "ascending")
+        assert (stable_id_order(dst) is None) == (layout == "ascending")
+
+        def read(inbox):
+            """Every delivered message, read off the columns (a column read
+            caches nothing that could hide a later change)."""
+            gathered = gather_typed_spans(inbox)
+            if gathered is not None:
+                gathered = [col.tolist() for col in gathered]
+            return [
+                (host, rec.srcs(), rec.payloads())
+                if type(rec) is InboxBatch
+                else (host, [m.src for m in rec], [m.payload for m in rec])
+                for host, rec in inbox.items()
+            ], gathered
+
+        delivered = {}
+        for engine in ("reference", "batched", "sharded"):
+            mine = [col.copy() for col in (src, dst, values)]
+            b = BatchBuilder(kind="t", dtype=np.int64)
+            b.add_arrays(*mine)
+            if layout == "ascending":
+                _, _, kept_dst, kept_values, _ = b._typed_round()
+                assert kept_dst is mine[1] and kept_values is mine[2]
+            net = NCCNetwork(n, _engine_config(engine))
+            inbox = net.exchange(b)
+            assert net.stats.violation_count == 0
+            before = read(inbox)
+            for col in mine:
+                col[:] = -1
+            assert read(inbox) == before
+            if engine != "reference":
+                assert type(inbox) is RoundInbox and before[1] is not None
+            delivered[engine] = before[0]
+        assert delivered["batched"] == delivered["sharded"] == delivered["reference"]
 
 
 # ----------------------------------------------------------------------
