@@ -13,9 +13,10 @@ per-message work with bucketed operations:
   tracked while accumulating;
 * receive bucketing — one stable ordering of the ``dst`` column
   (:func:`~repro.ncc.message.stable_id_order`: none when it is already
-  ascending, a linear radix sort of the node ids on bulk rounds), the
-  round delivered as one :class:`~repro.ncc.message.RoundInbox`: the
-  permuted columns in CSR form behind a read-only mapping whose keys run
+  ascending, a linear radix sort of 1,024 or more ids spanning fewer than
+  2**16, numpy's stable sort otherwise), the round delivered as one
+  :class:`~repro.ncc.message.RoundInbox`: the permuted columns in CSR
+  form behind a read-only mapping whose keys run
   in first-arrival order and whose per-receiver
   :class:`~repro.ncc.message.InboxBatch` views are cut on demand.  Below
   :data:`SMALL_ROUND_CUTOFF` messages an object round is bucketed in one

@@ -193,14 +193,15 @@ def typed_round_pays(count: int) -> bool:
     return _TYPED_DEFAULT and count >= SMALL_ROUND_CUTOFF
 
 
-#: From this many ids up :func:`stable_id_order` radix-sorts; shorter
-#: columns keep numpy's stable sort (a timsort on int64).  The radix path
-#: pays a fixed ~10 µs (min, max, the uint16 digit casts) that the timsort
-#: outgrows near 768 ids.  :func:`stable_id_order` on random ids below
-#: 8,192, radix against timsort, best of 5 on a 2-vCPU x86 host (Python
-#: 3.11, numpy 2.4.6): 128 ids 14.1 against 7.8 µs, 512 ids 17.8 against
-#: 15.4 µs, 768 ids 20.6 against 21.2 µs, 1,024 ids 21.9 against 32.8 µs,
-#: 2,048 ids 27.1 against 131.5 µs.
+#: From this many ids up :func:`stable_id_order` radix-sorts a column
+#: spanning fewer than 2**16 ids; shorter columns keep numpy's stable sort
+#: (a timsort on int64).  The radix path pays a fixed ~10 µs (min, max,
+#: the subtraction and the uint16 key cast) that the timsort outgrows near
+#: 768 ids.  :func:`stable_id_order` on random ids below 8,192, radix
+#: against timsort, best of 5 on a 2-vCPU x86 host (Python 3.11, numpy
+#: 2.4.6): 128 ids 14.1 against 7.8 µs, 512 ids 17.8 against 15.4 µs,
+#: 768 ids 20.6 against 21.2 µs, 1,024 ids 21.9 against 32.8 µs, 2,048
+#: ids 27.1 against 131.5 µs.
 RADIX_SORT_CUTOFF = 1024
 
 
@@ -210,26 +211,20 @@ def stable_id_order(ids):
     identity, and callers skip their ``take`` copies).
 
     Node ids span a small range, so from :data:`RADIX_SORT_CUTOFF` ids up
-    the order is an LSD radix sort over uint16 digits of ``ids - min``
-    (numpy's stable sort of uint16 keys is itself a radix sort): one pass
-    for a span below ``2**16``, two below ``2**32``.  Shorter columns and
-    wider spans keep numpy's stable sort.  Every path returns the same
-    permutation.
+    a column whose span is below ``2**16`` is ordered by numpy's stable
+    sort of the uint16 keys ``ids - min``, which is a radix sort.  Shorter
+    columns and wider spans keep numpy's stable sort of the int64 column.
+    Every path returns the same permutation.
     """
     if (ids[1:] >= ids[:-1]).all():
         return None
     if len(ids) < RADIX_SORT_CUTOFF:
         return _np.argsort(ids, kind="stable")
     lo = int(ids.min())
-    span = int(ids.max()) - lo
-    if span >= 1 << 32:
+    if int(ids.max()) - lo >= 1 << 16:
         return _np.argsort(ids, kind="stable")
-    rel = ids - lo  # exact: every id lies in [lo, lo + 2**32)
-    order = _np.argsort(rel.astype(_np.uint16), kind="stable")
-    if span >= 1 << 16:
-        high = (rel >> 16).astype(_np.uint16).take(order)
-        order = order.take(_np.argsort(high, kind="stable"))
-    return order
+    # Exact: every id lies in [lo, lo + 2**16).
+    return _np.argsort((ids - lo).astype(_np.uint16), kind="stable")
 
 
 # ----------------------------------------------------------------------

@@ -136,8 +136,9 @@ class TestVectorizedSizing:
 # ----------------------------------------------------------------------
 # Ordering node-id columns
 # ----------------------------------------------------------------------
-#: Boundary spans (max - min) of the ordering paths: one radix pass below
-#: 2**16, two below 2**32, numpy's stable sort from 2**32 up.
+#: Spans (max - min) around the ordering paths: the uint16 radix sort
+#: below 2**16, numpy's stable sort of the int64 column from 2**16 up (spans
+#: below 2**32 and of 2**32 or more both take it).
 _SPANS = (0, 1, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1)
 _LENGTHS = (0, 1, 2, RADIX_SORT_CUTOFF - 1, RADIX_SORT_CUTOFF, 65_536)
 _SHAPES = ("random", "ascending", "descending", "equal", "duplicates")
