@@ -24,6 +24,11 @@ theorem's bound:
   object-column pipeline while constructing zero ``Message`` objects *and*
   zero Python payload boxes, and the same comparison is recorded at
   n = 4096 / 16384 / 65536 in BENCH_engine.json;
+* P-FLOW — the aggregation flow ladder (report-only): one whole
+  aggregation on the typed flow against the object flow at 16 to 1,024
+  packets, recorded in BENCH_engine.json, so each host re-measures the
+  break-even behind the size rule that picks the flow (the typed flow
+  from ``SMALL_ROUND_CUTOFF`` packets up);
 * P-TELEM — the disabled-telemetry overhead gate: the tracer hooks wired
   through the engines must cost <= 3% of the P-TYPED whole-run wall time
   when no tracer is installed (hook-firing count x microbenchmarked
@@ -38,11 +43,13 @@ from repro import Enforcement, NCCConfig, NCCNetwork, NCCRuntime
 from repro.analysis.reporting import format_table
 from repro.registry import bench_config
 from repro.ncc.message import (
+    SMALL_ROUND_CUTOFF,
     BatchBuilder,
     Message,
     message_construction_count,
     payload_box_count,
     set_typed_payloads,
+    typed_round_pays,
 )
 from repro.primitives import MIN, SUM, AggregationProblem
 
@@ -688,6 +695,100 @@ def test_typed_columns_scale_ladder(benchmark, report):
         )
     )
     emit_bench_json("typed_columns_ladder", ladder)
+    run_once(benchmark, lambda: None)
+
+
+#: (packets, n) rungs of the flow ladder, four packets per node from 64 up.
+FLOW_LADDER = ((16, 16), (64, 16), (128, 32), (256, 64), (1024, 256))
+
+
+def _flow_ladder_problem(packets, n):
+    """``packets`` memberships, ``packets // n`` per node, over
+    ``packets // 4`` groups targeted round-robin."""
+    rng = random.Random(SEED)
+    groups = packets // 4
+    return AggregationProblem(
+        memberships={
+            u: {g: rng.randrange(1, 100) for g in rng.sample(range(groups), packets // n)}
+            for u in range(n)
+        },
+        targets={g: g % n for g in range(groups)},
+        fn=SUM,
+    )
+
+
+def _flow_run(problem, n, *, repeats=7):
+    """Best-of-repeats wall seconds of one whole aggregation at n on the
+    batched engine, and the run's observables."""
+    best = float("inf")
+    outcome = None
+    for _ in range(repeats):
+        rt = NCCRuntime(n, bench_config(0, engine="batched"))
+        t0 = time.perf_counter()
+        out = rt.aggregation(problem)
+        best = min(best, time.perf_counter() - t0)
+        outcome = (out.values, out.by_target, out.rounds, rt.net.stats.comparable())
+    return best, outcome
+
+
+def test_aggregation_flow_ladder(benchmark, report, monkeypatch):
+    """P-FLOW: one whole aggregation, typed flow against object flow, at
+    16 to 1,024 packets.
+
+    Report-only: it records each rung's times and which flow the size
+    rule picks there, so every host re-measures the break-even that the
+    rule's ``SMALL_ROUND_CUTOFF`` packets rest on.  Each flow is forced
+    at every size by standing in for the rule in the aggregation module,
+    and the typed runs must run the combining kernel.  Both flows must
+    give identical outcomes; the times gate nothing.
+    """
+    from repro.butterfly.routing import CombiningRouter
+    from repro.primitives import aggregation
+
+    kernel_runs = []
+    real_kernel = CombiningRouter._run_typed
+
+    def kernel(router):
+        kernel_runs.append(router)
+        return real_kernel(router)
+
+    monkeypatch.setattr(CombiningRouter, "_run_typed", kernel)
+    rows, ladder = [], {}
+    for packets, n in FLOW_LADDER:
+        problem = _flow_ladder_problem(packets, n)
+        assert problem.global_load() == packets
+        times, outcomes = {}, {}
+        for flow in ("typed", "object"):
+            forced = flow == "typed"
+            monkeypatch.setattr(aggregation, "typed_round_pays", lambda _count, forced=forced: forced)
+            del kernel_runs[:]
+            times[flow], outcomes[flow] = _flow_run(problem, n)
+            assert bool(kernel_runs) is forced, flow
+        assert outcomes["typed"] == outcomes["object"]
+        picks = "typed" if typed_round_pays(packets) else "object"
+        ratio = times["typed"] / times["object"]
+        rows.append([
+            packets, n, round(times["typed"] * 1e3, 2), round(times["object"] * 1e3, 2),
+            round(ratio, 2), picks,
+        ])
+        ladder[str(packets)] = {
+            "n": n,
+            "typed_ms": round(times["typed"] * 1e3, 3),
+            "object_ms": round(times["object"] * 1e3, 3),
+            "typed_over_object": round(ratio, 3),
+            "rule_picks": picks,
+        }
+    report(
+        format_table(
+            ["packets", "n", "typed ms", "object ms", "typed/object", "rule picks"],
+            rows,
+            title=(
+                "P-FLOW  One whole aggregation, typed vs object flow (best of 7; "
+                f"the size rule takes the typed flow from {SMALL_ROUND_CUTOFF} packets up)"
+            ),
+        )
+    )
+    emit_bench_json("aggregation_flow_ladder", {"cutoff": SMALL_ROUND_CUTOFF, "rungs": ladder})
     run_once(benchmark, lambda: None)
 
 

@@ -24,9 +24,11 @@
 #   6. the typed payload-column gates (>= 1.3x whole-aggregation-run vs
 #      the object-column pipeline at n = 4096, zero Message objects and
 #      zero Python payload boxes on the clean typed run), the
-#      n = 4096/16384/65536 scale ladder, and a check that both sections
-#      actually landed in BENCH_engine.json (the cross-PR trajectory
-#      artifact);
+#      n = 4096/16384/65536 scale ladder, the report-only aggregation
+#      flow ladder (one aggregation, typed vs object flow, at 16 to 1,024
+#      packets: the break-even behind the size rule that picks the flow),
+#      and a check that these sections actually landed in
+#      BENCH_engine.json (the cross-PR trajectory artifact);
 #   7. the paper-experiment benchmarks, named file by file (benchmarks/
 #      is collected only when a file is named): the five Table 1 rows,
 #      model separation, sync fidelity, the three ablations, orientation,
@@ -117,6 +119,9 @@ python -m pytest -q benchmarks/bench_primitives.py -k "lazy"
 echo "== typed payload-column benchmark (gate + scale ladder) =="
 python -m pytest -q benchmarks/bench_primitives.py -k "typed_columns"
 
+echo "== aggregation flow ladder (typed vs object flow, report-only) =="
+python -m pytest -q benchmarks/bench_primitives.py -k "flow_ladder"
+
 echo "== paper-experiment benchmarks (Table 1, separation, ablations, k-machine) =="
 python -m pytest -q \
     benchmarks/bench_table1_mst.py benchmarks/bench_table1_bfs.py \
@@ -198,8 +203,8 @@ import json, os
 path = os.environ.get("BENCH_ENGINE_JSON", "BENCH_engine.json")
 with open(path, encoding="utf-8") as fh:
     data = json.load(fh)
-required = ("typed_columns", "typed_columns_ladder", "sweep_session", "scenarios",
-            "sharded_ladder", "telemetry_overhead")
+required = ("typed_columns", "typed_columns_ladder", "aggregation_flow_ladder",
+            "sweep_session", "scenarios", "sharded_ladder", "telemetry_overhead")
 missing = [s for s in required if s not in data]
 assert not missing, f"{path} is missing sections: {missing}"
 telem = data["telemetry_overhead"]
@@ -210,6 +215,8 @@ assert gate["messages_constructed_typed_run"] == 0, gate
 assert gate["payload_boxes_typed_run"] == 0, gate
 ladder = data["typed_columns_ladder"]
 assert set(ladder) == {"4096", "16384", "65536"}, sorted(ladder)
+flow = data["aggregation_flow_ladder"]
+assert set(flow["rungs"]) == {"16", "64", "128", "256", "1024"}, flow
 sweep = data["sweep_session"]
 assert sweep["grid_runs"] >= 12 and "speedup_persistent_jobs4" in sweep, sweep
 shard = data["sharded_ladder"]

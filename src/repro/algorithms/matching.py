@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 from ..errors import ProtocolError
 from ..ncc.graph_input import InputGraph, canonical_edge
+from ..ncc.message import payloads_of
 from ..primitives.aggregation import AggregationProblem
 from ..primitives.direct import send_direct
 from ..primitives.functions import MAX, MIN, min_by_key
@@ -143,8 +144,8 @@ class MatchingAlgorithm:
                 )
                 accepted_by: dict[int, int] = {}  # chooser v -> its choice w
                 for v, msgs in inbox.items():
-                    for m in msgs:
-                        accepted_by[v] = m.payload[1]
+                    for _tag, w in payloads_of(msgs):
+                        accepted_by[v] = w
 
                 # ---- 3. each path/cycle node picks one incident path edge;
                 # mutual picks join the matching.
@@ -163,8 +164,7 @@ class MatchingAlgorithm:
                     kind="matching:pick",
                 )
                 for v, msgs in inbox.items():
-                    for m in msgs:
-                        w = m.payload[1]
+                    for _tag, w in payloads_of(msgs):
                         if picks.get(v) == w and v not in matched and w not in matched:
                             matching.add(canonical_edge(v, w))
                             matched.add(v)

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from ..errors import ProtocolError
 from ..ncc.graph_input import InputGraph
-from ..ncc.message import BatchBuilder
+from ..ncc.message import BatchBuilder, payloads_of
 from ..primitives.aggregation import AggregationProblem
 from ..primitives.direct import spread_exchange
 from ..primitives.functions import MAX, SUM, tuple_of
@@ -286,7 +286,7 @@ class OrientationAlgorithm:
                 rt.net, sends, window, rng=rng, kind="orientation:uhigh-ping"
             )
             for v in u_high:
-                pings = {m.payload[1] for m in inbox.get(v, [])}
+                pings = {p[1] for p in payloads_of(inbox.get(v, ()))}
                 # Active/waiting neighbours pinged; the rest are inactive.
                 inactive_nb[v] = {
                     w for w in g.neighbors(v) if w not in pings
@@ -389,17 +389,17 @@ class OrientationAlgorithm:
             inbox = net.exchange(out)
             for node, received in inbox.items():
                 matches: dict[int, int] = {}
-                for m in received:
-                    if m.payload[0] != "e":
+                for payload in payloads_of(received):
+                    if payload[0] != "e":
                         # A response: node is an endpoint learning that the
                         # edge's other endpoint is active too.
-                        eid = m.payload[1]
+                        eid = payload[1]
                         a, b = g.arc_of_id(eid)
                         other = b if a == node else a
                         if node in active_red:
                             active_red[node].add(other)
                         continue
-                    _, eid, _sender = m.payload
+                    _, eid, _sender = payload
                     matches[eid] = matches.get(eid, 0) + 1
                 for eid, count in matches.items():
                     if count >= 2:
@@ -412,8 +412,7 @@ class OrientationAlgorithm:
                 out.add(src, dst, ("act", eid))
             inbox = net.exchange(out)
             for node, received in inbox.items():
-                for m in received:
-                    eid = m.payload[1]
+                for _tag, eid in payloads_of(received):
                     a, b = g.arc_of_id(eid)
                     other = b if a == node else a
                     if node in active_red:

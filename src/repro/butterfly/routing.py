@@ -119,8 +119,9 @@ class RoutingResult:
 
     ``results`` maps each group to its combined value.  The typed kernel
     hands back ``columns`` instead: int64 ``(groups, values, target
-    columns)``, groups ascending, each with the level-d column its result
-    sits at; its ``results`` are boxed from them on first read.
+    columns)``, each group with the level-d column its result sits at; its
+    ``results`` are boxed from them on first read.  A combining run lists
+    its groups in ascending order either way.
     """
 
     __slots__ = ("rounds", "trees", "columns", "_results")
@@ -148,6 +149,12 @@ class RoutingResult:
 
 def _lightweight(net: NCCNetwork) -> bool:
     return bool(net.config.extras.get("lightweight_sync", False))
+
+
+def _by_group(results: dict[GroupT, Any]) -> dict[GroupT, Any]:
+    """The object loop's results in ascending group order, the order the
+    typed kernel returns them in, whatever order they arrived in."""
+    return {g: results[g] for g in sorted(results)}
 
 
 class CombiningRouter:
@@ -271,7 +278,9 @@ class CombiningRouter:
 
     # ------------------------------------------------------------------
     def run(self) -> RoutingResult:
-        """Route everything; returns per-group combined values at targets."""
+        """Route everything; returns per-group combined values at targets,
+        groups ascending whichever of the typed kernel and the object loop
+        routes."""
         if self._ran:
             raise ProtocolError("router already ran")
         if self._typed_cols is not None:
@@ -300,7 +309,7 @@ class CombiningRouter:
                 for g, v in pend.items():
                     results[g] = self.combine(results[g], v) if g in results else v
             self._queues.clear()
-            return RoutingResult(net.round_index - start_round, results, self.trees)
+            return RoutingResult(net.round_index - start_round, _by_group(results), self.trees)
 
         lightweight = _lightweight(net)
         columns = bf.columns
@@ -512,7 +521,7 @@ class CombiningRouter:
             # Token wave duration: one hop per level.
             net.idle_rounds(d + 1)
 
-        return RoutingResult(net.round_index - start_round, results, self.trees)
+        return RoutingResult(net.round_index - start_round, _by_group(results), self.trees)
 
     def _run_typed(self) -> RoutingResult:
         """Array-resident combining kernel (lightweight sync, no trees).

@@ -189,7 +189,17 @@ def typed_round_pays(count: int) -> bool:
     64 messages on typed was cheaper, by 4-7% up to 128 and by half at
     512.  The
     wire is a representation choice only: a producer's typed and object
-    forms submit identical rounds."""
+    forms submit identical rounds.
+
+    :func:`~repro.primitives.aggregation.run_aggregation` applies the rule
+    to a whole aggregation's packet count, where it breaks even at about
+    the same size.  One aggregation, typed flow against object flow
+    (batched engine, SUM, lightweight sync, best of repeats, same host):
+    2.16 vs 1.10 ms at 16 packets (n = 16), 2.60 vs 1.67 ms at 64
+    (n = 16), 3.69 vs 3.00 ms at 128 (n = 32), 4.10 vs 4.28 ms at 128
+    (n = 64), 5.40 vs 6.09 ms at 256 (n = 64), 11.5 vs 27.1 ms at 1,024
+    (n = 256).  ``benchmarks/bench_primitives.py``'s flow ladder
+    re-measures this on each host."""
     return _TYPED_DEFAULT and count >= SMALL_ROUND_CUTOFF
 
 

@@ -35,7 +35,7 @@ from ..ncc.message import (
     gather_typed_arrivals,
     gather_typed_spans,
     payloads_of,
-    typed_payloads_enabled,
+    typed_round_pays,
 )
 from ..ncc.network import NCCNetwork
 from ..rng import SharedRandomness
@@ -127,15 +127,24 @@ def run_aggregation(
     Before any round or phase entry, one pass over the memberships
     (:func:`_front_end`) checks that every group has a target (else
     ``ValueError``), draws each packet's level-0 column and fills the
-    injection rows.  The typed flow is admitted from those rows
-    (:func:`_typed_rows`), and they are freed before the router runs.
-    In the typed flow the router takes its rank and target tables from
-    one column hash (:meth:`~repro.hashing.kwise.KWiseHash.column` over
+    injection rows.  Size picks the flow: an instance of fewer than
+    :data:`~repro.ncc.message.SMALL_ROUND_CUTOFF` packets runs the object
+    flow, where it costs less; a larger one is admitted to the typed
+    flow from the rows (:func:`_typed_rows`), which are freed before the
+    router runs.  In the typed flow the router takes its rank and target
+    tables from one column hash
+    (:meth:`~repro.hashing.kwise.KWiseHash.column` over
     :meth:`~repro.rng.SharedRandomness.salted_residues`) and hands back
     result columns, from which the delivery window is built and read as
-    whole columns (:func:`_deliver`).  On every engine and in both flows,
-    ``values`` and ``by_target`` list the groups in the order a
-    receiver-by-receiver read of each delivery round meets them.
+    whole columns (:func:`_deliver`).
+
+    Both flows keep one result order: the router returns the groups
+    ascending, and each delivery round lists its senders ascending, each
+    sender's results in group order.  So on every engine, in every
+    enforcement mode, the two flows submit the same rounds and record
+    the same outcome, and ``values`` and ``by_target`` list the groups in
+    the order a receiver-by-receiver read of each delivery round meets
+    them.
     """
     if tag is None:
         tag = shared.fresh_tag("aggregation")
@@ -268,20 +277,26 @@ def _typed_rows(
     """The injection rows as numpy columns, if this instance can run the
     fully typed flow; else ``None``.
 
-    Requires the process-wide typed default, a ufunc-backed
-    aggregate, lightweight sync (token traffic would mix object messages
-    into the typed builders), a non-degenerate butterfly, and an instance
-    whose groups/values are plain ints strictly inside (−2^62, 2^62) (for
-    SUM the whole run's worst-case partial sum must fit, so the total
-    absolute mass must stay below 2^62).  Anything else keeps the object
-    path — the documented fallback contract.  The rows hold every packet,
-    so the check reads them, column by column, instead of the instance;
-    the mass is summed exactly, in two int64 halves.  The list rows are
+    Size comes first, before anything is converted: the instance must
+    pass :func:`~repro.ncc.message.typed_round_pays` on its packet count
+    (typed payloads on, at least ``SMALL_ROUND_CUTOFF`` = 128 packets).
+    Below that the object flow is the cheaper one, since the typed flow's
+    numpy fixed costs outweigh its per-packet savings.  Then it requires
+    a ufunc-backed aggregate, lightweight sync (token traffic would mix
+    object messages into the typed builders), a non-degenerate butterfly,
+    and an instance whose groups/values are plain ints strictly inside
+    (−2^62, 2^62) (for SUM the whole run's worst-case partial sum must
+    fit, so the total absolute mass must stay below 2^62).  Anything else
+    keeps the object path — the documented fallback contract.  The
+    choice is invisible in the outcome: both flows keep one result order
+    (see :func:`run_aggregation`).  The rows hold every packet, so the
+    check reads them, column by column, instead of the instance; the
+    mass is summed exactly, in two int64 halves.  The list rows are
     dropped once converted: the injection phase then holds no Python
     object per packet.
     """
     if (
-        not typed_payloads_enabled()
+        not typed_round_pays(sum(len(row[0]) for row in rows))
         or problem.fn.ufunc is None
         or bf.d <= 0
         or not net.config.extras.get("lightweight_sync", False)
@@ -395,10 +410,15 @@ def _deliver(
 
     The typed kernel's result columns give the group, value and sender
     columns whole; the object loop's results give them group by group.
-    A typed round is built from column slices and, on the batched
-    engine, read whole (:func:`gather_typed_arrivals`); any other round
-    is read receiver by receiver.  Both reads record the groups in the
-    same order.
+    Both list the groups ascending, and both forms of a round list its
+    senders ascending, each sender's results in group order (the typed
+    builder's ``add_arrays`` groups its senders stably; the object form
+    sorts its picks by sender), so the two flows submit the same rounds
+    and an overloaded round drops the same results under DROP.  A typed
+    round is built from column slices and, on the batched engine, read
+    whole (:func:`gather_typed_arrivals`); any other round is read
+    receiver by receiver.  Both reads record the groups in the same
+    order.
     """
     if res.columns is not None:
         gcol, vcol, scol = res.columns
@@ -435,7 +455,7 @@ def _deliver(
             out.add_arrays(srcs, dsts, payload)
         elif len(pick):
             out = BatchBuilder(kind=kind)
-            for i in pick:
+            for i in sorted(pick, key=scol.__getitem__):
                 out.add(scol[i], dcol[i], ("R", glist[i], vcol[i]))
         _record(net.exchange(out), outcome)
 

@@ -158,6 +158,22 @@ def rt32(strict_config) -> NCCRuntime:
 
 
 @pytest.fixture
+def kernel_runs(monkeypatch):
+    """The routers whose typed combining kernel ran during the test."""
+    from repro.butterfly.routing import CombiningRouter
+
+    runs = []
+    real = CombiningRouter._run_typed
+
+    def spy(router):
+        runs.append(router)
+        return real(router)
+
+    monkeypatch.setattr(CombiningRouter, "_run_typed", spy)
+    return runs
+
+
+@pytest.fixture
 def small_tree():
     return generators.random_tree(24, seed=5)
 

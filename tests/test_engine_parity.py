@@ -269,6 +269,21 @@ class TestPrimitiveParity:
 # Payload columns with a declared dtype must be a pure representation
 # change: toggling typed payloads off (forcing the object path everywhere)
 # may not shift a single observable, under either engine, in any mode.
+def _run_aggregation_bulk(rt):
+    # 140 packets: enough for the typed flow (SMALL_ROUND_CUTOFF), in two
+    # injection rounds.
+    from repro.primitives import SUM, AggregationProblem
+
+    rng = random.Random(5)
+    prob = AggregationProblem(
+        memberships={u: {g: u - g for g in rng.sample(range(16), 7)} for u in range(rt.n)},
+        targets={g: g for g in range(16)},
+        fn=SUM,
+    )
+    out = rt.aggregation(prob)
+    return (list(out.values.items()), list(out.by_target.items()), out.rounds)
+
+
 def _run_multicast_int(rt):
     # Plain-int packets: the instance the typed multicast wire accepts.
     trees = rt.multicast_setup(_memberships(rt))
@@ -297,7 +312,7 @@ def _run_direct_typed(rt):
 
 
 TYPED_PRIMITIVES = {
-    "aggregation": _run_aggregation,
+    "aggregation": _run_aggregation_bulk,
     "multicast_int": _run_multicast_int,
     "direct_typed": _run_direct_typed,
 }
@@ -307,7 +322,7 @@ TYPED_PRIMITIVES = {
 class TestTypedRepresentationParity:
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
     @pytest.mark.parametrize("name", sorted(TYPED_PRIMITIVES))
-    def test_typed_toggle_invisible(self, name, mode):
+    def test_typed_toggle_invisible(self, name, mode, kernel_runs):
         pytest.importorskip("numpy")
         runs = {}
         for engine in ENGINES:
@@ -325,6 +340,8 @@ class TestTypedRepresentationParity:
             assert run["result"] == base["result"], key
             assert run["rounds"] == base["rounds"], key
             assert run["stats"] == base["stats"], key
+        # The bulk aggregation runs the typed kernel on every engine.
+        assert len(kernel_runs) == (len(ENGINES) if name == "aggregation" else 0)
 
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
     @pytest.mark.parametrize("n", [32, 256])
@@ -373,6 +390,53 @@ class TestTypedRepresentationParity:
         rt.net.round_observer = observe
         spec.run(rt, spec.workload(32, 2, 1))
         assert all(size >= SMALL_ROUND_CUTOFF for size in sizes), sorted(sizes)[:5]
+
+    @pytest.mark.parametrize("scenario", ["grid", "ring-of-chords"])
+    @pytest.mark.parametrize("name", ["mis", "matching", "coloring"])
+    def test_small_sweep_aggregations_stay_object(self, name, scenario, monkeypatch):
+        """The sweep's rows at n = 16 run aggregations of at most a few
+        dozen packets, empty ones included: each takes the object flow
+        (size picks it), so no round of the run ships typed columns."""
+        from repro.primitives import aggregation
+        from repro.registry import bench_config, get_algorithm
+        from repro.scenarios import get_scenario
+
+        flows = []
+        real_rows = aggregation._typed_rows
+
+        def typed_rows(net, bf, problem, rows):
+            out = real_rows(net, bf, problem, rows)
+            flows.append((sum(len(row[0]) for row in rows), out is not None))
+            return out
+
+        monkeypatch.setattr(aggregation, "_typed_rows", typed_rows)
+        spec = get_algorithm(name)
+        rt = NCCRuntime(16, bench_config(seed=0, engine="batched"))
+        typed = []
+
+        def observe(_r, submitted):
+            typed.extend(s for s, batch in submitted.items() if batch.payload_array() is not None)
+
+        rt.net.round_observer = observe
+        spec.run(rt, get_scenario(scenario).build(16, 2, 0))
+        assert flows and max(packets for packets, _ in flows) < SMALL_ROUND_CUTOFF
+        assert not any(typed_flow for _, typed_flow in flows)
+        assert not typed
+
+    @pytest.mark.parametrize("scenario", ["grid", "ring-of-chords"])
+    @pytest.mark.parametrize("name", ["mis", "matching", "coloring"])
+    def test_sweep_rows_construct_no_messages(self, name, scenario):
+        """The sweep's rows read every inbox as payload columns: a whole run
+        on the batched engine constructs no Message object."""
+        from repro.registry import bench_config, get_algorithm
+        from repro.scenarios import get_scenario
+
+        spec = get_algorithm(name)
+        g = get_scenario(scenario).build(16, 2, 0)
+        rt = NCCRuntime(16, bench_config(seed=0, engine="batched"))
+        before = message_construction_count()
+        spec.run(rt, g)
+        assert message_construction_count() == before
 
 
 def _record_wire_instance(engine: str, mode: Enforcement, n: int) -> dict:

@@ -24,6 +24,7 @@ from repro.config import Enforcement, NCCConfig
 from repro.errors import ProtocolError
 from repro.ncc.message import (
     RADIX_SORT_CUTOFF,
+    SMALL_ROUND_CUTOFF,
     BatchBuilder,
     InboxBatch,
     RoundInbox,
@@ -35,6 +36,7 @@ from repro.ncc.message import (
     stable_id_order,
     typed_payload_bits,
     typed_payloads_enabled,
+    typed_round_pays,
 )
 from repro.ncc.network import NCCNetwork
 from repro.primitives.aggregation import (
@@ -960,14 +962,17 @@ def _run_agg(n, problem, engine, typed, mode=Enforcement.COUNT):
 
 
 class TestTypedAggregation:
-    def test_typed_object_engines_all_agree(self):
-        n = 32
+    def test_typed_object_engines_all_agree(self, kernel_runs):
+        n = 48
         problem = _aggregation_problem(n, random.Random(4))
+        assert problem.global_load() >= SMALL_ROUND_CUTOFF
         runs = {
             (e, t): _run_agg(n, problem, e, t)
             for e in ENGINES
             for t in (True, False)
         }
+        # The kernel routed every typed-on run, and only those.
+        assert len(kernel_runs) == len(ENGINES)
         base = runs[("reference", False)]
         oracle = {}
         for u, gs in problem.memberships.items():
@@ -992,38 +997,51 @@ class TestTypedAggregation:
     @pytest.mark.parametrize(
         "mode", tuple(Enforcement), ids=[m.value for m in Enforcement]
     )
-    def test_typed_object_parity_all_modes(self, mode):
-        n = 24
+    def test_typed_object_parity_all_modes(self, mode, kernel_runs):
+        n = 48
         problem = _aggregation_problem(n, random.Random(2))
+        assert problem.global_load() >= SMALL_ROUND_CUTOFF
         runs = {
             (e, t): _run_agg(n, problem, e, t, mode)
             for e in ENGINES
             for t in (True, False)
         }
+        assert len(kernel_runs) == len(ENGINES)
         base = runs[("reference", False)]
         for key, run in runs.items():
             for fld in ("values", "by_target", "rounds", "stats"):
                 assert run[fld] == base[fld], (key, fld)
 
     @pytest.mark.engine("reference")  # drives both engines itself
-    def test_typed_object_parity_under_starved_drop(self, monkeypatch):
-        """DROP at an eighth of the default capacity drops injection and
-        combining packets; the typed flow (kernel included) and the object
-        flow lose the same ones on both engines.  Each flow records the
-        same outcome on both engines, order included; across flows the
-        values, rounds and stats agree."""
+    @pytest.mark.parametrize("ell2_bound", (120, 1), ids=("window20", "window1"))
+    def test_typed_object_parity_under_starved_drop(self, ell2_bound, monkeypatch):
+        """DROP at half the default capacity drops injection and combining
+        packets; the typed flow (kernel included) and the object flow lose
+        the same ones on both engines.  A 20-round delivery window keeps
+        the delivery under capacity; a one-round window overloads some
+        senders, and as both flows list a sender's results in group order,
+        they keep the same results there too (before the flows kept one
+        result order, 8 of the 87 delivered groups differed).  Every run
+        records the same outcome, order included, with the same rounds and
+        stats."""
         from repro.butterfly.routing import CombiningRouter
 
-        lost_in_kernel = []
-        real = CombiningRouter._run_typed
+        lost_in_kernel, routed = [], []
+        real_run, real_typed = CombiningRouter.run, CombiningRouter._run_typed
 
-        def spy(router):
+        def run(router):
+            res = real_run(router)
+            routed.append(len(res.results))
+            return res
+
+        def run_typed(router):
             injected = len(np.unique(np.concatenate(router._typed_cols[1])))
-            res = real(router)
+            res = real_typed(router)
             lost_in_kernel.append(injected - len(res.columns[0]))
             return res
 
-        monkeypatch.setattr(CombiningRouter, "_run_typed", spy)
+        monkeypatch.setattr(CombiningRouter, "run", run)
+        monkeypatch.setattr(CombiningRouter, "_run_typed", run_typed)
         n = 64
         rng = random.Random(0)
         memberships = {
@@ -1031,10 +1049,7 @@ class TestTypedAggregation:
             for u in range(n)
         }
         targets = {g: rng.randrange(n) for g in range(3 * n)}
-        # A 20-round delivery window keeps the delivery under capacity: the
-        # flows list one sender's results in different orders, so an
-        # overloaded delivery round would drop different ones.
-        problem = AggregationProblem(memberships, targets, SUM, ell2_bound=120)
+        problem = AggregationProblem(memberships, targets, SUM, ell2_bound=ell2_bound)
         runs = {}
         for engine in ENGINES:
             for typed in (True, False):
@@ -1049,23 +1064,23 @@ class TestTypedAggregation:
                 finally:
                     set_typed_payloads(prev)
                 assert rt.net.stats.dropped > 0
+                # Only the one-round window drops routed results in delivery.
+                assert (len(out.values) < routed[-1]) is (ell2_bound == 1)
                 runs[engine, typed] = (
                     list(out.values.items()),
                     [(t, list(vals.items())) for t, vals in out.by_target.items()],
                     out.rounds,
                     rt.net.stats.comparable(),
                 )
-        for typed in (True, False):
-            assert runs["batched", typed] == runs["reference", typed], typed
-        on, off = runs["reference", True], runs["reference", False]
-        assert dict(on[0]) == dict(off[0])
-        assert on[2:] == off[2:]
+        base = runs["reference", False]
+        for key, run_ in runs.items():
+            assert run_ == base, key
         # On each engine the kernel ran and lost some group's every packet.
         assert len(lost_in_kernel) == len(ENGINES) and min(lost_in_kernel) > 0
 
     @pytest.mark.parametrize("fn", [MIN, MAX, XOR], ids=lambda f: f.name)
-    def test_other_ufunc_aggregates(self, fn):
-        n = 24
+    def test_other_ufunc_aggregates(self, fn, kernel_runs):
+        n = 64  # 128 packets
         rng = random.Random(8)
         memberships = {
             u: {g: rng.randrange(1, 1000) for g in rng.sample(range(6), 2)}
@@ -1076,6 +1091,7 @@ class TestTypedAggregation:
         )
         typed = _run_agg(n, problem, "batched", True)
         obj = _run_agg(n, problem, "batched", False)
+        assert len(kernel_runs) == 1
         assert typed["values"] == obj["values"]
         assert typed["stats"] == obj["stats"]
         oracle = {}
@@ -1084,48 +1100,44 @@ class TestTypedAggregation:
                 oracle[g] = fn.combine(oracle[g], v) if g in oracle else v
         assert typed["values"] == oracle
 
-    def test_non_int_instances_keep_object_path(self):
+    def test_non_int_instances_keep_object_path(self, kernel_runs):
         """String groups / tuple values can't ride int64 columns; the run
-        falls back and still matches the oracle."""
+        falls back, though it is large enough for the typed flow, and
+        still matches the oracle."""
         n = 16
         memberships = {
-            u: {("g", u % 3): (u % 3, 1)} for u in range(n)
+            u: {("g", (u + k) % 12): (k % 3, 1) for k in range(8)} for u in range(n)
         }
         problem = AggregationProblem(
-            memberships, {("g", i): i for i in range(3)}, xor_count
+            memberships, {("g", i): i for i in range(12)}, xor_count
         )
+        assert typed_round_pays(problem.global_load())
         run = _run_agg(n, problem, "batched", True)
+        assert not kernel_runs
         oracle = {}
         for u, gs in memberships.items():
             for g, v in gs.items():
                 oracle[g] = xor_count.combine(oracle[g], v) if g in oracle else v
         assert run["values"] == oracle
 
-    def test_overflow_risk_keeps_object_path(self):
+    def test_overflow_risk_keeps_object_path(self, kernel_runs):
         """A SUM whose total absolute mass could exceed int64 must not use
-        the typed kernel (reduceat would wrap); results stay exact."""
+        the typed kernel (reduceat would wrap), however large the
+        instance; results stay exact."""
         n = 16
         big = 2**61
-        memberships = {u: {0: big} for u in range(n)}
-        problem = AggregationProblem(memberships, {0: 3}, SUM)
+        memberships = {u: {g: big for g in range(8)} for u in range(n)}
+        problem = AggregationProblem(memberships, {g: g + 3 for g in range(8)}, SUM)
+        assert typed_round_pays(problem.global_load())
         run = _run_agg(n, problem, "batched", True)
-        assert run["values"] == {0: n * big}  # exact, no int64 wrap
+        assert not kernel_runs
+        assert run["values"] == {g: n * big for g in range(8)}  # exact, no int64 wrap
 
     @staticmethod
-    def _flows(problem, monkeypatch, n=16):
+    def _flows(problem, kernel_runs, n=16):
         """One run per flow setting: typed payloads on (the flow the run
         admits) and off (the object flow).  Returns both outcomes and
         whether the typed kernel ran with typed payloads on."""
-        from repro.butterfly.routing import CombiningRouter
-
-        kernel_runs = []
-        real = CombiningRouter._run_typed
-
-        def spy(router):
-            kernel_runs.append(router)
-            return real(router)
-
-        monkeypatch.setattr(CombiningRouter, "_run_typed", spy)
         outs = {}
         for typed in (True, False):
             prev = set_typed_payloads(typed)
@@ -1143,41 +1155,45 @@ class TestTypedAggregation:
         return outs[True], outs[False], bool(kernel_runs)
 
     @pytest.mark.parametrize("mass, typed", [(2**62 - 1, True), (2**62, False)])
-    def test_sum_mass_boundary(self, mass, typed, monkeypatch):
+    def test_sum_mass_boundary(self, mass, typed, kernel_runs):
         """A SUM is typed only while its total absolute mass (negative
         values counted by size) stays below 2^62."""
         n = 16
-        memberships = {u: {0: 2**57, 1: u} for u in range(n)}
+        # 128 packets: group 0 carries the mass, groups 1..7 the 0..15.
+        memberships = {u: {0: 2**57, **{g: u for g in range(1, 8)}} for u in range(n)}
         memberships[3][0] = -(2**57)
-        # 16·2^57 + the 0..15 of group 1 + the rest: `mass` in all.
-        memberships[n - 1][0] = mass - 15 * 2**57 - sum(range(n))
-        problem = AggregationProblem(memberships, {0: 2, 1: 9}, SUM)
-        on, off, kernel_ran = self._flows(problem, monkeypatch, n)
+        # 15·2^57 + seven times the 0..15 + the rest: `mass` in all.
+        memberships[n - 1][0] = mass - 15 * 2**57 - 7 * sum(range(n))
+        problem = AggregationProblem(memberships, {g: g + 2 for g in range(8)}, SUM)
+        on, off, kernel_ran = self._flows(problem, kernel_runs, n)
         assert kernel_ran is typed
         assert on == off
         assert dict(on[0]) == {
-            0: sum(m[0] for m in memberships.values()), 1: sum(range(n))
+            0: sum(m[0] for m in memberships.values()),
+            **{g: sum(range(n)) for g in range(1, 8)},
         }
 
     @pytest.mark.parametrize(
-        "last", [True, 1.5, 2**62, -(2**62), "group"],
-        ids=["bool", "float", "2^62", "-2^62", "group-2^62"],
+        "last", [7, True, 1.5, 2**62, -(2**62), "group"],
+        ids=["int", "bool", "float", "2^62", "-2^62", "group-2^62"],
     )
-    def test_one_untyped_packet_in_the_last_node(self, last, monkeypatch):
-        """A bool, float or out-of-range value (or group id) in the last
-        node alone keeps the whole run on the object flow, with the
-        outcome of the object flow."""
+    def test_one_untyped_packet_in_the_last_node(self, last, kernel_runs):
+        """A bool, float or out-of-range value (or group id) in one packet
+        of the last node alone keeps the whole 128-packet run on the object
+        flow, with the outcome of the object flow; a plain int there keeps
+        it typed."""
         n = 16
-        memberships = {u: {u % 4: u + 1} for u in range(n)}
-        targets = {g: g + 5 for g in range(4)}
+        memberships = {u: {(u + k) % 32: u + k for k in range(8)} for u in range(n)}
+        targets = {g: g % n for g in range(32)}
         if last == "group":
-            memberships[n - 1] = {2**62: 3}
+            del memberships[n - 1][(n - 1) % 32]
+            memberships[n - 1][2**62] = 3
             targets[2**62] = 1
         else:
-            memberships[n - 1] = {3: last}
+            memberships[n - 1][(n - 1) % 32] = last
         problem = AggregationProblem(memberships, targets, SUM)
-        on, off, kernel_ran = self._flows(problem, monkeypatch, n)
-        assert not kernel_ran
+        on, off, kernel_ran = self._flows(problem, kernel_runs, n)
+        assert kernel_ran is (last == 7)
         assert on == off
 
     def test_missing_target_raises_before_any_round(self):
@@ -1192,11 +1208,13 @@ class TestTypedAggregation:
         assert rt.net.stats.phases == {}
         assert rt.shared.agreement_bits == 0
 
-    def test_token_mode_keeps_object_path(self):
+    def test_token_mode_keeps_object_path(self, kernel_runs):
         """Without lightweight_sync the token wave shares rounds with data;
-        typed flow must decline and results stay correct."""
-        n = 16
+        typed flow must decline, however large the instance, and results
+        stay correct."""
+        n = 48
         problem = _aggregation_problem(n, random.Random(5))
+        assert typed_round_pays(problem.global_load())
         outs = {}
         for typed in (True, False):
             prev = set_typed_payloads(typed)
@@ -1207,7 +1225,23 @@ class TestTypedAggregation:
                                rt.net.stats.comparable())
             finally:
                 set_typed_payloads(prev)
+        assert not kernel_runs
         assert outs[True] == outs[False]
+
+    @pytest.mark.parametrize("packets", (SMALL_ROUND_CUTOFF - 1, SMALL_ROUND_CUTOFF))
+    def test_small_instance_takes_the_object_flow(self, packets, kernel_runs):
+        """Size picks the flow: below SMALL_ROUND_CUTOFF packets a typed-on
+        run takes the object flow, and from it up the typed flow; the
+        outcome is the object flow's either way."""
+        n = 16
+        memberships = {u: {(u + k) % 32: u - k for k in range(8)} for u in range(n)}
+        if packets < SMALL_ROUND_CUTOFF:
+            del memberships[0][0]
+        problem = AggregationProblem(memberships, {g: g % n for g in range(32)}, SUM)
+        assert problem.global_load() == packets
+        on, off, kernel_ran = self._flows(problem, kernel_runs, n)
+        assert kernel_ran is (packets >= SMALL_ROUND_CUTOFF)
+        assert on == off
 
     @pytest.mark.engine("reference")  # drives both engines itself
     @pytest.mark.parametrize("kernel", (True, False), ids=("kernel", "declined"))
