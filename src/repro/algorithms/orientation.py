@@ -406,17 +406,8 @@ class OrientationAlgorithm:
                         a, b = g.arc_of_id(eid)
                         pending_responses.append((node, a, eid))
                         pending_responses.append((node, b, eid))
-        if pending_responses:
-            out = BatchBuilder(kind="orientation:rendezvous-ack")
-            for src, dst, eid in pending_responses:
-                out.add(src, dst, ("act", eid))
-            inbox = net.exchange(out)
-            for node, received in inbox.items():
-                for _tag, eid in payloads_of(received):
-                    a, b = g.arc_of_id(eid)
-                    other = b if a == node else a
-                    if node in active_red:
-                        active_red[node].add(other)
+        # The last pass (r = window) sent no edge ids, so it left no
+        # pending response.
         return active_red
 
 

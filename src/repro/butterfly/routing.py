@@ -27,11 +27,10 @@ Straight butterfly edges connect nodes of one column and therefore stay
 inside one NCC node: they elapse a butterfly round but send no NCC message.
 Cross edges become real messages through :class:`~repro.ncc.network.NCCNetwork`,
 submitted columnar per host via :class:`~repro.ncc.message.BatchBuilder`.
-Plain-int traffic ships as typed columns only in bulk rounds
-(:data:`~repro.ncc.message.SMALL_ROUND_CUTOFF` messages or more) and as
-object columns below that, where the numpy fixed cost does not pay.  Both
-forms list a round's senders in ascending order, so the wire choice never
-changes the submitted round.
+The combining router's typed kernel ships ``DATA_DTYPE`` columns whenever
+its packets were injected typed (the aggregation flow decides that by the
+instance's size); its object loop and the multicast router ship object
+tuples.  Every form lists a round's senders in ascending order.
 """
 
 from __future__ import annotations
@@ -43,12 +42,7 @@ from typing import Any, Callable, Hashable
 import numpy as _np
 
 from ..errors import ProtocolError
-from ..ncc.message import (
-    BatchBuilder,
-    InboxBatch,
-    gather_typed_spans,
-    typed_round_pays,
-)
+from ..ncc.message import BatchBuilder, InboxBatch, gather_typed_spans
 from ..ncc.network import NCCNetwork
 from .topology import BFNode, ButterflyGrid
 
@@ -730,14 +724,12 @@ class MulticastRouter:
         column that is a leaf of some group's tree; the caller maps leaves
         to group members (the paper's ``l(i, u) → u`` delivery).
 
-        A data round ships as one ``DATA_DTYPE`` column when sync is
-        lightweight (no token sends), the round is a bulk one
-        (:func:`~repro.ncc.message.typed_round_pays`: typed payloads on, at
-        least ``SMALL_ROUND_CUTOFF`` cross packets) and every group and
-        value is an int; any other round ships object tuples.  The object form stable-sorts
-        the cross packets by source column first, so it submits the round
-        the typed form would: same senders in the same order, each with
-        the same messages in the same order.
+        Every round ships object tuples: ``("D", level, group, value)``
+        data packets and ``("T", level)`` tokens.  A round's cross packets
+        are stable-sorted by source column, so its senders are ascending
+        and each sender's packets keep their queue order; that fixes the
+        submitted round, and with it the violation-ledger order, the DROP
+        draws and the first-arrival order of the delivered inboxes.
         """
         net, bf = self.net, self.bf
         d = bf.d
@@ -842,43 +834,13 @@ class MulticastRouter:
                     cross_sends.append(
                         (src.column, dst.column, dst.level, g, val)
                     )
-            # Typed wire applies per round: under lightweight sync (no token
-            # messages to mix in) a bulk round (typed_round_pays) whose
-            # traffic is all plain-int (group, value) pairs ships as one
-            # DATA_DTYPE column instead of per-packet tuples; any other
-            # round keeps the object builder, where a small round is cheaper.
-            out = None
-            if (
-                lightweight
-                and typed_round_pays(len(cross_sends))
-                and all(
-                    type(c[3]) is int and type(c[4]) is int
-                    for c in cross_sends
-                )
-            ):
-                try:
-                    payload = _np.empty(len(cross_sends), dtype=DATA_DTYPE)
-                    payload["lvl"] = [c[2] for c in cross_sends]
-                    payload["g"] = [c[3] for c in cross_sends]
-                    payload["val"] = [c[4] for c in cross_sends]
-                except OverflowError:
-                    out = None  # value outside int64: object round
-                else:
-                    payload["tag"] = "D"
-                    out = BatchBuilder(kind=self.kind, dtype=DATA_DTYPE)
-                    out.add_arrays(
-                        [c[0] for c in cross_sends],
-                        [c[1] for c in cross_sends],
-                        payload,
-                    )
-            if out is None:
-                # Ascending senders, as add_arrays groups them: both wires
-                # submit the identical round.
-                cross_sends.sort(key=itemgetter(0))  # by source column
-                out = BatchBuilder(kind=self.kind)
-                out_add = out.add
-                for scol, dcol, lvl, g, val in cross_sends:
-                    out_add(scol, dcol, ("D", lvl, g, val))
+            # Ascending senders, each keeping its queue order: this sort
+            # fixes the submitted round (see the docstring).
+            cross_sends.sort(key=itemgetter(0))  # by source column
+            out = BatchBuilder(kind=self.kind)
+            out_add = out.add
+            for scol, dcol, lvl, g, val in cross_sends:
+                out_add(scol, dcol, ("D", lvl, g, val))
             for node in token_sends:
                 straight, cross = bf.up_neighbors(node)
                 local_tokens.append(straight)
@@ -905,23 +867,8 @@ class MulticastRouter:
             for dst in local_tokens:
                 arrive_token(dst)
             for host, received in inboxes.items():
-                arr = (
-                    received.payload_array()
-                    if type(received) is InboxBatch
-                    else None
-                )
-                if arr is not None:
-                    # Typed span: all data packets (tokens never share a
-                    # typed round); field reads stay columnar.
-                    for lvl, g, val in zip(
-                        arr["lvl"].tolist(),
-                        arr["g"].tolist(),
-                        arr["val"].tolist(),
-                    ):
-                        process_arrival(BFNode(lvl, host), g, val)
-                    continue
                 payloads = (
-                    received.payloads()  # reprolint: disable=NCC002 — rounds below SMALL_ROUND_CUTOFF ship objects (cheaper), as do token rounds
+                    received.payloads()  # reprolint: disable=NCC002 — every multicast round ships object tuples, token rounds included
                     if type(received) is InboxBatch
                     else [m.payload for m in received]
                 )

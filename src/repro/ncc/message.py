@@ -166,16 +166,12 @@ def set_typed_payloads(flag: bool) -> bool:
     return previous
 
 
-def typed_payloads_enabled() -> bool:
-    """Whether primitives should prefer typed payload columns."""
-    return _TYPED_DEFAULT
-
-
 #: Below this many messages a round is cheaper as object columns: the fixed
 #: cost of a numpy round (building, sizing and argsort-bucketing the columns,
 #: a few dozen array ops) exceeds a plain-Python pass.  The batched engine
-#: buckets smaller object rounds in Python, and the producers that can choose
-#: (:func:`typed_round_pays`) submit typed columns only from this size up.
+#: buckets smaller object rounds in Python, and the two producers that choose
+#: a wire, the aggregation flow and the hash-agreement broadcast, submit
+#: typed columns only from this size up (:func:`typed_round_pays`).
 SMALL_ROUND_CUTOFF = 128
 
 
@@ -187,13 +183,15 @@ def typed_round_pays(count: int) -> bool:
     and reading a round at n = 32 on the batched engine (2-vCPU host) took
     130-144 µs typed against 11-58 µs as objects for 2-16 messages; from
     64 messages on typed was cheaper, by 4-7% up to 128 and by half at
-    512.  The
-    wire is a representation choice only: a producer's typed and object
-    forms submit identical rounds.
+    512.  The wire is a representation choice only: a producer's typed and
+    object forms submit identical rounds.
 
-    :func:`~repro.primitives.aggregation.run_aggregation` applies the rule
-    to a whole aggregation's packet count, where it breaks even at about
-    the same size.  One aggregation, typed flow against object flow
+    Two producers choose by it: the hash-agreement broadcast
+    (:func:`~repro.primitives.aggregate_broadcast.pipelined_broadcast`)
+    round by round, and
+    :func:`~repro.primitives.aggregation.run_aggregation` on a whole
+    aggregation's packet count, where the rule breaks even at about the
+    same size.  One aggregation, typed flow against object flow
     (batched engine, SUM, lightweight sync, best of repeats, same host):
     2.16 vs 1.10 ms at 16 packets (n = 16), 2.60 vs 1.67 ms at 64
     (n = 16), 3.69 vs 3.00 ms at 128 (n = 32), 4.10 vs 4.28 ms at 128

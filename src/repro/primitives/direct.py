@@ -42,31 +42,47 @@ def send_direct(
     A caller whose payloads all match a declared numpy ``dtype`` (an int64
     scalar or a flat struct of int/str/bool/float fields) may pass it: the
     round then ships as typed columns — no per-payload Python objects on
-    the wire, identical accounted bits.  Payloads that do not convert fall
-    back to the object path silently (the fallback contract).
+    the wire, identical accounted bits.  It does so only when that round
+    equals the object one: its senders first appear in ascending order
+    (the order ``add_arrays`` groups them in) and the dtype holds every
+    payload exactly (see :func:`_exact_column`).  Any other round ships
+    the object path silently (the fallback contract).
     """
     out = BatchBuilder(kind=kind, dtype=dtype)
     if out._dtype is not None:
-        srcs: list[int] = []
-        dsts: list[int] = []
-        pays: list[Any] = []
-        for src, dst, payload in sends:
-            srcs.append(src)
-            dsts.append(dst)
-            pays.append(payload)
-        if srcs:
-            try:
-                values = _np.array(pays, dtype=out._dtype)
-            except (TypeError, ValueError, OverflowError):
-                out = BatchBuilder(kind=kind)
-                for src, dst, payload in zip(srcs, dsts, pays):
-                    out.add(src, dst, payload)
-            else:
-                out.add_arrays(srcs, dsts, values)
-        return net.exchange(out)
+        sends = list(sends)
+        srcs = [s[0] for s in sends]
+        first = list(dict.fromkeys(srcs))
+        values = None
+        if first == sorted(first):
+            values = _exact_column([s[2] for s in sends], out._dtype)
+        if values is not None:
+            out.add_arrays(srcs, [s[1] for s in sends], values)
+            return net.exchange(out)
+        out = BatchBuilder(kind=kind)
     for src, dst, payload in sends:
         out.add(src, dst, payload)
     return net.exchange(out)
+
+
+def _exact_column(payloads: list[Any], dtype: Any) -> Any:
+    """``payloads`` as one ``dtype`` column, or ``None`` unless the column
+    boxes back to them exactly: equal in value and in Python type, part by
+    part.  numpy converts with an unsafe cast (1.5 -> 1 and True -> 1 in an
+    int field, "ab" -> "a" in a ``U1`` field), which would change what the
+    receivers read and the bits the round is charged."""
+    if not payloads:
+        return None
+    try:
+        column = _np.array(payloads, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    for boxed, payload in zip(column.tolist(), payloads):
+        if type(boxed) is not type(payload) or boxed != payload:
+            return None
+        if type(boxed) is tuple and list(map(type, boxed)) != list(map(type, payload)):
+            return None
+    return column
 
 
 def send_chunked(
@@ -75,7 +91,6 @@ def send_chunked(
     chunk: int,
     *,
     kind: str = "direct",
-    dtype: Any = None,
 ) -> Iterator[Mapping[int, list[Message] | InboxBatch]]:
     """Drain per-sender column queues at ``chunk`` messages per round.
 
@@ -84,12 +99,8 @@ def send_chunked(
     sources hand off more packets than the capacity allows (multicast and
     multi-aggregation root handoffs, final keyed deliveries).  At least one
     round always elapses, even with no traffic.  Yields each round's
-    inboxes; rounds are submitted columnar (lazily — the column slices go
+    inboxes; rounds are submitted as object columns (the column slices go
     straight into the builder, no ``Message`` objects).
-
-    With a declared ``dtype`` each sender's slice converts to a typed
-    column; a slice whose payloads don't fit the dtype degrades that
-    round's builder to the object layout (and is charged identical bits).
     """
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
@@ -100,20 +111,10 @@ def send_chunked(
     rounds_needed = max(1, rounds_needed)
     for r in range(rounds_needed):
         lo, hi = r * chunk, (r + 1) * chunk
-        out = BatchBuilder(kind=kind, dtype=dtype)
+        out = BatchBuilder(kind=kind)
         for src, (dsts, payloads) in per_source.items():
-            if lo >= len(dsts):
-                continue
-            dslice, pslice = dsts[lo:hi], payloads[lo:hi]
-            if out._dtype is not None:
-                try:
-                    values = _np.array(pslice, dtype=out._dtype)
-                except (TypeError, ValueError, OverflowError):
-                    out.add_many(src, dslice, pslice)  # degrades builder
-                else:
-                    out.add_array(src, dslice, values)
-            else:
-                out.add_many(src, dslice, pslice)
+            if lo < len(dsts):
+                out.add_many(src, dsts[lo:hi], payloads[lo:hi])
         yield net.exchange(out)
 
 

@@ -18,17 +18,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Mapping
 
-import numpy as _np
-
 from ..butterfly.routing import MulticastRouter, TreeSet
 from ..butterfly.topology import ButterflyGrid
-from ..ncc.message import (
-    BatchBuilder,
-    InboxBatch,
-    payloads_of,
-    typed_payloads_enabled,
-    typed_round_pays,
-)
+from ..ncc.message import BatchBuilder, payloads_of
 from ..ncc.network import NCCNetwork
 from ..rng import SharedRandomness
 from .aggregate_broadcast import barrier
@@ -36,12 +28,6 @@ from .aggregation import _group_key
 from .direct import send_chunked
 
 GroupT = Hashable
-
-#: Wire dtype of the root-handoff ("M") and leaf-delivery ("L") packets.
-#: Sizes exactly like the object-path ``(tag, g, payload)`` tuples (1-char
-#: tag = short string = 4 bits), so typed and object runs account identical
-#: wire bits.
-MCAST_DTYPE = _np.dtype([("tag", "U1"), ("g", "i8"), ("val", "i8")])
 
 
 @dataclass
@@ -90,19 +76,9 @@ def run_multicast(
         # ---- Sources hand packets to the tree-root hosts.  The paper's
         # simplified variant has one group per source (a single round); the
         # extension it mentions — nodes sourcing multiple multicasts — just
-        # batches these sends at the capacity limit.
-        #
-        # An instance whose groups and payloads are all plain int64-range
-        # ints may ride the typed wire in every stage (handoff here,
-        # spreading inside the router, leaf delivery below), but each round
-        # does so only when it is a bulk one (typed_round_pays); small
-        # rounds and any other instance keep the object tuples.  Both forms
-        # submit identical rounds, so the choice changes no observable.
-        lim = 1 << 62
-        use_typed = typed_payloads_enabled() and all(
-            type(g) is int and type(p) is int and -lim < g < lim and -lim < p < lim
-            for g, p in packets.items()
-        )
+        # batches these sends at the capacity limit.  Every stage (this
+        # handoff, the spreading rounds, the leaf rounds) ships object
+        # tuples; ROADMAP item 3(a) says when a typed wire would pay.
         per_source: dict[int, tuple[list[int], list[Any]]] = {}
         for g, payload in packets.items():
             root = trees.root.get(g)
@@ -114,32 +90,11 @@ def run_multicast(
                 per_source[src] = c = ([], [])
             c[0].append(bf.host(root))
             c[1].append(("M", g, payload))
-        # The handoff's first round is its largest, and both forms send its
-        # senders in first-occurrence order.
-        first_round = sum(min(len(c[0]), net.capacity) for c in per_source.values())
-        typed_handoff = use_typed and typed_round_pays(first_round)
         root_packets: dict[GroupT, Any] = {}
-        for inbox in send_chunked(
-            net,
-            per_source,
-            net.capacity,
-            kind=kind,
-            dtype=MCAST_DTYPE if typed_handoff else None,
-        ):
+        for inbox in send_chunked(net, per_source, net.capacity, kind=kind):
             for received in inbox.values():
-                arr = (
-                    received.payload_array()
-                    if type(received) is InboxBatch
-                    else None
-                )
-                if arr is not None:
-                    for g, payload in zip(
-                        arr["g"].tolist(), arr["val"].tolist()
-                    ):
-                        root_packets[g] = payload
-                else:
-                    for _tag, g, payload in payloads_of(received):
-                        root_packets[g] = payload
+                for _tag, g, payload in payloads_of(received):
+                    root_packets[g] = payload
 
         # ---- Spreading phase down the recorded trees.
         router = MulticastRouter(
@@ -152,53 +107,25 @@ def run_multicast(
         if ell_bound is None:
             ell_bound = trees.member_load()
         window = max(1, math.ceil(max(1, ell_bound) / max(1, net.log2n)))
-        # One row of (sender, member, group, payload) columns per window
-        # round.  Columns are visited in ascending order, so every row lists
-        # its senders ascending, as a typed add_arrays groups them; the
-        # round draws are keyed per (leaf, group, member), not per call,
-        # and a window of one round draws nothing.
-        rows: list[tuple[list, list, list, list]] = [
-            ([], [], [], []) for _ in range(window)
-        ]
+        # One builder per window round that gets traffic; the others submit
+        # ``()``.  Columns are visited in ascending order, so every round
+        # lists its senders ascending; the round draws are keyed per (leaf,
+        # group, member), not per call, and a window of one round draws
+        # nothing.
+        schedule: list[BatchBuilder | tuple] = [()] * window
         for col in sorted(res.results):
             host = col  # level-0 column col is hosted by NCC node col
             for g, payload in res.results[col].items():
                 for member in trees.leaf_members.get(g, {}).get(col, ()):
-                    row = rows[shared.node_randbelow(host, (tag, "leaf", _group_key(g), member), window)]
-                    row[0].append(host)
-                    row[1].append(member)
-                    row[2].append(g)
-                    row[3].append(payload)
-        for srcs, dsts, gs, vals in rows:
-            out: BatchBuilder | tuple = ()
-            if use_typed and typed_round_pays(len(srcs)):
-                out = BatchBuilder(kind=kind, dtype=MCAST_DTYPE)
-                payload_arr = _np.empty(len(srcs), dtype=MCAST_DTYPE)
-                payload_arr["tag"] = "L"
-                payload_arr["g"] = gs
-                payload_arr["val"] = vals
-                out.add_arrays(srcs, dsts, payload_arr)
-            elif srcs:
-                out = BatchBuilder(kind=kind)
-                out_add = out.add
-                for src, dst, g, payload in zip(srcs, dsts, gs, vals):
-                    out_add(src, dst, ("L", g, payload))
-            inbox = net.exchange(out)
-            for u, received in inbox.items():
-                arr = (
-                    received.payload_array()
-                    if type(received) is InboxBatch
-                    else None
-                )
-                if arr is not None:
-                    got = outcome.received.setdefault(u, {})
-                    for g, payload in zip(
-                        arr["g"].tolist(), arr["val"].tolist()
-                    ):
-                        got[g] = payload
-                else:
-                    for _tag, g, payload in payloads_of(received):
-                        outcome.received.setdefault(u, {})[g] = payload
+                    r = shared.node_randbelow(host, (tag, "leaf", _group_key(g), member), window)
+                    if not schedule[r]:
+                        schedule[r] = BatchBuilder(kind=kind)
+                    schedule[r].add(host, member, ("L", g, payload))
+        for out in schedule:
+            for u, received in net.exchange(out).items():
+                got = outcome.received.setdefault(u, {})
+                for _tag, g, payload in payloads_of(received):
+                    got[g] = payload
         barrier(net, bf)
 
     outcome.rounds = net.round_index - start

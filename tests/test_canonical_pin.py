@@ -4,9 +4,10 @@ Each runnable algorithm runs at n = 16, seeds 0 and 1, on the batched
 engine, and its canonical JSONL line (:meth:`RunReport.to_json_line`) is
 compared by SHA-256 with a checked-in digest, next to its rounds,
 messages and bits.  Every round at n = 16 is small, so one larger run
-joins them: coloring at n = 256, seed 0, whose multicast stages and
-hash-agreement broadcasts submit both bulk typed rounds and small object
-rounds.  A change that is meant to be invisible (a faster
+joins them: coloring at n = 256, seed 0, whose aggregations and
+hash-agreement broadcasts submit bulk typed rounds next to small object
+rounds (its multicasts ship objects at every size).  A change that is
+meant to be invisible (a faster
 round path, a cheaper decoder) must leave every pin as it is; a change
 that moves canonical output on purpose updates the pins in the same
 commit and says why.

@@ -176,6 +176,15 @@ def _run_multicast(rt):
     return (sorted((u, sorted(p.items())) for u, p in out.received.items()), out.rounds)
 
 
+def _run_multicast_int(rt):
+    # Plain-int groups and packets: object tuples like any other payload.
+    trees = rt.multicast_setup(_memberships(rt))
+    out = rt.multicast(
+        trees, {g: 1000 + g for g in range(6)}, {g: g for g in range(6)}
+    )
+    return (sorted((u, sorted(p.items())) for u, p in out.received.items()), out.rounds)
+
+
 def _run_multi_aggregation(rt):
     from repro.primitives import MIN
 
@@ -239,6 +248,7 @@ PRIMITIVES = {
     "aggregation": _run_aggregation,
     "multicast_setup": _run_multicast_setup,
     "multicast": _run_multicast,
+    "multicast_int": _run_multicast_int,
     "multi_aggregation": _run_multi_aggregation,
     "multi_aggregation_keyed": _run_multi_aggregation_keyed,
     "aggregate_broadcast": _run_aggregate_broadcast,
@@ -284,15 +294,6 @@ def _run_aggregation_bulk(rt):
     return (list(out.values.items()), list(out.by_target.items()), out.rounds)
 
 
-def _run_multicast_int(rt):
-    # Plain-int packets: the instance the typed multicast wire accepts.
-    trees = rt.multicast_setup(_memberships(rt))
-    out = rt.multicast(
-        trees, {g: 1000 + g for g in range(6)}, {g: g for g in range(6)}
-    )
-    return (sorted((u, sorted(p.items())) for u, p in out.received.items()), out.rounds)
-
-
 def _run_direct_typed(rt):
     import numpy as np
 
@@ -313,7 +314,6 @@ def _run_direct_typed(rt):
 
 TYPED_PRIMITIVES = {
     "aggregation": _run_aggregation_bulk,
-    "multicast_int": _run_multicast_int,
     "direct_typed": _run_direct_typed,
 }
 
@@ -346,11 +346,12 @@ class TestTypedRepresentationParity:
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
     @pytest.mark.parametrize("n", [32, 256])
     def test_wire_choice_submits_identical_rounds(self, n, mode):
-        """Round size picks the multicast and hash-agreement wire, and the
+        """Round size picks the hash-agreement broadcast's wire, and the
         choice cannot change a round: typed on and off submit the same
         rounds (senders, destinations, boxed payloads, kinds, in order),
-        with the same statistics and the same ``received`` dicts,
-        insertion order included, under every engine."""
+        with the same statistics and the same multicast ``received``
+        dicts, insertion order included, under every engine.  The
+        multicast before it ships object tuples at every size."""
         runs = {}
         for engine in ENGINES:
             for typed in (True, False):
@@ -366,15 +367,16 @@ class TestTypedRepresentationParity:
             assert run["stats"] == base["stats"], key
             assert run["received"] == base["received"], key
         if n == 256:
-            # The bulk instance reaches the typed wire in every stage; the
-            # object form of each of these rounds is checked above.
+            # Only the bulk broadcast rounds take the typed wire; the
+            # multicast's bulk rounds stay objects.  The object form of each
+            # typed round is checked above.
             for engine in ENGINES:
-                assert _typed_round_tags(runs[(engine, True)]) == {"M", "D", "L", "B"}
+                assert _typed_round_tags(runs[(engine, True)]) == {"B"}
                 assert not _typed_round_tags(runs[(engine, False)])
 
     def test_small_mst_rounds_stay_object(self):
-        """MST at n = 32 sends only small multicast rounds: none of them may
-        take the typed wire below SMALL_ROUND_CUTOFF messages."""
+        """MST at n = 32 sends only small rounds: none of them may take the
+        typed wire below SMALL_ROUND_CUTOFF messages."""
         from repro.registry import bench_config, get_algorithm
 
         spec = get_algorithm("mst")
@@ -482,8 +484,9 @@ def _record_wire_instance(engine: str, mode: Enforcement, n: int) -> dict:
 
 
 def _typed_round_tags(run: dict) -> set[str]:
-    """The payload tags of a run's typed rounds: ``M`` root handoff, ``D``
-    spreading, ``L`` leaf delivery, ``B`` broadcast."""
+    """The payload tags of a run's typed rounds: ``B`` for the broadcast
+    (the multicast's ``M`` root handoff, ``D`` spreading and ``L`` leaf
+    delivery rounds ship objects)."""
     return {
         payload[0] for r in run["typed"] for _, _, msgs in r for _, payload, _ in msgs
     }

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.algorithms import OrientationAlgorithm
+from repro import Enforcement, InputGraph, NCCConfig, NCCRuntime
+from repro.algorithms import OrientationAlgorithm, identification, orientation
 from repro.errors import ProtocolError
 from repro.graphs import arboricity, generators
+from repro.ncc.message import InboxBatch
 from tests.conftest import make_runtime
 
 
@@ -156,3 +158,49 @@ class TestDeterminismAndErrors:
         rt = make_runtime(24, strict=False)
         with pytest.raises(ProtocolError):
             OrientationAlgorithm(rt, g).run(max_phases=0)
+
+
+@pytest.mark.engine("reference")  # runs both engines itself; skip replays
+class TestHighRemovedDegree:
+    """Stage 2's step 2a (the U_high gather, broadcast and direct pings)
+    runs only for a node that fails the first identification with a removed
+    degree above n / log n.  A double star reaches it once hub 0's
+    phase-2 identification is reported unsuccessful: its 20 inactive
+    leaves exceed 42 / 6 = 7."""
+
+    #: Hubs 0 and 1, adjacent, with 20 leaves each.
+    DOUBLE_STAR = [(0, 1)] + [(0, v) for v in range(2, 22)] + [(1, v) for v in range(22, 42)]
+
+    def _run(self, engine, monkeypatch, *, force):
+        ident1 = []
+
+        def run_identification(rt, g, learners, *args, kind):
+            out = identification.run_identification(rt, g, learners, *args, kind=kind)
+            if kind == "orientation:ident1":
+                ident1.append(list(learners))
+                if force and len(ident1) == 2:
+                    assert 0 in ident1[1]
+                    out.unsuccessful.add(0)
+            return out
+
+        monkeypatch.setattr(orientation, "run_identification", run_identification)
+        g = InputGraph(42, self.DOUBLE_STAR)
+        rt = NCCRuntime(g.n, NCCConfig(seed=1, enforcement=Enforcement.STRICT, engine=engine))
+        kinds = []
+
+        def observe(_r, submitted):
+            for batch in submitted.values():
+                kinds.extend(batch.kinds() if isinstance(batch, InboxBatch) else (m.kind for m in batch))
+
+        rt.net.round_observer = observe
+        ori = OrientationAlgorithm(rt, g).run()
+        assert_valid(g, ori)
+        return (ori.out_neighbors, ori.in_neighbors, ori.level, ori.phases), kinds
+
+    @pytest.mark.parametrize("engine", ["reference", "batched"])
+    def test_forced_step_2a_pings_and_keeps_the_orientation(self, engine, monkeypatch):
+        plain, plain_kinds = self._run(engine, monkeypatch, force=False)
+        forced, forced_kinds = self._run(engine, monkeypatch, force=True)
+        assert "orientation:uhigh-ping" not in plain_kinds
+        assert forced_kinds.count("orientation:uhigh-ping") >= 1
+        assert forced == plain

@@ -35,7 +35,6 @@ from repro.ncc.message import (
     set_typed_payloads,
     stable_id_order,
     typed_payload_bits,
-    typed_payloads_enabled,
     typed_round_pays,
 )
 from repro.ncc.network import NCCNetwork
@@ -44,7 +43,7 @@ from repro.primitives.aggregation import (
     AggregationProblem,
     run_aggregation,
 )
-from repro.primitives.direct import send_chunked, send_direct
+from repro.primitives.direct import send_direct
 from repro.primitives.functions import MAX, MIN, SUM, XOR, xor_count
 from repro.runtime import NCCRuntime
 from repro.telemetry import METRICS, tracing
@@ -298,7 +297,7 @@ class TestTypedBuilder:
     def test_global_toggle_disables_declarations(self):
         prev = set_typed_payloads(False)
         try:
-            assert not typed_payloads_enabled()
+            assert not typed_round_pays(SMALL_ROUND_CUTOFF)
             b = BatchBuilder(dtype=np.int64)
             assert b._dtype is None  # declaration degraded; object layout
             b.add_array(0, [1, 2], np.asarray([5, 6], dtype=np.int64))
@@ -348,6 +347,11 @@ class TestTypedBuilder:
 # ----------------------------------------------------------------------
 # Engine-level typed delivery
 # ----------------------------------------------------------------------
+def _chain_sends(payloads):
+    """Node i sends the i-th payload to node i + 1 (mod 8)."""
+    return [(i, (i + 1) % 8, p) for i, p in enumerate(payloads)]
+
+
 class TestTypedDelivery:
     def _sends(self, n):
         return [
@@ -399,26 +403,44 @@ class TestTypedDelivery:
             assert inbox[1][0].payload == (1, 2)
             assert inbox[2][0].payload == ("not", "ints")
 
-    def test_send_chunked_typed_matches_object(self, typed_on):
-        n = 16
-        per_source = {
-            u: ([(u + i + 1) % n for i in range(5)], [(u, i) for i in range(5)])
-            for u in range(0, n, 2)
-        }
-        results = {}
-        for dtype in (PAIR_DTYPE, None):
-            net = NCCNetwork(n, _config("batched"))
-            rounds = []
-            for inbox in send_chunked(net, per_source, 2, dtype=dtype):
-                rounds.append(
-                    sorted(
-                        (d, m.src, tuple(m.payload))
+    @pytest.mark.parametrize(
+        "dtype,sends",
+        [
+            (np.int64, _chain_sends([1.5, 2.5, 1.0])),
+            (np.int64, _chain_sends([1.0, 2.5])),
+            (np.int64, _chain_sends([True, 3])),
+            (np.dtype([("s", "U1"), ("x", "i8")]), _chain_sends([("ab", 3), ("c", 4)])),
+            (PAIR_DTYPE, _chain_sends([(1.9, 2), (3, 4)])),
+            (np.int64, [(3, 0, 5), (1, 0, 6), (3, 2, 7)]),
+        ],
+        ids=["floats", "float-bits", "bool", "long-str", "float-field", "senders-descending"],
+    )
+    def test_rounds_typing_would_change_ship_as_objects(self, dtype, sends, typed_on):
+        """A round the typed path would change (a float or a bool cast into
+        an int field, a string cut to its field, senders regrouped
+        ascending) ships the object path: typed and untyped send_direct
+        deliver the same payloads, of the same types part by part, in the
+        same order, and charge the same bits on both engines."""
+
+        def types(p):
+            return (type(p), tuple(map(type, p)) if type(p) is tuple else ())
+
+        runs = {}
+        for engine in ENGINES:
+            for typed in (True, False):
+                net = NCCNetwork(8, _config(engine))
+                inbox = send_direct(net, sends, dtype=dtype if typed else None)
+                runs[(engine, typed)] = (
+                    [
+                        (d, [(m.src, m.payload, types(m.payload)) for m in msgs])
                         for d, msgs in inbox.items()
-                        for m in msgs
-                    )
+                    ],
+                    net.stats.comparable(),
                 )
-            results[dtype is None] = (rounds, net.stats.comparable())
-        assert results[True] == results[False]
+        base = runs[("reference", False)]
+        assert sorted(p for _, msgs in base[0] for _, p, _ in msgs) == sorted(s[2] for s in sends)
+        for key, run in runs.items():
+            assert run == base, key
 
     def test_typed_round_accounts_bits_like_object(self, typed_on):
         """A typed round charges the same bits as the same payloads boxed,
@@ -1373,8 +1395,8 @@ class TestTypedAggregation:
 class TestTypedMulticast:
     #: A bulk instance: n = 256 nodes in 128 groups of about four members.
     #: Its handoff, its larger spreading rounds and its leaf round carry at
-    #: least SMALL_ROUND_CUTOFF messages, so they take the typed wire (a
-    #: small instance's rounds all ship as objects).
+    #: least SMALL_ROUND_CUTOFF messages of plain ints, and every one of
+    #: them still ships object tuples: multicast has one wire.
     BULK_N = 256
     BULK_GROUPS = 128
 
@@ -1387,24 +1409,21 @@ class TestTypedMulticast:
         return {g: 1000 * g + 7 for g in live}, {g: (g + 3) % self.BULK_N for g in live}
 
     def test_int_packets_typed_object_agree(self):
+        """The bulk instance's reference and batched runs agree, and every
+        member receives its groups' packets."""
         n = self.BULK_N
         runs = {}
         for engine in ENGINES:
-            for typed in (True, False):
-                prev = set_typed_payloads(typed)
-                try:
-                    rt = NCCRuntime(n, _config(engine))
-                    trees, memberships = self._setup(rt, self.BULK_GROUPS)
-                    packets, sources = self._bulk_packets(trees)
-                    out = rt.multicast(trees, packets, sources)
-                    runs[(engine, typed)] = (
-                        list(out.received.items()),
-                        rt.net.round_index,
-                        rt.net.stats.comparable(),
-                    )
-                finally:
-                    set_typed_payloads(prev)
-        base = runs[("reference", False)]
+            rt = NCCRuntime(n, _config(engine))
+            trees, memberships = self._setup(rt, self.BULK_GROUPS)
+            packets, sources = self._bulk_packets(trees)
+            out = rt.multicast(trees, packets, sources)
+            runs[engine] = (
+                list(out.received.items()),
+                rt.net.round_index,
+                rt.net.stats.comparable(),
+            )
+        base = runs["reference"]
         for key, run in runs.items():
             assert run == base, key
         received = dict(base[0])
@@ -1428,7 +1447,7 @@ class TestTypedMulticast:
             rt.multicast(trees, packets, sources)
             assert message_construction_count() == m0
             assert payload_box_count() == b0
-            assert any(typed_spans)  # the bulk rounds took the typed wire
+            assert typed_spans and not any(typed_spans)  # every round ships objects
         finally:
             set_typed_payloads(prev)
 
