@@ -12,7 +12,7 @@ from repro import NCCRuntime
 from repro.algorithms import OrientationAlgorithm
 from repro.analysis.complexity import rank_models
 from repro.analysis.reporting import format_table
-from repro.registry import bench_config
+from repro.registry import bench_config, get_algorithm
 from repro.graphs import arboricity, generators
 
 from .conftest import run_once
@@ -55,14 +55,15 @@ def test_orientation_n_sweep(benchmark, report):
         rows.append([n, ori.max_outdegree, ori.phases, ori.rounds])
         params.append({"n": n, "a": 2})
         rounds.append(ori.rounds)
-    fits = rank_models(params, rounds)
+    bound = get_algorithm("orientation").bound
+    fits = rank_models(params, rounds, bound)
     by_name = {f.model: f for f in fits}
-    assert by_name["(a + log n) log n"].rmse <= by_name["n"].rmse
+    assert by_name[bound].rmse <= by_name["n"].rmse
     report(
         format_table(
             ["n", "max outdegree", "phases", "rounds"],
             rows,
-            title="OR-1  Orientation n-sweep at a=2 (bound O((a + log n) log n))",
+            title=f"OR-1  Orientation n-sweep at a=2 (bound {bound})",
         )
         + "\n  model fits (best first): "
         + "; ".join(f"{f.model} nrmse={f.rmse:.2f}" for f in fits[:3])

@@ -13,6 +13,7 @@ import pytest
 
 from repro import RunSpec, Session
 from repro.analysis.complexity import rank_models
+from repro.registry import get_algorithm
 from repro.analysis.reporting import format_table
 
 from .conftest import run_once
@@ -30,17 +31,18 @@ def test_bfs_grid_diameter_sweep(benchmark, report):
 
     params = [{"n": r["n"], "a": r["a"], "D": r["D"]} for r in rows]
     rounds = [r["rounds"] for r in rows]
-    fits = rank_models(params, rounds)
+    bound = get_algorithm("bfs").bound
+    fits = rank_models(params, rounds, bound)
     by_name = {f.model: f for f in fits}
     # The paper's model must beat diameter-free alternatives.
-    assert by_name["(a + D + log n) log n"].rmse <= by_name["log^2 n"].rmse
-    assert by_name["(a + D + log n) log n"].rmse <= by_name["n"].rmse
+    assert by_name[bound].rmse <= by_name["log^2 n"].rmse
+    assert by_name[bound].rmse <= by_name["n"].rmse
 
     report(
         format_table(
             ["n", "D", "a", "phases", "rounds", "messages"],
             [[r["n"], r["D"], r["a"], r["phases"], r["rounds"], r["messages"]] for r in rows],
-            title="T1-BFS grids  (paper bound: O((a + D + log n) log n), Theorem 5.2)",
+            title=f"T1-BFS grids  (paper bound: {bound}, Theorem 5.2)",
         )
         + "\n  model fits (best first): "
         + "; ".join(f"{f.model} nrmse={f.rmse:.2f}" for f in fits[:3])

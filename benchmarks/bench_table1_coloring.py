@@ -7,7 +7,7 @@ colors used ≤ 2(1+ε)â = O(a), independent of ∆ (the star row pins that).""
 import pytest
 
 from repro import RunSpec, Session
-from repro.registry import bench_config
+from repro.registry import bench_config, get_algorithm
 from repro.analysis.complexity import rank_models
 from repro.analysis.reporting import format_table
 
@@ -23,9 +23,10 @@ def test_coloring_n_sweep(benchmark, report):
 
     params = [{"n": r["n"], "a": r["a"]} for r in rows]
     rounds = [r["rounds"] for r in rows]
-    fits = rank_models(params, rounds)
+    bound = get_algorithm("coloring").bound
+    fits = rank_models(params, rounds, bound)
     by_name = {f.model: f for f in fits}
-    assert by_name["(a + log n) log^1.5 n"].rmse <= by_name["n"].rmse
+    assert by_name[bound].rmse <= by_name["n"].rmse
 
     report(
         format_table(
@@ -34,7 +35,7 @@ def test_coloring_n_sweep(benchmark, report):
                 [r["n"], r["a"], r["repetitions"], r["rounds"], r["colors_used"], r["palette"]]
                 for r in rows
             ],
-            title="T1-COL n-sweep  (paper bound: O((a + log n) log^{3/2} n), Theorem 5.5)",
+            title=f"T1-COL n-sweep  (paper bound: {bound}, Theorem 5.5)",
         )
         + "\n  model fits (best first): "
         + "; ".join(f"{f.model} nrmse={f.rmse:.2f}" for f in fits[:3])

@@ -11,6 +11,7 @@ import pytest
 from repro import RunSpec, Session
 from repro.analysis.complexity import rank_models
 from repro.analysis.reporting import format_table
+from repro.registry import get_algorithm
 
 from .conftest import run_once
 
@@ -24,9 +25,10 @@ def test_matching_n_sweep(benchmark, report):
 
     params = [{"n": r["n"], "a": r["a"]} for r in rows]
     rounds = [r["rounds"] for r in rows]
-    fits = rank_models(params, rounds)
+    bound = get_algorithm("matching").bound
+    fits = rank_models(params, rounds, bound)
     by_name = {f.model: f for f in fits}
-    assert by_name["(a + log n) log n"].rmse <= by_name["n"].rmse
+    assert by_name[bound].rmse <= by_name["n"].rmse
 
     # Cross-row comparison with MIS (same bound): within a small factor.
     mis_rows = [Session().run(RunSpec("mis", n, a=2, seed=SEED)).row for n in (32, 64)]
@@ -41,7 +43,7 @@ def test_matching_n_sweep(benchmark, report):
                 [r["n"], r["m"], r["a"], r["phases"], r["rounds"], r["matching_size"], r["messages"]]
                 for r in rows
             ],
-            title="T1-MM n-sweep  (paper bound: O((a + log n) log n), Theorem 5.4)",
+            title=f"T1-MM n-sweep  (paper bound: {bound}, Theorem 5.4)",
         )
         + "\n  model fits (best first): "
         + "; ".join(f"{f.model} nrmse={f.rmse:.2f}" for f in fits[:3])

@@ -10,6 +10,7 @@ import pytest
 from repro import RunSpec, Session
 from repro.analysis.complexity import rank_models
 from repro.analysis.reporting import format_table
+from repro.registry import get_algorithm
 
 from .conftest import run_once
 
@@ -23,10 +24,11 @@ def test_mis_n_sweep(benchmark, report):
 
     params = [{"n": r["n"], "a": r["a"]} for r in rows]
     rounds = [r["rounds"] for r in rows]
-    fits = rank_models(params, rounds)
+    bound = get_algorithm("mis").bound
+    fits = rank_models(params, rounds, bound)
     by_name = {f.model: f for f in fits}
-    assert by_name["(a + log n) log n"].rmse <= by_name["n"].rmse
-    assert by_name["(a + log n) log n"].rmse <= by_name["n / log n"].rmse
+    assert by_name[bound].rmse <= by_name["n"].rmse
+    assert by_name[bound].rmse <= by_name["n / log n"].rmse
 
     report(
         format_table(
@@ -35,7 +37,7 @@ def test_mis_n_sweep(benchmark, report):
                 [r["n"], r["m"], r["a"], r["phases"], r["rounds"], r["mis_size"], r["messages"]]
                 for r in rows
             ],
-            title="T1-MIS n-sweep  (paper bound: O((a + log n) log n), Theorem 5.3)",
+            title=f"T1-MIS n-sweep  (paper bound: {bound}, Theorem 5.3)",
         )
         + "\n  model fits (best first): "
         + "; ".join(f"{f.model} nrmse={f.rmse:.2f}" for f in fits[:3])

@@ -5,16 +5,19 @@ doubling n-sweep on weighted bounded-arboricity graphs, every output checked
 against Kruskal, and the round counts fitted against candidate complexity
 models.  The reproduction claim holds when
 
-* every run is exactly the Kruskal MSF (correctness),
-* the measured growth is polylog (doubling ratios ≪ 2, growth exponent < 1),
-* O(log⁴ n) is among the best-fitting candidate models.
+* every run is exactly the Kruskal MSF with no capacity violation
+  (correctness),
+* the registered bound, O(log⁴ n), fits the round counts at least as well
+  as the polynomial alternatives n and n log n.
+
+The growth exponent of rounds in n is reported, not asserted.
 """
 
 import pytest
 
 from repro import RunSpec, Session
-from repro.registry import bench_config
-from repro.analysis.complexity import PAPER_MODELS, growth_exponent, rank_models
+from repro.registry import bench_config, get_algorithm
+from repro.analysis.complexity import growth_exponent, rank_models
 from repro.analysis.reporting import format_table
 
 from .conftest import run_once
@@ -35,16 +38,17 @@ def test_mst_sweep(benchmark, sweep_rows, report):
 
     params = [{"n": r["n"], "a": r["a"]} for r in rows]
     rounds = [r["rounds"] for r in rows]
-    fits = rank_models(params, rounds)
+    bound = get_algorithm("mst").bound
+    fits = rank_models(params, rounds, bound)
     exponent = growth_exponent([r["n"] for r in rows], rounds)
 
     # The paper's model must fit at least as well as the polynomial
     # alternatives.  (Note: over n = 16..96 a perfect log⁴ n curve has an
-    # apparent log-log exponent ≈ 1.2, so the exponent is reported, not
+    # apparent log-log exponent ≈ 1.11, so the exponent is reported, not
     # asserted against 1.)
     by_name = {f.model: f for f in fits}
-    assert by_name["log^4 n"].rmse <= by_name["n"].rmse
-    assert by_name["log^4 n"].rmse <= by_name["n log n"].rmse
+    assert by_name[bound].rmse <= by_name["n"].rmse
+    assert by_name[bound].rmse <= by_name["n log n"].rmse
 
     report(
         format_table(
@@ -53,7 +57,7 @@ def test_mst_sweep(benchmark, sweep_rows, report):
                 [r["n"], r["m"], r["a"], r["W"], r["phases"], r["rounds"], r["messages"], r["correct"]]
                 for r in rows
             ],
-            title="T1-MST  (paper bound: O(log^4 n), Theorem 3.2)",
+            title=f"T1-MST  (paper bound: {bound}, Theorem 3.2)",
         )
         + f"\n  growth exponent of rounds in n: {exponent:.2f} (a perfect log⁴n curve"
         + "\n  shows an apparent exponent ≈ 1.1 over n=16..96, so this matches)"

@@ -63,7 +63,8 @@
 #      one round block — span, observer, bookkeeping — with and without a
 #      round observer), and a traced smoke — `run --trace` into
 #      TRACE_run.json (override with TRACE_RUN_JSON), `repro trace`
-#      + `--bounds` summaries of it, and a pooled `sweep --telemetry`
+#      + `--bounds` summaries of it (failing unless the mst row shows a
+#      numeric budget and ratio), and a pooled `sweep --telemetry`
 #      whose merged trace/events/summary land in TRACE_sweep/ (override
 #      with TRACE_SWEEP_DIR) for the CI artifact;
 #  13. reprolint (`python -m repro lint --strict`): the AST invariant
@@ -187,7 +188,14 @@ TRACE_SWEEP_DIR="${TRACE_SWEEP_DIR:-TRACE_sweep}"
 rm -rf "$TRACE_SWEEP_DIR"
 python -m repro run mst --n 64 --trace "$TRACE_RUN_JSON" > /dev/null
 python -m repro trace "$TRACE_RUN_JSON" > /dev/null
-python -m repro trace "$TRACE_RUN_JSON" --bounds | tail -n 3
+BOUNDS_OUT="$(python -m repro trace "$TRACE_RUN_JSON" --bounds)"
+printf '%s\n' "$BOUNDS_OUT" | tail -n 4
+# The mst row must carry a numeric budget and ratio next to its bound.
+if ! grep -Eq '^mst +64 +[0-9]+ +[0-9]+ +[0-9]+\.[0-9] +[0-9]+\.[0-9]{3}  O\(log\^4 n\)$' \
+        <<<"$BOUNDS_OUT"; then
+    echo "verify: error: repro trace --bounds shows no budget and ratio for mst at n = 64" >&2
+    exit 1
+fi
 python -m repro sweep --algos mis,matching --ns 32 --seeds 0:3 --jobs 2 \
     --telemetry "$TRACE_SWEEP_DIR" --out /dev/null
 python -m repro trace "$TRACE_SWEEP_DIR/trace.json" | head -n 1

@@ -276,6 +276,8 @@ class Session:
         )
         tr = _tracer.CURRENT
         if tr is not None:
+            # A D-dependent bound is budgeted at the row's measured diameter.
+            measured = {"D": ex.row["D"]} if "D" in ex.row else {}
             tr.add_span(
                 "run",
                 t0,
@@ -291,6 +293,7 @@ class Session:
                 messages=report.messages,
                 bits=report.bits,
                 incidents=len(self.last_incidents),
+                **measured,
             )
         return report
 

@@ -23,8 +23,8 @@ Layout
     Chrome trace-event JSON (Perfetto-viewable), events JSONL, and the
     human text summary; also the reader used by ``python -m repro trace``.
 ``bounds``
-    Evaluates each algorithm's registered Table 1 bound string and
-    compares measured rounds against the budget.
+    One row per traced run: measured rounds against the registered
+    Table 1 budget (the bound grammar lives in ``repro.analysis.complexity``).
 ``sweep``
     :class:`SweepTelemetry` — collects per-row worker traces shipped
     back over the pool pipes and merges them into one trace directory.

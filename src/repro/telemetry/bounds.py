@@ -1,123 +1,29 @@
-"""Measured-vs-declared round budgets (the paper's Table 1 accounting).
+"""Measured rounds vs the registered Table 1 budgets, per traced run.
 
-Each registered algorithm declares its asymptotic round bound as a
-string (``AlgorithmSpec.bound``, e.g. ``"O((a + log n) log n)"``).  This
-module evaluates those strings for a concrete ``(n, a)`` — giving the
-*budget shape* with all constants taken as 1 — and reports the ratio of
-measured rounds to that budget.  The ratio is not a pass/fail number
-(the bounds are asymptotic, constants and log bases matter), but it is
-stable across runs of the same spec and comparable across ``n``: a
-ratio that grows with ``n`` means the implementation is outgrowing its
-declared bound.
-
-Variable conventions
---------------------
-``n``  nodes; ``a``  arboricity; ``log x``  taken base 2, floored at 1;
-``D``  diameter (assumed ``log2 n`` when the trace does not carry it);
-``W``  maximum edge weight (assumed ``n``).  Qualifiers after the
-``O(...)`` term ("per invocation", "setup", "aggregations per pass")
-are preserved as a note — those budgets are per-unit, so the whole-run
-ratio overstates them and the note says so.
+Each registered algorithm declares its round bound as a string
+(``AlgorithmSpec.bound``, e.g. ``"O((a + log n) log n)"``), in the grammar
+of :func:`repro.analysis.complexity.parse_formula`.  This module turns a
+trace's run spans into rows: the bound evaluated at the traced ``(n, a)``
+and at the run's measured diameter ``D`` when its span records one, giving
+the *budget shape* with every constant 1.  For a bound on whole-run rounds
+it also reports measured rounds / budget.  That ratio is not pass/fail
+(the bounds are asymptotic), but it is stable across runs of the same spec
+and comparable across ``n``: a ratio that grows with ``n`` means the
+implementation is outgrowing its declared bound.  A bound with a unit
+("per invocation", "setup", "aggregations per pass") budgets a part of
+the run, so its row gets no whole-run ratio.
 """
 
 from __future__ import annotations
 
-import math
-import re
 from typing import Any
 
-__all__ = ["evaluate_bound", "bounds_rows", "render_bounds"]
-
-_TOKEN = re.compile(
-    r"""
-    (?P<fraclog>log\^\{(?P<fp>\d+)/(?P<fq>\d+)\}\s*n)
-  | (?P<powlog>log\^(?P<p>\d+)\s*n)
-  | (?P<logw>log\s*W)
-  | (?P<logn>log\s*n)
-  | (?P<num>\d+)
-  | (?P<var>[naDW])
-  | (?P<op>[()+*/-])
-  | (?P<ws>\s+)
-    """,
-    re.VERBOSE,
-)
-
-_SAFE_EXPR = re.compile(r"^[0-9eE().+*/\- ]+$")
-
-
-def evaluate_bound(
-    bound: str,
-    *,
-    n: int,
-    a: int = 2,
-    D: float | None = None,
-    W: float | None = None,
-) -> tuple[float, str] | None:
-    """Evaluate a Table 1 bound string for concrete parameters.
-
-    Returns ``(budget, note)`` — the numeric budget with all constants 1,
-    plus any trailing qualifier from the bound string ("per invocation",
-    ...) — or ``None`` when the string does not parse.
-    """
-    m = re.match(r"^\s*O\((?P<expr>.*)\)(?P<qual>[^)]*)$", bound.strip(), re.S)
-    if m is None:
-        return None
-    expr_src, note = m.group("expr"), m.group("qual").strip()
-
-    log_n = max(1.0, math.log2(max(2, n)))
-    log_w = max(1.0, math.log2(max(2.0, float(W if W is not None else n))))
-    values = {
-        "n": float(n),
-        "a": float(max(1, a)),
-        "D": float(D if D is not None else log_n),
-        "W": float(W if W is not None else n),
-    }
-
-    parts: list[str] = []
-    pos = 0
-    while pos < len(expr_src):
-        tok = _TOKEN.match(expr_src, pos)
-        if tok is None:
-            return None
-        pos = tok.end()
-        if tok.lastgroup == "ws":
-            continue
-        if tok.lastgroup == "fraclog":
-            term = f"({log_n} ** ({tok.group('fp')} / {tok.group('fq')}))"
-        elif tok.lastgroup == "powlog":
-            term = f"({log_n} ** {tok.group('p')})"
-        elif tok.lastgroup == "logw":
-            term = f"({log_w})"
-        elif tok.lastgroup == "logn":
-            term = f"({log_n})"
-        elif tok.lastgroup == "num":
-            term = tok.group("num")
-        elif tok.lastgroup == "var":
-            term = f"({values[tok.group('var')]})"
-        else:  # operator / parenthesis
-            op = tok.group("op")
-            if op == "(" and parts and (parts[-1][-1].isdigit() or parts[-1][-1] == ")"):
-                parts.append("*")  # implicit multiplication: "...) (..." / "2 (..."
-            parts.append(op)
-            continue
-        if parts and (parts[-1][-1].isdigit() or parts[-1][-1] == ")"):
-            parts.append("*")  # implicit multiplication between adjacent terms
-        parts.append(term)
-
-    expr = " ".join(parts)
-    if not _SAFE_EXPR.match(expr):
-        return None
-    try:
-        budget = float(eval(expr, {"__builtins__": {}}))  # noqa: S307 - vetted numeric expr
-    except (SyntaxError, ZeroDivisionError, TypeError, NameError):
-        return None
-    if not math.isfinite(budget) or budget <= 0:
-        return None
-    return budget, note
+__all__ = ["bounds_rows", "render_bounds"]
 
 
 def bounds_rows(doc: dict[str, Any]) -> list[dict[str, Any]]:
     """One row per traced run: measured rounds vs the registered budget."""
+    from ..analysis.complexity import parse_formula
     from ..registry import UnknownAlgorithmError, get_algorithm
     from .export import run_metas
 
@@ -133,9 +39,9 @@ def bounds_rows(doc: dict[str, Any]) -> list[dict[str, Any]]:
             "a": int(meta.get("a") or 2),
             "rounds": int(meta.get("rounds") or 0),
             "bound": None,
+            "unit": "",
             "budget": None,
             "ratio": None,
-            "note": "",
         }
         try:
             spec = get_algorithm(str(algo))
@@ -143,13 +49,12 @@ def bounds_rows(doc: dict[str, Any]) -> list[dict[str, Any]]:
             spec = None
         if spec is not None and spec.bound:
             row["bound"] = spec.bound
-            evaluated = evaluate_bound(spec.bound, n=row["n"], a=row["a"])
-            if evaluated is not None:
-                budget, note = evaluated
-                row["budget"] = budget
-                row["note"] = note
-                if row["rounds"]:
-                    row["ratio"] = row["rounds"] / budget
+            formula = parse_formula(spec.bound)
+            if formula is not None:
+                row["budget"] = formula(row["n"], row["a"], D=meta.get("D"))
+                row["unit"] = formula.unit
+                if not formula.unit and row["rounds"]:
+                    row["ratio"] = row["rounds"] / row["budget"]
         rows.append(row)
     return rows
 
@@ -169,14 +74,13 @@ def render_bounds(doc: dict[str, Any]) -> str:
         budget = f"{row['budget']:.1f}" if row["budget"] else "-"
         ratio = f"{row['ratio']:.3f}" if row["ratio"] else "-"
         bound = row["bound"] or "(unregistered)"
-        if row["note"]:
-            bound += f"  [{row['note']}]"
         lines.append(
             f"{row['algorithm']:<16} {row['n']:>8} {row['a']:>4} "
             f"{row['rounds']:>8} {budget:>10} {ratio:>8}  {bound}"
         )
     lines.append(
-        "(budget = bound evaluated with constants 1, log base 2, "
-        "D~log2 n, W~n; ratio = measured rounds / budget)"
+        "(budget = bound evaluated with constants 1, log base 2, D = the run's "
+        "diameter else log2 n, W = n;\n ratio = measured rounds / budget, for "
+        "bounds on whole-run rounds only)"
     )
     return "\n".join(lines)

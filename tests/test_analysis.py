@@ -5,39 +5,46 @@ import math
 import pytest
 
 from repro.analysis.complexity import (
-    PAPER_MODELS,
+    ALTERNATIVES,
     fit_single_coefficient,
     growth_exponent,
+    parse_formula,
     rank_models,
 )
 from repro.analysis.reporting import format_table
+from repro.registry import iter_algorithms
+
+#: Plain shapes plus every registered bound, planted as formula strings.
+PLANTED = ["log^4 n", "n", "n / log n", "n^{1/2}"] + sorted(
+    {spec.bound for spec in iter_algorithms() if spec.bound}
+)
 
 
 class TestFitting:
-    def synth(self, model_name, ns, coeff=3.0, a=2, D=10):
-        fn = PAPER_MODELS[model_name]
+    def synth(self, formula, ns, coeff=3.0, a=2, D=10):
+        model = parse_formula(formula)
         params = [{"n": n, "a": a, "D": D} for n in ns]
-        ys = [coeff * fn(p) for p in params]
+        ys = [coeff * model(**p) for p in params]
         return params, ys
 
     def test_recovers_planted_coefficient(self):
         params, ys = self.synth("log^4 n", [32, 64, 128, 256, 512])
-        fit = fit_single_coefficient(params, ys, PAPER_MODELS["log^4 n"], "log^4 n")
+        fit = fit_single_coefficient(params, ys, "log^4 n")
+        assert fit.model == "log^4 n"
         assert fit.coefficient == pytest.approx(3.0)
         assert fit.rmse < 1e-9
 
-    @pytest.mark.parametrize(
-        "planted",
-        ["log^4 n", "n", "n / log n", "(a + log n) log n"],
-    )
+    @pytest.mark.parametrize("planted", PLANTED)
     def test_best_model_identifies_planted(self, planted):
         params, ys = self.synth(planted, [32, 64, 128, 256, 512, 1024])
-        fits = rank_models(params, ys)
+        fits = rank_models(params, ys, planted)
         fit = fits[0]
         # the planted model must fit essentially perfectly
         planted_fit = [f for f in fits if f.model == planted][0]
         assert planted_fit.rmse < 1e-9
         assert fit.rmse <= planted_fit.rmse + 1e-12
+        # each shape is ranked once: an alternative equal to the bound drops out
+        assert len(fits) == len(ALTERNATIVES) + (parse_formula(planted).expr not in ALTERNATIVES)
 
     def test_noise_tolerated(self):
         import random
@@ -51,7 +58,11 @@ class TestFitting:
 
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
-            fit_single_coefficient([], [], PAPER_MODELS["n"], "n")
+            fit_single_coefficient([], [], "n")
+
+    def test_unparseable_formula_rejected(self):
+        with pytest.raises(ValueError, match="does not parse"):
+            fit_single_coefficient([{"n": 16}], [1.0], "sqrt(n)")
 
 
 class TestGrowthProbes:
@@ -81,6 +92,4 @@ class TestReporting:
 
     def test_float_formatting(self):
         out = format_table(["x"], [[0.123456], [12.3], [1234.5]])
-        assert "0.123" in out
-        assert "12.30" in out
-        assert "1234" in out  # wait, 1234.5 -> "1235" rounding; accept either
+        assert out.splitlines()[2:] == ["0.123", "12.30", "1234 "]

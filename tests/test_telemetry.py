@@ -23,7 +23,9 @@ from repro.telemetry import (
     tracing,
     uninstall_tracer,
 )
-from repro.telemetry.bounds import bounds_rows, evaluate_bound, render_bounds
+from repro.analysis.complexity import parse_formula
+from repro.registry import get_algorithm, iter_algorithms
+from repro.telemetry.bounds import bounds_rows, render_bounds
 from repro.telemetry.export import (
     build_chrome_doc,
     load_trace,
@@ -290,49 +292,47 @@ class TestPhaseTable:
 
 
 # ----------------------------------------------------------------------
-# Bounds evaluation
+# Bounds: the registered bound grammar and the trace's bounds rows
 # ----------------------------------------------------------------------
 class TestBounds:
     def test_plain_power_log(self):
-        budget, note = evaluate_bound("O(log^4 n)", n=16)
-        assert budget == pytest.approx(4.0**4)
-        assert note == ""
+        mst = parse_formula(get_algorithm("mst").bound)
+        assert mst(16) == pytest.approx(4.0**4)
+        assert mst.unit == ""
 
     def test_sum_and_product(self):
-        # (a + D + log n) log n with D = log2 n = 4
-        budget, _ = evaluate_bound("O((a + D + log n) log n)", n=16, a=2)
-        assert budget == pytest.approx((2 + 4 + 4) * 4)
+        bfs = parse_formula(get_algorithm("bfs").bound)
+        # D = log2 n = 4 unless the caller gives one
+        assert bfs(16, a=2) == pytest.approx((2 + 4 + 4) * 4)
+        assert bfs(16, a=2, D=10) == pytest.approx((2 + 10 + 4) * 4)
 
-    def test_fractional_log_power(self):
-        budget, _ = evaluate_bound("O((a + log n) log^{3/2} n)", n=16, a=2)
-        assert budget == pytest.approx((2 + 4) * 4**1.5)
+    def test_fractional_powers(self):
+        assert parse_formula("log^{3/2} n")(16) == pytest.approx(4**1.5)
+        assert parse_formula("n^{1/2}")(64) == pytest.approx(8.0)
+        coloring = parse_formula(get_algorithm("coloring").bound)
+        assert coloring(16, a=2) == pytest.approx((2 + 4) * 4**1.5)
 
-    def test_log_w_and_qualifier_note(self):
-        budget, note = evaluate_bound(
-            "O(log W log n) per invocation", n=16, W=1024
-        )
-        assert budget == pytest.approx(10 * 4)
-        assert note == "per invocation"
+    def test_log_w_and_unit(self):
+        findmin = parse_formula(get_algorithm("findmin").bound)
+        assert findmin(16, W=1024) == pytest.approx(10 * 4)
+        assert findmin.unit == "per invocation"
 
     def test_every_registered_bound_evaluates(self):
-        from repro.registry import get_algorithm, iter_algorithms
-
         checked = 0
         for spec in iter_algorithms():
-            bound = getattr(spec, "bound", None)
-            if not bound:
+            if not spec.bound:
                 continue
-            evaluated = evaluate_bound(bound, n=64, a=3)
-            assert evaluated is not None, f"{spec.name}: {bound!r} did not parse"
-            assert evaluated[0] > 0
+            formula = parse_formula(spec.bound)
+            assert formula is not None, f"{spec.name}: {spec.bound!r} did not parse"
+            assert formula(64, a=3) > 0
             checked += 1
         assert checked >= 5
         assert get_algorithm("mst").bound  # the Table 1 anchor stays bound
 
     def test_unparseable_bounds_return_none(self):
-        assert evaluate_bound("polylog(n)", n=16) is None
-        assert evaluate_bound("O(import os)", n=16) is None
-        assert evaluate_bound("O(__builtins__)", n=16) is None
+        assert parse_formula("polylog(n)") is None
+        assert parse_formula("O(import os)") is None
+        assert parse_formula("O(__builtins__)") is None
 
     def test_bounds_rows_and_render(self, traced_doc):
         rows = bounds_rows(traced_doc)
@@ -342,6 +342,34 @@ class TestBounds:
         assert row["budget"] and row["ratio"]
         text = render_bounds(traced_doc)
         assert "mis" in text and "ratio" in text
+
+    def test_unit_bounds_get_no_whole_run_ratio(self):
+        with tracing(label="units") as tr:
+            for algo in ("identification", "broadcast_trees", "mis"):
+                Session().run(RunSpec(algo, 16, seed=0))
+        doc = build_chrome_doc(payload_rows(tr))
+        rows = {row["algorithm"]: row for row in bounds_rows(doc)}
+        assert rows["identification"]["unit"] == "aggregations per pass"
+        assert rows["broadcast_trees"]["unit"] == "setup"
+        for algo in ("identification", "broadcast_trees"):
+            assert rows[algo]["budget"] > 0
+            assert rows[algo]["ratio"] is None
+        assert rows["mis"]["unit"] == ""
+        assert rows["mis"]["ratio"] == rows["mis"]["rounds"] / rows["mis"]["budget"]
+        lines = render_bounds(doc).splitlines()
+        ident = next(line for line in lines if line.startswith("identification"))
+        assert ident.split()[4:] == ["1.0", "-", "O(1)", "aggregations", "per", "pass"]
+
+    def test_bfs_budget_uses_the_measured_diameter(self):
+        spec = RunSpec("bfs", 36, scenario="grid", seed=0, engine="batched")
+        with tracing(label="bfs-grid") as tr:
+            report = Session().run(spec)
+        doc = build_chrome_doc(payload_rows(tr))
+        assert report.row["D"] == 10
+        assert run_metas(doc)[0]["D"] == 10
+        (row,) = bounds_rows(doc)
+        assert row["budget"] == pytest.approx(88.8, abs=0.05)  # log2 n = 5.17 would give 63.8
+        assert row["ratio"] == pytest.approx(report.rounds / row["budget"])
 
     def test_render_empty_trace(self):
         text = render_bounds({"traceEvents": []})
